@@ -20,6 +20,7 @@ from .errors import (
     InconclusiveError,
     InfiniteColengthError,
     InsufficientDataError,
+    SizeLimitError,
     ZeroIdealError,
 )
 from .families import GradedFamilySpec
@@ -94,6 +95,7 @@ __all__ = [
     "InsufficientDataError",
     "MonomialIdeal",
     "Semigroup",
+    "SizeLimitError",
     "SwansonResult",
     "TheoremARow",
     "ValuationCut",

@@ -232,27 +232,14 @@ def _ideal_cell(ideal: MonomialIdeal) -> str:
 
 def _cmd_epsilon(args) -> int:
     ideal = _load_ideal(args.ideal)
-    est = epsilon_sequence(ideal, args.nmax)
+    eps_lines, rows = _epsilon_rows(ideal, args.nmax)
     cfg = {
         "command": "epsilon",
         "format": args.format,
         "ideal": args.ideal,
         "nmax": args.nmax,
     }
-    lines = [_config_line(cfg), "n,length,e_n(num),e_n(den)"]
-    rows = []
-    for n, (length, value) in enumerate(zip(est.lengths, est.sequence), start=1):
-        lines.append(f"{n},{length},{value.numerator},{value.denominator}")
-        rows.append(
-            {
-                "n": n,
-                "length": length,
-                "num": value.numerator,
-                "den": value.denominator,
-                "decimal": _decimal12(value),
-            }
-        )
-    _emit(args, lines, {"config": cfg, "rows": rows})
+    _emit(args, [_config_line(cfg), *eps_lines], {"config": cfg, "rows": rows})
     return 0
 
 
@@ -345,14 +332,14 @@ def _cmd_theorem_a(args) -> int:
     return 2 if inconclusive else 0
 
 
-def _volume_sweep_lines(sg: Semigroup, nmax: int, exact: Fraction | None):
+def _volume_sweep_lines(sg: Semigroup, levels, exact: Fraction | None):
     header = "n,count,estimate_num,estimate_den,exact_num,exact_den"
     ex_num = exact.numerator if exact is not None else ""
     ex_den = exact.denominator if exact is not None else ""
     lines = [header]
     rows = []
     d = sg.dim
-    for n in range(1, nmax + 1):
+    for n in levels:
         count = sg.count(n)
         estimate = Fraction(count, n**d)
         lines.append(
@@ -386,10 +373,11 @@ def _cmd_okounkov_volume(args) -> int:
     )
     pow_sg = gamma_beta(GradedFamilySpec.powers(ideal), args.beta, i_max=1)
     lines = [_config_line(cfg), "# family: saturated_powers"]
-    sat_lines, sat_rows = _volume_sweep_lines(sat_sg, args.nmax, None)
+    levels = range(1, args.nmax + 1)
+    sat_lines, sat_rows = _volume_sweep_lines(sat_sg, levels, None)
     lines.extend(sat_lines)
     lines.append("# family: powers")
-    pow_lines, pow_rows = _volume_sweep_lines(pow_sg, args.nmax, None)
+    pow_lines, pow_rows = _volume_sweep_lines(pow_sg, levels, None)
     lines.extend(pow_lines)
     via = epsilon_via_volumes(ideal, args.beta, args.nmax)
     lines.append(
@@ -434,10 +422,9 @@ def _cmd_semigroup(args) -> int:
     if sg.generators is not None and all(g[-1] == 1 for g in sg.generators):
         exact = hull_volume([g[:-1] for g in sg.generators], sg.dim)
     if sg.is_generated:
-        sweep_levels = args.nmax
+        sweep = range(1, args.nmax + 1)
     else:
-        materialized = [i for i in sg.materialized_levels() if 1 <= i <= args.nmax]
-        sweep_levels = materialized
+        sweep = [i for i in sg.materialized_levels() if 1 <= i <= args.nmax]
     lines = [_config_line(cfg)]
     payload: dict = {"config": cfg}
     if args.beta is not None:
@@ -447,33 +434,8 @@ def _cmd_semigroup(args) -> int:
             f"cone3={'true' if cones['cone3'] else 'false'}"
         )
         payload["cone_conditions"] = cones
-    if isinstance(sweep_levels, int):
-        sweep = range(1, sweep_levels + 1)
-    else:
-        sweep = sweep_levels
-    header = "n,count,estimate_num,estimate_den,exact_num,exact_den"
-    ex_num = exact.numerator if exact is not None else ""
-    ex_den = exact.denominator if exact is not None else ""
-    lines.append(header)
-    rows = []
-    for n in sweep:
-        count = sg.count(n)
-        estimate = Fraction(count, n**sg.dim)
-        lines.append(
-            f"{n},{count},{estimate.numerator},{estimate.denominator},{ex_num},{ex_den}"
-        )
-        row = {
-            "n": n,
-            "count": count,
-            "estimate_num": estimate.numerator,
-            "estimate_den": estimate.denominator,
-            "estimate_decimal": _decimal12(estimate),
-        }
-        if exact is not None:
-            row["exact_num"] = exact.numerator
-            row["exact_den"] = exact.denominator
-        rows.append(row)
-    payload["rows"] = rows
+    sweep_lines, payload["rows"] = _volume_sweep_lines(sg, sweep, exact)
+    lines.extend(sweep_lines)
     if exact is not None:
         payload["exact"] = {
             "num": exact.numerator,

@@ -1,27 +1,108 @@
 """Exact lengths of quotients J/I of monomial ideals (I inside J).
 
 The length of (J/I) as a module over the local ring at the origin is the
-number of monomials lying in J but not in I.  When that number is finite
-it is counted exactly by walking the first d-1 coordinates over a
-provably sufficient box and resolving the last coordinate in closed form
-from the two staircase height functions.
+number of monomials lying in J but not in I.  Every count here reads one
+height grid.  Over each column of the last d-1 coordinates, a staircase is
+a height: the least first coordinate at which the column enters the ideal.
+The height changes only at generator coordinates, so cutting each column
+axis at 0 and at every generator coordinate of the ideals involved gives a
+compressed grid with one height per cell and ideal; the last cell of each
+axis is unbounded.  Containment, finiteness, the length and the deepest
+degree of the difference are array expressions over those cells, and the
+final sums are taken in Python integers, so results past 2^63 stay exact.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .errors import InfiniteColengthError, EpsmultError
-from .ideals import MonomialIdeal
+from .errors import EpsmultError, InfiniteColengthError, SizeLimitError
+from .ideals import DEGREE_LIMIT, MonomialIdeal
 
-_INF = float("inf")
+# Largest number of cells of one height grid (32 MiB as int64).
+MAX_GRID_CELLS = 1 << 22
 
-# Sentinel for "column never enters the ideal" in integer height grids.
-_BIG = 1 << 60
+# Height of a column that never enters the ideal.  It lies above every
+# exponent the int64 paths accept, so it never equals a real height.
+_NEVER = 2 * DEGREE_LIMIT
 
-# Above this many grid cells the dense height-grid method falls back to a
-# recursive walk to keep memory bounded.
-_GRID_CELL_CAP = 8_000_000
+
+def _height_grids(ideals) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Heights of ideals in one ring on their shared compressed grid.
+
+    Returns (cuts, grids).  cuts[k] holds 0 and every generator's
+    coordinate k+1, sorted: cell i of that axis spans
+    [cuts[k][i], cuts[k][i+1]), and the last cell is unbounded.  grids[j]
+    holds the height of ideals[j] on every cell, _NEVER where it is
+    infinite.  Raises SizeLimitError above MAX_GRID_CELLS cells.
+    """
+    dim = ideals[0].dim
+    rows = [ideal._array() for ideal in ideals]
+    cuts = [
+        np.unique(np.concatenate([[0], *(r[:, k] for r in rows)]))
+        for k in range(1, dim)
+    ]
+    shape = tuple(len(c) for c in cuts)
+    cells = math.prod(shape)
+    if cells > MAX_GRID_CELLS:
+        raise SizeLimitError(
+            f"a height grid of {cells} cells exceeds the limit of {MAX_GRID_CELLS}"
+        )
+    grids = []
+    for r in rows:
+        flat = np.zeros(len(r), dtype=np.int64)
+        for k, c in enumerate(cuts, start=1):
+            flat = flat * len(c) + np.searchsorted(c, r[:, k])
+        grid = np.full(cells, _NEVER, dtype=np.int64)
+        np.minimum.at(grid, flat, r[:, 0])
+        grid = grid.reshape(shape)
+        for axis in range(dim - 1):
+            np.minimum.accumulate(grid, axis=axis, out=grid)
+        grids.append(grid)
+    return cuts, grids
+
+
+def _cell_corners(cuts, mask: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per column axis, the lower corner and the width of each masked cell.
+
+    Both come as arrays of Python ints, in the order of grid[mask]; the
+    width is 0 where the cell is unbounded.
+    """
+
+    def on_cells(values: np.ndarray, axis: int) -> np.ndarray:
+        view = [1] * mask.ndim
+        view[axis] = -1
+        return np.broadcast_to(values.reshape(view), mask.shape)[mask].astype(object)
+
+    lows = [on_cells(c, axis) for axis, c in enumerate(cuts)]
+    widths = [on_cells(np.diff(c, append=c[-1]), axis) for axis, c in enumerate(cuts)]
+    return lows, widths
+
+
+def _difference_cells(inner: MonomialIdeal, outer: MonomialIdeal):
+    """The cells where outer/inner is nonempty, as exact arrays.
+
+    Returns (lows, widths, h_in, h_out): each column of such a cell holds
+    the h_in - h_out monomials of outer/inner whose first coordinate is at
+    least h_out.  Raises EpsmultError unless inner <= outer, and
+    InfiniteColengthError when the difference is infinite: some column
+    enters outer but never inner, or an unbounded cell is nonempty.
+    """
+    inner._check_same_dim(outer)
+    cuts, (h_in, h_out) = _height_grids((inner, outer))
+    if bool((h_in < h_out).any()):
+        raise EpsmultError("inner not contained in outer")
+    mask = h_in > h_out
+    if bool(((h_in == _NEVER) & mask).any()) or any(
+        bool(mask.take(-1, axis=axis).any()) for axis in range(mask.ndim)
+    ):
+        raise InfiniteColengthError(
+            "outer/inner has infinite length (outer exceeds the saturation of inner)"
+        )
+    lows, widths = _cell_corners(cuts, mask)
+    return lows, widths, h_in[mask].astype(object), h_out[mask].astype(object)
 
 
 def is_finite_colength(inner: MonomialIdeal, outer: MonomialIdeal) -> bool:
@@ -30,155 +111,20 @@ def is_finite_colength(inner: MonomialIdeal, outer: MonomialIdeal) -> bool:
     Finiteness is equivalent to outer lying inside the saturation of
     inner: the quotient is then killed by a power of the maximal ideal.
     """
-    _require_contained(inner, outer)
-    return outer.is_subideal_of(inner.saturate())
-
-
-def _require_contained(inner: MonomialIdeal, outer: MonomialIdeal) -> None:
-    if not inner.is_subideal_of(outer):
-        raise EpsmultError("inner not contained in outer")
-
-
-def _height(gens: list[tuple[int, ...]], prefix: tuple[int, ...]) -> float:
-    """Smallest last-coordinate h with prefix+(h,) in the ideal (inf if none)."""
-    j = len(prefix)
-    best = _INF
-    for g in gens:
-        if all(g[i] <= prefix[i] for i in range(j)):
-            if g[j] < best:
-                best = g[j]
-                if best == 0:
-                    break
-    return best
+    try:
+        _difference_cells(inner, outer)
+    except InfiniteColengthError:
+        return False
+    return True
 
 
 def colength(inner: MonomialIdeal, outer: MonomialIdeal) -> int:
     """Exact length of outer/inner; raises InfiniteColengthError when infinite."""
-    inner._check_same_dim(outer)
-    _require_contained(inner, outer)
-    if inner == outer:
-        return 0
-    if not outer.is_subideal_of(inner.saturate()):
-        raise InfiniteColengthError(
-            "outer/inner has infinite length (outer exceeds the saturation of inner)"
-        )
-    if inner.dim == 2:
-        return _count_difference_2d(inner, outer)
-    # Every counted monomial e satisfies e <= b + mu with b a generator of
-    # outer and |mu| < t where m^t * outer <= inner; t = sum of the
-    # per-variable exponent caps of inner always works.
-    t = sum(inner.max_exponents())
-    box = max(outer.max_exponents(), default=0) + t + 1
-    while True:
-        count, touched = _count_difference(inner, outer, box)
-        if not touched:
-            return count
-        box *= 2  # conservative box leaked; retry larger
-
-
-def _segments_2d(
-    inner_gens: list[tuple[int, ...]], outer_gens: list[tuple[int, ...]]
-):
-    """Yield (width, h_inner, h_outer) over maximal runs of constant heights.
-
-    For staircases in two variables the height over column x is
-    min{g_y : g_x <= x}; it only changes at generator x-values, so the
-    whole difference decomposes into finitely many constant segments plus
-    one infinite tail, which is yielded last with width None.
-    """
-    xs = sorted({0} | {g[0] for g in inner_gens} | {g[0] for g in outer_gens})
-
-    def height_fn(gens):
-        pairs = sorted((g[0], g[1]) for g in gens)
-
-        def h(x, _pairs=pairs):
-            best = _INF
-            for gx, gy in _pairs:
-                if gx > x:
-                    break
-                if gy < best:
-                    best = gy
-            return best
-
-        return h
-
-    h_in = height_fn(inner_gens)
-    h_out = height_fn(outer_gens)
-    for i, x in enumerate(xs):
-        nxt = xs[i + 1] if i + 1 < len(xs) else None
-        width = None if nxt is None else nxt - x
-        yield width, h_in(x), h_out(x)
-
-
-def _count_difference_2d(inner: MonomialIdeal, outer: MonomialIdeal) -> int:
-    count = 0
-    for width, hi, lo in _segments_2d(list(inner.generators), list(outer.generators)):
-        if lo == _INF:
-            continue  # column not in outer at all
-        if hi == _INF:
-            raise InfiniteColengthError(
-                "unbounded staircase difference encountered during counting"
-            )
-        per_column = int(hi) - int(lo)
-        if per_column <= 0:
-            continue
-        if width is None:
-            raise InfiniteColengthError(
-                "unbounded staircase difference encountered during counting"
-            )
-        count += width * per_column
-    return count
-
-
-def _count_difference(
-    inner: MonomialIdeal, outer: MonomialIdeal, box: int
-) -> tuple[int, bool]:
-    d = inner.dim
-    inner_gens = list(inner.generators)
-    outer_gens = list(outer.generators)
-    count = 0
-    touched = False
-
-    def walk(prefix: tuple[int, ...], in_alive, out_alive) -> None:
-        nonlocal count, touched
-        j = len(prefix)
-        if j == d - 1:
-            lo = _height(out_alive, prefix)
-            if lo is _INF or lo == _INF:
-                return
-            hi = _height(in_alive, prefix)
-            if hi == _INF:
-                raise InfiniteColengthError(
-                    "unbounded staircase difference encountered during counting"
-                )
-            if hi > int(lo):
-                count += int(hi) - int(lo)
-                if any(c >= box - 1 for c in prefix) or hi - 1 >= box - 1:
-                    touched = True
-            return
-        for c in range(box):
-            p = prefix + (c,)
-            in_next = [g for g in in_alive if g[j] <= c]
-            # min corner of the subtree already inside inner: nothing to count
-            if any(all(x == 0 for x in g[j + 1 :]) for g in in_next):
-                continue
-            out_next = [g for g in out_alive if g[j] <= c]
-            if not out_next:
-                continue
-            walk(p, in_next, out_next)
-
-    if d == 1:
-        lo = _height(outer_gens, ())
-        hi = _height(inner_gens, ())
-        if lo == _INF:
-            return 0, False
-        if hi == _INF:
-            raise InfiniteColengthError(
-                "unbounded staircase difference encountered during counting"
-            )
-        return max(0, int(hi) - int(lo)), False
-    walk((), inner_gens, outer_gens)
-    return count, touched
+    _, widths, h_in, h_out = _difference_cells(inner, outer)
+    count = h_in - h_out
+    for width in widths:
+        count = count * width
+    return int(count.sum())
 
 
 def difference_max_degree(inner: MonomialIdeal, outer: MonomialIdeal) -> int | None:
@@ -187,119 +133,14 @@ def difference_max_degree(inner: MonomialIdeal, outer: MonomialIdeal) -> int | N
     Returns None when the difference is empty (the ideals coincide) and
     raises InfiniteColengthError when it is infinite.  This is the degree
     past which truncations of the two ideals by powers of the maximal
-    ideal agree.
+    ideal agree.  In each cell the deepest point sits at the upper corner,
+    one step below the inner height.
     """
-    inner._check_same_dim(outer)
-    _require_contained(inner, outer)
-    if inner == outer:
-        return None
-    if not outer.is_subideal_of(inner.saturate()):
-        raise InfiniteColengthError(
-            "outer/inner has infinite length (outer exceeds the saturation of inner)"
-        )
-    d = inner.dim
-    if d == 1:
-        # difference is the run [outer_exp, inner_exp)
-        return inner.generators[0][0] - 1
-    if d == 2:
-        best = -1
-        x = 0
-        for width, hi, lo in _segments_2d(
-            list(inner.generators), list(outer.generators)
-        ):
-            if width is None:
-                break  # tail has equal heights once finiteness holds
-            if lo != _INF and hi != _INF and hi > lo:
-                best = max(best, (x + width - 1) + int(hi) - 1)
-            x += width
-        if best < 0:
-            raise EpsmultError("empty staircase difference for distinct ideals")
-        return best
-    t = sum(inner.max_exponents())
-    box = max(outer.max_exponents(), default=0) + t + 1
-    if box ** (d - 1) <= _GRID_CELL_CAP:
-        return _max_degree_grid(inner, outer, box)
-    while True:
-        best, touched = _max_degree_walk(inner, outer, box)
-        if not touched:
-            if best < 0:
-                raise EpsmultError("empty staircase difference for distinct ideals")
-            return best
-        box *= 2
-
-
-def _max_degree_grid(inner: MonomialIdeal, outer: MonomialIdeal, box: int) -> int:
-    """Dense height-grid evaluation over the last d-1 coordinates.
-
-    The height of a staircase over a column is the least first coordinate
-    at which the column enters the ideal; the deepest difference point in
-    a column sits one step below the inner height.
-    """
-    d = inner.dim
-    shape = (box,) * (d - 1)
-
-    def height_grid(ideal: MonomialIdeal):
-        grid = np.full(shape, _BIG, dtype=np.int64)
-        for g in ideal.generators:
-            idx = tuple(g[1:])
-            if g[0] < grid[idx]:
-                grid[idx] = g[0]
-        for axis in range(d - 1):
-            np.minimum.accumulate(grid, axis=axis, out=grid)
-        return grid
-
-    h_in = height_grid(inner)
-    h_out = height_grid(outer)
-    if bool(np.any((h_in >= _BIG) & (h_out < _BIG))):
-        raise InfiniteColengthError(
-            "unbounded staircase difference encountered during counting"
-        )
-    mask = h_in > h_out
-    if not bool(mask.any()):
-        raise EpsmultError("empty staircase difference for distinct ideals")
-    col_sum = np.indices(shape, dtype=np.int64).sum(axis=0)
-    degrees = np.where(mask, col_sum + h_in - 1, -1)
-    return int(degrees.max())
-
-
-def _max_degree_walk(
-    inner: MonomialIdeal, outer: MonomialIdeal, box: int
-) -> tuple[int, bool]:
-    """Recursive fallback mirroring _count_difference, tracking max degree."""
-    d = inner.dim
-    best = -1
-    touched = False
-
-    def walk(prefix: tuple[int, ...], in_alive, out_alive) -> None:
-        nonlocal best, touched
-        j = len(prefix)
-        if sum(prefix) + (d - j) * (box - 1) <= best:
-            return  # cannot beat the current maximum
-        if j == d - 1:
-            lo = _height(out_alive, prefix)
-            if lo == _INF:
-                return
-            hi = _height(in_alive, prefix)
-            if hi == _INF:
-                raise InfiniteColengthError(
-                    "unbounded staircase difference encountered during counting"
-                )
-            if hi > int(lo):
-                best = max(best, sum(prefix) + int(hi) - 1)
-                if any(c >= box - 1 for c in prefix):
-                    touched = True
-            return
-        for c in range(box - 1, -1, -1):
-            in_next = [g for g in in_alive if g[j] <= c]
-            if any(all(x == 0 for x in g[j + 1 :]) for g in in_next):
-                continue
-            out_next = [g for g in out_alive if g[j] <= c]
-            if not out_next:
-                continue
-            walk(prefix + (c,), in_next, out_next)
-
-    walk((), list(inner.generators), list(outer.generators))
-    return best, touched
+    lows, widths, h_in, _ = _difference_cells(inner, outer)
+    degree = h_in - 1
+    for low, width in zip(lows, widths):
+        degree = degree + low + width - 1
+    return int(degree.max()) if len(degree) else None
 
 
 def length_sequence(
@@ -316,10 +157,3 @@ def length_sequence(
         except EpsmultError as exc:
             raise type(exc)(f"{exc} (at family index n={n})") from exc
     return out
-
-
-def sequence_csv_rows(lengths: list[int]) -> list[str]:
-    """Render a length sequence as 'n,length' CSV rows (header included)."""
-    rows = ["n,length"]
-    rows.extend(f"{n},{value}" for n, value in enumerate(lengths, start=1))
-    return rows

@@ -23,6 +23,14 @@ class InfiniteColengthError(EpsmultError):
     """The quotient has infinite length; there is no number to report."""
 
 
+class SizeLimitError(EpsmultError):
+    """An input is past a fixed bound of the int64 kernels.
+
+    Raised for a generator degree above ``ideals.DEGREE_LIMIT`` and for a
+    height grid with more than ``colength.MAX_GRID_CELLS`` cells.
+    """
+
+
 class InconclusiveError(EpsmultError):
     """A finite-difference tail did not stabilize within the window."""
 

@@ -9,7 +9,9 @@ is generated by the zero vector; the zero ideal has no generators.
 All arithmetic is exact integer arithmetic.  numpy is used internally to
 vectorize the antichain filter and batched membership tests on larger
 inputs; a pure-Python path handles small ones (and doubles as an oracle
-for the vectorized path in the test suite).
+for the vectorized path in the test suite).  The numpy paths work in
+int64 and accept generators of degree at most DEGREE_LIMIT = 2^61; past
+it they raise SizeLimitError instead of wrapping.
 
 Instances are immutable and hashable; operations return new ideals and
 are safe to call from multiple threads.
@@ -22,13 +24,18 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import DimensionMismatchError, ZeroIdealError
+from .errors import DimensionMismatchError, SizeLimitError, ZeroIdealError
 
 Exponent = tuple[int, ...]
 
 # Below this many candidate vectors the plain-Python antichain filter wins.
 _NUMPY_CUTOVER = 64
 _BLOCK = 512
+
+# Largest generator degree (coordinate sum) the int64 paths accept.  Below
+# it every coordinate, the sum or maximum of two exponent vectors, and every
+# row's coordinate sum stay at most 2^62, so no int64 arithmetic can wrap.
+DEGREE_LIMIT = 1 << 61
 
 
 def _as_vector(vec: Iterable[int], dim: int) -> Exponent:
@@ -54,8 +61,19 @@ def _minimal_python(cands: set[Exponent]) -> list[Exponent]:
     return out
 
 
+def _int64_rows(rows, dim: int) -> np.ndarray:
+    """Exponent vectors as an (n, dim) int64 array, within DEGREE_LIMIT."""
+    if max(map(sum, rows), default=0) > DEGREE_LIMIT:
+        raise SizeLimitError(
+            f"a generator has degree above {DEGREE_LIMIT} (2^61), "
+            "past the exact int64 range"
+        )
+    return np.asarray(rows, dtype=np.int64).reshape(len(rows), dim)
+
+
 def _minimal_numpy(cands: set[Exponent]) -> list[Exponent]:
-    arr = np.asarray(sorted(cands), dtype=np.int64)
+    rows = sorted(cands)
+    arr = _int64_rows(rows, len(rows[0]))
     arr = arr[np.argsort(arr.sum(axis=1), kind="stable")]
     kept = np.empty_like(arr)
     n_kept = 0
@@ -115,9 +133,7 @@ class MonomialIdeal:
     def _array(self) -> np.ndarray:
         arr = getattr(self, "_np", None)
         if arr is None:
-            arr = np.asarray(self.generators, dtype=np.int64).reshape(
-                len(self.generators), self.dim
-            )
+            arr = _int64_rows(self.generators, self.dim)
             object.__setattr__(self, "_np", arr)
         return arr
 
@@ -198,7 +214,7 @@ class MonomialIdeal:
     def _colon_single(self, g: Exponent) -> "MonomialIdeal":
         if self.is_zero:
             return zero_ideal(self.dim)
-        shifted = self._array() - np.asarray(g, dtype=np.int64)
+        shifted = self._array() - _int64_rows([g], self.dim)
         return _from_rows(self.dim, np.maximum(shifted, 0))
 
     def colon(self, other: "MonomialIdeal") -> "MonomialIdeal":

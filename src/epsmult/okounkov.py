@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
+from .colength import _NEVER, _cell_corners, _height_grids
 from .errors import DimensionMismatchError, InconclusiveError, ZeroIdealError
 from .families import GradedFamilySpec
 from .ideals import MonomialIdeal
@@ -23,51 +24,27 @@ from .valuation import WeightVector, default_weights
 
 
 def count_staircase_in_simplex(ideal: MonomialIdeal, cap: int) -> int:
-    """Number of staircase points of the ideal with coordinate sum <= cap."""
-    if cap < 0 or ideal.is_zero:
-        return 0
+    """Number of staircase points of the ideal with coordinate sum <= cap.
+
+    On a cell of the ideal's height grid with height h, lower corner c and
+    widths w_k, the points are (h + t, c + u) with t >= 0, 0 <= u_k < w_k
+    and t + |u| <= N = cap - h - |c|.  Inclusion-exclusion over the
+    bounded widths counts them as the sum over sets S of those axes of
+    (-1)^|S| * C(N - sum of w_k over S + d, d), terms with a negative
+    first argument being zero.
+    """
     d = ideal.dim
-    gens = sorted(ideal.generators)
-    if d == 1:
-        a = gens[0][0]
-        return max(0, cap - a + 1)
-    if d == 2:
-        return _count_2d_in_simplex(gens, cap)
-
-    def rec(j: int, budget: int, alive: list[tuple[int, ...]]) -> int:
-        if not alive:
-            return 0
-        if j == d - 1:
-            h = min(g[j] for g in alive)
-            return max(0, budget - h + 1)
-        total = 0
-        for c in range(budget + 1):
-            nxt = [g for g in alive if g[j] <= c]
-            if nxt:
-                total += rec(j + 1, budget - c, nxt)
-        return total
-
-    return rec(0, cap, gens)
-
-
-def _count_2d_in_simplex(gens: list[tuple[int, ...]], cap: int) -> int:
-    # height over column x is min{g_y : g_x <= x}; it only drops at
-    # generator x-values, so sum the triangular columns segment by segment
-    xs = sorted({0} | {g[0] for g in gens})
+    cuts, (heights,) = _height_grids((ideal,))
+    cells = heights < _NEVER
+    lows, widths = _cell_corners(cuts, cells)
+    budget = cap - heights[cells].astype(object) - sum(lows)
     total = 0
-    for idx, x0 in enumerate(xs):
-        if x0 > cap:
-            break
-        h = min((g[1] for g in gens if g[0] <= x0), default=None)
-        if h is None:
-            continue
-        x1 = xs[idx + 1] - 1 if idx + 1 < len(xs) else cap
-        right = min(x1, cap - h)
-        if right < x0:
-            continue
-        width = right - x0 + 1
-        # sum over x in [x0, right] of (cap - h + 1 - x)
-        total += width * (cap - h + 1) - (x0 + right) * width // 2
+    for n, *ws in zip(budget.tolist(), *(w.tolist() for w in widths)):
+        terms = [(n, 1)] if n >= 0 else []
+        for w in ws:
+            if w:  # width 0: unbounded along this axis, nothing to exclude
+                terms += [(m - w, -sign) for m, sign in terms if m >= w]
+        total += sum(sign * math.comb(m + d, d) for m, sign in terms)
     return total
 
 

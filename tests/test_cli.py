@@ -128,6 +128,13 @@ class TestExitCodes:
         assert main(["amao", "--inner", "x*y", "--outer", "x*y^0"]) == 3
         capsys.readouterr()
 
+    def test_exponent_past_int64_is_3(self, capsys):
+        ideal = '{"dim":2,"generators":[[9223372036854775808,0],[0,1]]}'
+        assert main(["epsilon", "-i", ideal, "--nmax", "1"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: a generator has degree above")
+        assert "Traceback" not in err
+
     def test_unit_ideal_is_3(self, capsys):
         assert main(["epsilon", "-i", "x^0"]) == 3
         capsys.readouterr()

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from epsmult import (
@@ -5,6 +7,7 @@ from epsmult import (
     GradedFamilySpec,
     InfiniteColengthError,
     MonomialIdeal,
+    SizeLimitError,
     colength,
     corpus,
     difference_max_degree,
@@ -12,11 +15,6 @@ from epsmult import (
     length_sequence,
     unit_ideal,
     zero_ideal,
-)
-from epsmult.colength import (
-    _max_degree_grid,
-    _max_degree_walk,
-    sequence_csv_rows,
 )
 
 from oracle_utils import brute_colength, brute_difference_max_degree
@@ -62,6 +60,13 @@ def test_infinite_length_raises():
 def test_zero_inner_against_anything_nonzero():
     with pytest.raises(InfiniteColengthError):
         colength(zero_ideal(2), MonomialIdeal(2, [(1, 1)]))
+
+
+def test_grid_past_the_cell_limit_raises():
+    # 2101 generators cut both column axes into 2101 cells: 4.4M > 2^22
+    wide = MonomialIdeal(3, [(0, i, 2100 - i) for i in range(2101)])
+    with pytest.raises(SizeLimitError, match="cells exceeds the limit"):
+        colength(wide, unit_ideal(3))
 
 
 def test_is_finite_colength_examples():
@@ -127,16 +132,29 @@ class TestDifferenceMaxDegree:
             got = difference_max_degree(I, S)
             assert got == want
 
-    def test_grid_and_walk_paths_agree(self):
+    def test_dimension_three_matches_brute_force(self):
         for I in (ideal for ideal in corpus(33, 40) if ideal.dim == 3):
             S = I.saturate()
-            if I == S:
-                continue
-            t = sum(I.max_exponents())
-            box = max(S.max_exponents(), default=0) + t + 1
-            best, touched = _max_degree_walk(I, S, box)
-            assert not touched
-            assert best == _max_degree_grid(I, S, box)
+            gens = (I.generators, S.generators, 3)
+            assert colength(I, S) == brute_colength(*gens)
+            assert difference_max_degree(I, S) == brute_difference_max_degree(*gens)
+
+
+# Exponents near 10^6 put these far past enumeration (about 10^12 columns)
+# and the n = 3 length past 2^63; the closed forms still hold exactly.
+A, B, C = 999_983, 1_000_003, 1_000_033
+DIAGONAL = MonomialIdeal(3, [(A, 0, 0), (0, B, 0), (0, 0, C)])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_diagonal_power_length_closed_form(n):
+    # I^n is spanned by products of n pure powers, so the standard monomials
+    # of I^n tile into C(n + 2, 3) translated A x B x C boxes
+    assert colength(DIAGONAL.power(n), unit_ideal(3)) == A * B * C * math.comb(n + 2, 3)
+
+
+def test_diagonal_max_degree_closed_form():
+    assert difference_max_degree(DIAGONAL, unit_ideal(3)) == A + B + C - 3
 
 
 class TestLengthSequence:
@@ -151,6 +169,3 @@ class TestLengthSequence:
         outer = GradedFamilySpec.powers(MonomialIdeal(2, [(1, 0)]))
         with pytest.raises(InfiniteColengthError, match="at family index n=1"):
             length_sequence(inner, outer, 3)
-
-    def test_csv_rows(self):
-        assert sequence_csv_rows([1, 3, 6]) == ["n,length", "1,1", "2,3", "3,6"]

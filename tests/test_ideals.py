@@ -5,6 +5,7 @@ import pytest
 from epsmult import (
     DimensionMismatchError,
     MonomialIdeal,
+    SizeLimitError,
     ZeroIdealError,
     corpus,
     from_json_dict,
@@ -117,6 +118,11 @@ class TestArithmetic:
     def test_power_negative_rejected(self):
         with pytest.raises(ValueError):
             MonomialIdeal(1, [(1,)]).power(-1)
+
+    def test_power_past_the_degree_limit_raises(self):
+        # in int64 the square would wrap to the generator (-2^63, 0)
+        with pytest.raises(SizeLimitError, match="degree above"):
+            MonomialIdeal(2, [(2**62, 0), (1, 1)]).power(2)
 
     def test_intersect_example(self):
         a = MonomialIdeal(2, [(2, 0)])

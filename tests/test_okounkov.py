@@ -60,6 +60,8 @@ class TestSimplexCounts:
     def test_unit_ideal_fills_the_simplex(self):
         assert count_staircase_in_simplex(unit_ideal(2), 10) == 66
         assert count_staircase_in_simplex(unit_ideal(3), 9) == math.comb(12, 3)
+        # far past enumeration: about 4 * 10^14 points
+        assert count_staircase_in_simplex(unit_ideal(4), 10**4) == math.comb(10**4 + 4, 4)
 
     def test_principal_ideal_in_the_plane(self):
         # e_1 >= 1 and e_1 + e_2 <= cap leaves a triangle of cap*(cap+1)/2 points
@@ -73,7 +75,7 @@ class TestSimplexCounts:
 
     @pytest.mark.parametrize("cap", [0, 1, 2, 5, 9])
     def test_count_matches_enumeration_on_random_ideals(self, cap):
-        for ideal in corpus(71, 20):
+        for ideal in corpus(71, 20) + corpus(71, 20, max_dim=4):
             got = enumerate_staircase_in_simplex(ideal, cap)
             assert count_staircase_in_simplex(ideal, cap) == len(got)
             assert got == simplex_points(ideal.generators, ideal.dim, cap)
