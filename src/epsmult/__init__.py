@@ -58,6 +58,7 @@ from .okounkov import (
     epsilon_via_volumes,
     gamma_beta,
     hull_volume,
+    power_semigroups,
 )
 from .semigroups import (
     Semigroup,
@@ -128,6 +129,7 @@ __all__ = [
     "nu_value",
     "nu_value_of_support",
     "phi",
+    "power_semigroups",
     "psi",
     "random_ideal",
     "semigroup_count",

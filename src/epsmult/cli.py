@@ -17,6 +17,7 @@ with equal inputs are byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -30,7 +31,6 @@ from .errors import (
     IdealSyntaxError,
     InconclusiveError,
 )
-from .families import GradedFamilySpec
 from .ideals import MonomialIdeal, from_json_dict
 from .multiplicity import (
     amao,
@@ -39,7 +39,7 @@ from .multiplicity import (
     swanson_c_search,
     theorem_a_table,
 )
-from .okounkov import epsilon_via_volumes, gamma_beta, hull_volume
+from .okounkov import epsilon_via_volumes, hull_volume, power_semigroups
 from .semigroups import Semigroup, check_cone_conditions, semigroup_from_json_dict
 
 _NAMED_VARS = {"x": 0, "y": 1, "z": 2, "w": 3}
@@ -339,6 +339,9 @@ def _volume_sweep_lines(sg: Semigroup, levels, exact: Fraction | None):
     lines = [header]
     rows = []
     d = sg.dim
+    if levels:
+        # a generated semigroup rasterizes every level up to the one asked
+        sg.count(max(levels))
     for n in levels:
         count = sg.count(n)
         estimate = Fraction(count, n**d)
@@ -368,10 +371,7 @@ def _cmd_okounkov_volume(args) -> int:
         "ideal": args.ideal,
         "nmax": args.nmax,
     }
-    sat_sg = gamma_beta(
-        GradedFamilySpec.saturated_powers(ideal), args.beta, i_max=1
-    )
-    pow_sg = gamma_beta(GradedFamilySpec.powers(ideal), args.beta, i_max=1)
+    sat_sg, pow_sg = power_semigroups(ideal, args.beta)
     lines = [_config_line(cfg), "# family: saturated_powers"]
     levels = range(1, args.nmax + 1)
     sat_lines, sat_rows = _volume_sweep_lines(sat_sg, levels, None)
@@ -379,7 +379,9 @@ def _cmd_okounkov_volume(args) -> int:
     lines.append("# family: powers")
     pow_lines, pow_rows = _volume_sweep_lines(pow_sg, levels, None)
     lines.extend(pow_lines)
-    via = epsilon_via_volumes(ideal, args.beta, args.nmax)
+    via = epsilon_via_volumes(
+        ideal, args.beta, args.nmax, semigroups=(sat_sg, pow_sg)
+    )
     lines.append(
         "# epsilon_via_volumes: num=%d, den=%d, decimal=%s"
         % (via.value.numerator, via.value.denominator, _decimal12(via.value))
@@ -519,6 +521,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(4)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="epsmult",

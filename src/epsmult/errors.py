@@ -26,8 +26,10 @@ class InfiniteColengthError(EpsmultError):
 class SizeLimitError(EpsmultError):
     """An input is past a fixed bound of the int64 kernels.
 
-    Raised for a generator degree above ``ideals.DEGREE_LIMIT`` and for a
-    height grid with more than ``colength.MAX_GRID_CELLS`` cells.
+    Raised for a generator degree above ``ideals.DEGREE_LIMIT``, for a
+    height grid with more than ``colength.MAX_GRID_CELLS`` cells, for a
+    semigroup level raster with more than ``semigroups._RASTER_CELL_CAP``
+    cells, and for k-fold sumset keys wider than 2^62.
     """
 
 

@@ -51,9 +51,20 @@ class GradedFamilySpec:
         return cls("powers", base.dim, base)
 
     @classmethod
-    def saturated_powers(cls, base: MonomialIdeal) -> "GradedFamilySpec":
-        """n -> saturation of I^n."""
-        return cls("saturated_powers", base.dim, base)
+    def saturated_powers(
+        cls, base: MonomialIdeal, powers: "GradedFamilySpec | None" = None
+    ) -> "GradedFamilySpec":
+        """n -> saturation of I^n.
+
+        Given ``powers``, the powers family of the same base, I^n is read
+        from that family's chain instead of a chain of its own.
+        """
+        fam = cls("saturated_powers", base.dim, base)
+        if powers is not None:
+            if powers.kind != "powers" or powers.base != base:
+                raise ValueError("powers must be the powers family of the same base")
+            fam._cache["powers"] = powers
+        return fam
 
     @classmethod
     def power_then_saturate_power(
@@ -92,16 +103,30 @@ class GradedFamilySpec:
         base = self.base
         assert base is not None
         if self.kind == "powers":
-            # incremental product reuses the cached previous power
-            return self(n - 1).product(base) if n > 1 else base
+            return self._chain(n, base)
         if self.kind == "saturated_powers":
             return self._powers_family()(n).saturate()
         if self.kind == "power_then_saturate_power":
-            sat_m = self._saturated_base()
-            return self(n - 1).product(sat_m) if n > 1 else sat_m
+            return self._chain(n, self._saturated_base())
         if self.kind == "fixed_power_family":
             return self._powers_family()(self.m * n)
         raise AssertionError(self.kind)
+
+    def _chain(self, n: int, step: MonomialIdeal) -> MonomialIdeal:
+        """The n-th member of the chain step, step^2, .. by incremental products.
+
+        Starts from the highest member already cached and caches every
+        member it builds, so a deep index needs no recursion.
+        """
+        j, ideal = 1, step
+        for i in range(n - 1, 1, -1):
+            if i in self._cache:
+                j, ideal = i, self._cache[i]
+                break
+        for i in range(j + 1, n + 1):
+            ideal = ideal.product(step)
+            self._cache[i] = ideal
+        return ideal
 
     def _powers_family(self) -> "GradedFamilySpec":
         got = self._cache.get("powers")

@@ -82,15 +82,15 @@ def _minimal_numpy(cands: set[Exponent]) -> list[Exponent]:
         if n_kept:
             dominated = (kept[None, :n_kept, :] <= block[:, None, :]).all(2).any(1)
             block = block[~dominated]
-        # Survivors can still dominate each other across the block.
-        for row in block:
-            if n_kept and bool(
-                np.any(np.all(kept[:n_kept] <= row, axis=1))
-            ):
-                continue
-            kept[n_kept] = row
-            n_kept += 1
-    return [tuple(int(x) for x in row) for row in kept[:n_kept]]
+        # Survivors can still dominate each other within the block.  The
+        # rows are distinct, so a row dominated by any other survivor is
+        # dominated by a minimal one, and the diagonal is the only self-match.
+        inner = (block[None, :, :] <= block[:, None, :]).all(2)
+        np.fill_diagonal(inner, False)
+        block = block[~inner.any(1)]
+        kept[n_kept : n_kept + len(block)] = block
+        n_kept += len(block)
+    return list(map(tuple, kept[:n_kept].tolist()))
 
 
 def minimal_vectors(vectors: Iterable[Exponent]) -> tuple[Exponent, ...]:
@@ -273,7 +273,7 @@ def _make(dim: int, sorted_minimal: tuple[Exponent, ...]) -> MonomialIdeal:
 
 
 def _from_rows(dim: int, rows: np.ndarray) -> MonomialIdeal:
-    cands = {tuple(int(x) for x in row) for row in rows}
+    cands = set(map(tuple, rows.tolist()))
     return _make(dim, minimal_vectors(cands))
 
 

@@ -14,10 +14,14 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from .errors import EpsmultError, InsufficientDataError
+from .errors import InsufficientDataError, SizeLimitError
 
 # Refuse to rasterize level grids beyond this many cells (bits).
 _RASTER_CELL_CAP = 200_000_000
+
+# Largest product of radices a k-fold sumset key may use: keys and every
+# pairwise sum of keys then stay below 2^63.
+_KEY_LIMIT = 1 << 62
 
 
 def _as_point(p, length: int, what: str) -> tuple[int, ...]:
@@ -169,8 +173,9 @@ class Semigroup:
         dims = [n * m + 1 for m in maxes]
         cells = math.prod(dims)
         if cells > _RASTER_CELL_CAP:
-            raise EpsmultError(
-                f"level grid needs {cells} cells; raise the cap or count smaller levels"
+            raise SizeLimitError(
+                f"level grid needs {cells} cells, above the limit of "
+                f"{_RASTER_CELL_CAP}; count smaller levels"
             )
         strides = [0] * self.dim
         acc = 1
@@ -218,19 +223,32 @@ def semigroup_count(sg: Semigroup, n: int) -> int:
 
 
 def k_fold_sum_count(sg: Semigroup, p: int, k: int) -> int:
-    """Size of the k-fold sumset of level p, by iterated sums with dedup."""
+    """Size of the k-fold sumset of level p, by iterated sums with dedup.
+
+    Each point is one mixed-radix int64 key with radix k*max+1 on every
+    axis, so no coordinate of a k-fold sum carries into the next and the
+    sum of two keys is the key of the sum.  Raises SizeLimitError when the
+    product of the radices passes 2^62.
+    """
     if p < 1:
         raise ValueError("p must be positive")
     if k < 1:
         raise ValueError("k must be positive")
-    base = sorted(sg.level(p))
+    base = sg.level(p)
     if not base:
         return 0
-    arr = np.asarray(base, dtype=np.int64)
-    acc = arr
+    radices = [k * max(v[a] for v in base) + 1 for a in range(sg.dim)]
+    width = math.prod(radices)
+    if width > _KEY_LIMIT:
+        raise SizeLimitError(
+            f"the {k}-fold sums of level {p} need keys of {width.bit_length()} "
+            "bits, past the exact int64 range"
+        )
+    strides = [math.prod(radices[a + 1 :]) for a in range(sg.dim)]
+    keys = np.array(list(base), dtype=np.int64) @ np.array(strides, dtype=np.int64)
+    acc = keys
     for _ in range(k - 1):
-        sums = (acc[:, None, :] + arr[None, :, :]).reshape(-1, sg.dim)
-        acc = np.unique(sums, axis=0)
+        acc = np.unique(acc[:, None] + keys[None, :])
     return int(acc.shape[0])
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import epsmult.cli as cli
-from epsmult import IdealSyntaxError, InconclusiveError, MonomialIdeal
+from epsmult import IdealSyntaxError, InconclusiveError, MonomialIdeal, Semigroup
 from epsmult.cli import main, parse_ideal
 from epsmult.multiplicity import TheoremARow
 
@@ -236,6 +236,61 @@ def _run_checkout(script: str, *argv: str) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env
     )
+
+
+class TestRepeatedCalls:
+    def test_the_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_calls_in_one_process_match_fresh_processes(self, capsys, tmp_path):
+        script = "import sys; from epsmult.cli import main; sys.exit(main(sys.argv[1:]))"
+        first = ["okounkov-volume", "-i", X2_XY, "--beta", "2", "--nmax", "5", "--format", "json"]
+        second = ["epsilon", "-i", X2_XY, "--nmax", "4"]
+        assert main([*first, "--out", str(tmp_path / "first.json")]) == 0
+        assert main(second) == 0
+        streamed = capsys.readouterr().out
+        fresh = _run_checkout(script, *first, "--out", str(tmp_path / "fresh.json"))
+        assert fresh.returncode == 0, fresh.stderr
+        assert (tmp_path / "first.json").read_text() == (tmp_path / "fresh.json").read_text()
+        fresh = _run_checkout(script, *second)
+        assert fresh.returncode == 0, fresh.stderr
+        assert streamed == fresh.stdout
+
+
+class TestNoRecomputation:
+    def test_semigroup_sweep_rasterizes_once(self, capsys, monkeypatch):
+        calls = []
+        rasterize = Semigroup._count_generated
+
+        def counted(sg, n):
+            calls.append(n)
+            return rasterize(sg, n)
+
+        monkeypatch.setattr(Semigroup, "_count_generated", counted)
+        monkeypatch.chdir(GOLDEN)
+        assert main(["semigroup", "-i", "simplex_semigroup.json", "--nmax", "30"]) == 0
+        assert "30,496," in capsys.readouterr().out
+        assert calls == [30]
+
+    def test_okounkov_volume_builds_one_power_chain(self, capsys, monkeypatch):
+        calls = []
+        product = MonomialIdeal.product
+
+        def counted(ideal, other):
+            calls.append(other)
+            return product(ideal, other)
+
+        monkeypatch.setattr(MonomialIdeal, "product", counted)
+        nmax = 15
+        assert main(["okounkov-volume", "-i", X2_XY, "--beta", "2", "--nmax", str(nmax)]) == 0
+        assert "# epsilon_via_volumes" in capsys.readouterr().out
+        assert len(calls) <= nmax - 1
+
+    def test_deep_probe_level_needs_no_recursion(self, capsys):
+        # The power chain is built bottom-up: a probe level far past the
+        # interpreter's recursion limit still reports.
+        assert main(["okounkov-volume", "-i", "x*y", "--beta", "2", "--nmax", "1500"]) == 0
+        assert "# epsilon_via_volumes: num=0, den=1" in capsys.readouterr().out
 
 
 class TestProcessLevel:

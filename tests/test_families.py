@@ -28,6 +28,50 @@ def test_saturated_powers_family():
     assert fam(3).generators == ((3, 0),)
 
 
+def test_saturated_powers_share_the_chain_of_a_powers_family():
+    powers = GradedFamilySpec.powers(X2_XY)
+    fam = GradedFamilySpec.saturated_powers(X2_XY, powers=powers)
+    assert fam(4) == X2_XY.power(4).saturate()
+    assert fam(4) == GradedFamilySpec.saturated_powers(X2_XY)(4)
+    assert 4 in powers._cache
+
+
+def test_shared_chain_must_be_the_powers_of_the_same_base():
+    with pytest.raises(ValueError):
+        GradedFamilySpec.saturated_powers(X2_XY, powers=GradedFamilySpec.powers(unit_ideal(2)))
+    with pytest.raises(ValueError):
+        GradedFamilySpec.saturated_powers(
+            X2_XY, powers=GradedFamilySpec.fixed_power_family(X2_XY, 2)
+        )
+
+
+def test_deep_index_needs_no_recursion():
+    x = MonomialIdeal(1, [(1,)])
+    assert GradedFamilySpec.powers(x)(5000) == MonomialIdeal(1, [(5000,)])
+    fam = GradedFamilySpec.power_then_saturate_power(MonomialIdeal(2, [(1, 1)]), 2)
+    assert fam(3000) == MonomialIdeal(2, [(6000, 6000)])
+
+
+def test_chain_resumes_from_the_highest_cached_member(monkeypatch):
+    calls = []
+    product = MonomialIdeal.product
+
+    def counted(ideal, other):
+        calls.append(other)
+        return product(ideal, other)
+
+    monkeypatch.setattr(MonomialIdeal, "product", counted)
+    fam = GradedFamilySpec.powers(X2_XY)
+    fam(3)
+    assert len(calls) == 2
+    assert fam(7) == X2_XY.power(7)
+    calls.clear()
+    fam(7)
+    fam(9)
+    fam(6)
+    assert len(calls) == 2
+
+
 def test_power_then_saturate_power():
     fam = GradedFamilySpec.power_then_saturate_power(X2_XY, 2)
     assert fam(1) == X2_XY.power(2).saturate()

@@ -1,4 +1,6 @@
 import json
+import math
+import random
 
 import pytest
 
@@ -15,7 +17,12 @@ from epsmult import (
     unit_ideal,
     zero_ideal,
 )
-from epsmult.ideals import minimal_vectors, saturate_by_colon_iteration
+from epsmult.ideals import (
+    _minimal_numpy,
+    _minimal_python,
+    minimal_vectors,
+    saturate_by_colon_iteration,
+)
 
 from oracle_utils import (
     brute_colon,
@@ -73,6 +80,44 @@ class TestConstruction:
     def test_minimal_vectors_antichain(self):
         vecs = minimal_vectors({(1, 2), (2, 2), (0, 5), (1, 3)})
         assert vecs == ((0, 5), (1, 2))
+
+
+def _candidate_sets(rng):
+    """Sets of 65-2000 vectors in dims 1-4, several spanning more than one block.
+
+    In dims 2-4 a quarter of the vectors lie on one degree layer, where no
+    row dominates another, and the rest are nudged up from it, so each
+    block keeps many rows and drops many.
+    """
+    sizes_by_dim = {1: (65, 600, 2000), 2: (65, 513, 1200), 3: (65, 513, 2000), 4: (65, 700, 2000)}
+    for dim, sizes in sizes_by_dim.items():
+        for size in sizes:
+            if dim == 1:
+                yield {(x,) for x in rng.sample(range(3 * size), size)}
+                continue
+            degree = 1
+            while math.comb(degree + dim - 1, dim - 1) < size:
+                degree += 1
+            cands = set()
+            while len(cands) < size:
+                cuts = sorted(rng.randint(0, degree) for _ in range(dim - 1))
+                bounds = [0, *cuts, degree]
+                nudge = rng.random() < 0.75
+                cands.add(
+                    tuple(
+                        b - a + (rng.randint(0, 2) if nudge else 0)
+                        for a, b in zip(bounds, bounds[1:])
+                    )
+                )
+            yield cands
+
+
+class TestMinimalization:
+    def test_vectorized_path_matches_the_python_oracle(self):
+        for cands in _candidate_sets(random.Random(97)):
+            expected = sorted(_minimal_python(cands))
+            assert sorted(_minimal_numpy(cands)) == expected
+            assert list(minimal_vectors(cands)) == expected
 
 
 class TestQueries:

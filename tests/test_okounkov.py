@@ -24,6 +24,7 @@ from epsmult import (
     epsilon_via_volumes,
     gamma_beta,
     hull_volume,
+    power_semigroups,
     unit_ideal,
 )
 
@@ -334,6 +335,14 @@ class TestEpsilonViaVolumes:
                 math.factorial(ideal.dim) * colength(power, sat), n**ideal.dim
             )
             assert epsilon_via_volumes(ideal, beta, n).value == expected
+
+    def test_shared_semigroups_give_the_same_value(self):
+        for beta in (1, 2, 4):
+            for n in (1, 5, 17):
+                shared = power_semigroups(X2_XY, beta)
+                for _ in range(2):
+                    got = epsilon_via_volumes(X2_XY, beta, n, semigroups=shared)
+                    assert got == epsilon_via_volumes(X2_XY, beta, n)
 
     def test_zero_and_unit_ideals_are_rejected(self):
         with pytest.raises(ZeroIdealError, match="neither zero nor the ring"):

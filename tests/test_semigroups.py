@@ -1,11 +1,12 @@
 import json
+import random
 
 import pytest
 
 from epsmult import (
-    EpsmultError,
     InsufficientDataError,
     Semigroup,
+    SizeLimitError,
     check_cone_conditions,
     k_fold_sum_count,
     semigroup_count,
@@ -78,7 +79,7 @@ class TestCounting:
 
     def test_grid_cap_is_an_error_not_a_hang(self):
         sg = Semigroup.generated(3, [(40, 40, 40, 1)])
-        with pytest.raises(EpsmultError, match="cells"):
+        with pytest.raises(SizeLimitError, match="cells"):
             sg.count(500)
 
     def test_semigroup_count_helper(self):
@@ -125,6 +126,29 @@ class TestKFoldSums:
         sg = Semigroup.generated(2, [(0, 2, 1), (1, 0, 1), (3, 1, 2)])
         for p, k in ((1, 2), (1, 3), (2, 2), (3, 2)):
             assert k_fold_sum_count(sg, p, k) == len(brute_k_fold_sums(sg.level(p), k))
+
+    def test_matches_brute_force_on_random_semigroups(self):
+        rng = random.Random(83)
+        for _ in range(60):
+            d = rng.randint(1, 3)
+            gens = [
+                tuple(rng.randint(0, 3) for _ in range(d)) + (rng.randint(1, 3),)
+                for _ in range(rng.randint(1, 4))
+            ]
+            sg = Semigroup.generated(d, gens)
+            p, k = rng.randint(1, 3), rng.randint(1, 6)
+            expected = len(brute_k_fold_sums(sg.level(p), k))
+            assert k_fold_sum_count(sg, p, k) == expected, (gens, p, k)
+
+    def test_keys_near_the_int64_limit_stay_exact(self):
+        sg = Semigroup.generated(1, [(0, 1), (2**60, 1)])
+        assert k_fold_sum_count(sg, 1, 3) == 4
+
+    def test_keys_past_the_int64_limit_raise(self):
+        # int64 keys would wrap and merge two of the five sums
+        sg = Semigroup.generated(1, [(0, 1), (2**62, 1)])
+        with pytest.raises(SizeLimitError):
+            k_fold_sum_count(sg, 1, 4)
 
     def test_empty_level(self):
         sg = Semigroup.generated(1, [(1, 2)])
