@@ -58,7 +58,6 @@ from .okounkov import (
     epsilon_via_volumes,
     gamma_beta,
     hull_volume,
-    power_semigroups,
 )
 from .semigroups import (
     Semigroup,
@@ -129,7 +128,6 @@ __all__ = [
     "nu_value",
     "nu_value_of_support",
     "phi",
-    "power_semigroups",
     "psi",
     "random_ideal",
     "semigroup_count",

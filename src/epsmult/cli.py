@@ -39,7 +39,12 @@ from .multiplicity import (
     swanson_c_search,
     theorem_a_table,
 )
-from .okounkov import epsilon_via_volumes, hull_volume, power_semigroups
+from .okounkov import (
+    _power_semigroups,
+    _require_volume_probe,
+    _volume_difference,
+    hull_volume,
+)
 from .semigroups import Semigroup, check_cone_conditions, semigroup_from_json_dict
 
 _NAMED_VARS = {"x": 0, "y": 1, "z": 2, "w": 3}
@@ -371,7 +376,7 @@ def _cmd_okounkov_volume(args) -> int:
         "ideal": args.ideal,
         "nmax": args.nmax,
     }
-    sat_sg, pow_sg = power_semigroups(ideal, args.beta)
+    sat_sg, pow_sg = _power_semigroups(ideal, args.beta)
     lines = [_config_line(cfg), "# family: saturated_powers"]
     levels = range(1, args.nmax + 1)
     sat_lines, sat_rows = _volume_sweep_lines(sat_sg, levels, None)
@@ -379,9 +384,8 @@ def _cmd_okounkov_volume(args) -> int:
     lines.append("# family: powers")
     pow_lines, pow_rows = _volume_sweep_lines(pow_sg, levels, None)
     lines.extend(pow_lines)
-    via = epsilon_via_volumes(
-        ideal, args.beta, args.nmax, semigroups=(sat_sg, pow_sg)
-    )
+    _require_volume_probe(ideal, args.nmax)
+    via = _volume_difference((sat_sg, pow_sg), args.beta, args.nmax)
     lines.append(
         "# epsilon_via_volumes: num=%d, den=%d, decimal=%s"
         % (via.value.numerator, via.value.denominator, _decimal12(via.value))

@@ -29,7 +29,7 @@ class SizeLimitError(EpsmultError):
     Raised for a generator degree above ``ideals.DEGREE_LIMIT``, for a
     height grid with more than ``colength.MAX_GRID_CELLS`` cells, for a
     semigroup level raster with more than ``semigroups._RASTER_CELL_CAP``
-    cells, and for k-fold sumset keys wider than 2^62.
+    cells, and for a k-fold sumset coordinate past the int64 range.
     """
 
 

@@ -51,20 +51,9 @@ class GradedFamilySpec:
         return cls("powers", base.dim, base)
 
     @classmethod
-    def saturated_powers(
-        cls, base: MonomialIdeal, powers: "GradedFamilySpec | None" = None
-    ) -> "GradedFamilySpec":
-        """n -> saturation of I^n.
-
-        Given ``powers``, the powers family of the same base, I^n is read
-        from that family's chain instead of a chain of its own.
-        """
-        fam = cls("saturated_powers", base.dim, base)
-        if powers is not None:
-            if powers.kind != "powers" or powers.base != base:
-                raise ValueError("powers must be the powers family of the same base")
-            fam._cache["powers"] = powers
-        return fam
+    def saturated_powers(cls, base: MonomialIdeal) -> "GradedFamilySpec":
+        """n -> saturation of I^n."""
+        return cls("saturated_powers", base.dim, base)
 
     @classmethod
     def power_then_saturate_power(

@@ -226,48 +226,55 @@ class EpsilonViaVolumes:
     n_probe: int
 
 
-def power_semigroups(
-    ideal: MonomialIdeal, beta: int, w: WeightVector | None = None
-) -> tuple[Semigroup, Semigroup]:
-    """The beta-truncated semigroups of the saturated powers and the powers.
-
-    Both families read I^n from one chain of powers, so comparing them
-    level by level builds each power once.
-    """
-    powers = GradedFamilySpec.powers(ideal)
-    saturated = GradedFamilySpec.saturated_powers(ideal, powers=powers)
-    return (
-        gamma_beta(saturated, beta, i_max=1, w=w),
-        gamma_beta(powers, beta, i_max=1, w=w),
-    )
-
-
 def epsilon_via_volumes(
     ideal: MonomialIdeal,
     beta: int,
     n_probe: int,
     w: WeightVector | None = None,
-    semigroups: tuple[Semigroup, Semigroup] | None = None,
 ) -> EpsilonViaVolumes:
     """Volume-difference estimate of the epsilon multiplicity.
 
     Counts the beta-truncated value semigroups of the saturated-power and
     plain-power families at level n_probe and normalizes the difference
     by n_probe^d / d!.  Beta must already be in the stable regime for the
-    number to mean anything; beta_stability probes for that.  A caller
-    that already holds ``power_semigroups(ideal, beta)`` passes them as
-    ``semigroups`` and reuses the counts they have cached.
+    number to mean anything; beta_stability probes for that.
     """
+    _require_volume_probe(ideal, n_probe)
+    return _volume_difference(_power_semigroups(ideal, beta, w), beta, n_probe)
+
+
+def _require_volume_probe(ideal: MonomialIdeal, n_probe: int) -> None:
     if ideal.is_zero or ideal.is_unit:
         raise ZeroIdealError(
             "the volume comparison needs an ideal that is neither zero nor the ring"
         )
     if n_probe < 1:
         raise ValueError("n_probe must be positive")
-    d = ideal.dim
-    sat_semigroup, pow_semigroup = semigroups or power_semigroups(ideal, beta, w)
+
+
+def _power_semigroups(
+    ideal: MonomialIdeal, beta: int, w: WeightVector | None = None
+) -> tuple[Semigroup, Semigroup]:
+    """The beta-truncated semigroups of the saturated powers and the powers.
+
+    Both read I^n from the one chain of powers the saturated family owns,
+    so comparing them level by level builds each power once.
+    """
+    saturated = GradedFamilySpec.saturated_powers(ideal)
+    return (
+        gamma_beta(saturated, beta, i_max=1, w=w),
+        gamma_beta(saturated._powers_family(), beta, i_max=1, w=w),
+    )
+
+
+def _volume_difference(
+    semigroups: tuple[Semigroup, Semigroup], beta: int, n_probe: int
+) -> EpsilonViaVolumes:
+    """epsilon_via_volumes from the pair ``_power_semigroups(ideal, beta)``."""
+    sat_semigroup, pow_semigroup = semigroups
     count_sat = sat_semigroup.count(n_probe)
     count_pow = pow_semigroup.count(n_probe)
+    d = sat_semigroup.dim
     value = Fraction(math.factorial(d) * (count_sat - count_pow), n_probe**d)
     return EpsilonViaVolumes(value, count_sat, count_pow, beta, n_probe)
 

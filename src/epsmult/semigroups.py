@@ -9,6 +9,7 @@ levels, or by a counting rule supplied by the construction that built it.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, Iterable, Mapping
 
@@ -19,9 +20,9 @@ from .errors import InsufficientDataError, SizeLimitError
 # Refuse to rasterize level grids beyond this many cells (bits).
 _RASTER_CELL_CAP = 200_000_000
 
-# Largest product of radices a k-fold sumset key may use: keys and every
-# pairwise sum of keys then stay below 2^63.
-_KEY_LIMIT = 1 << 62
+# Every k-fold sumset key lies below the product of the radices, so a
+# product up to 2^63 keeps every key formed inside int64.
+_KEY_LIMIT = 1 << 63
 
 
 def _as_point(p, length: int, what: str) -> tuple[int, ...]:
@@ -227,28 +228,35 @@ def k_fold_sum_count(sg: Semigroup, p: int, k: int) -> int:
 
     Each point is one mixed-radix int64 key with radix k*max+1 on every
     axis, so no coordinate of a k-fold sum carries into the next and the
-    sum of two keys is the key of the sum.  Raises SizeLimitError when the
-    product of the radices passes 2^62.
+    sum of two keys is the key of the sum.  Where the product of the
+    radices passes 2^63 the points stay int64 rows instead.  Raises
+    SizeLimitError when a coordinate of a k-fold sum passes the int64 range.
     """
     if p < 1:
         raise ValueError("p must be positive")
     if k < 1:
         raise ValueError("k must be positive")
     base = sg.level(p)
-    if not base:
-        return 0
-    radices = [k * max(v[a] for v in base) + 1 for a in range(sg.dim)]
-    width = math.prod(radices)
-    if width > _KEY_LIMIT:
+    if k == 1 or not base:
+        return len(base)
+    top = [k * max(v[a] for v in base) for a in range(sg.dim)]
+    if max(top) >= 1 << 63:
         raise SizeLimitError(
-            f"the {k}-fold sums of level {p} need keys of {width.bit_length()} "
-            "bits, past the exact int64 range"
+            f"the {k}-fold sums of level {p} reach coordinate {max(top)}, "
+            "past the int64 range"
         )
-    strides = [math.prod(radices[a + 1 :]) for a in range(sg.dim)]
-    keys = np.array(list(base), dtype=np.int64) @ np.array(strides, dtype=np.int64)
-    acc = keys
+    points = np.array(list(base), dtype=np.int64)
+    radices = [t + 1 for t in top]
+    if math.prod(radices) <= _KEY_LIMIT:
+        strides = [math.prod(radices[a + 1 :]) for a in range(sg.dim)]
+        points = points @ np.array(strides, dtype=np.int64)
+        dedup = np.unique
+    else:
+        dedup = functools.partial(np.unique, axis=0)
+    acc = points
     for _ in range(k - 1):
-        acc = np.unique(acc[:, None] + keys[None, :])
+        sums = acc[:, None] + points[None, :]
+        acc = dedup(sums.reshape(-1, *points.shape[1:]))
     return int(acc.shape[0])
 
 

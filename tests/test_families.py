@@ -28,21 +28,10 @@ def test_saturated_powers_family():
     assert fam(3).generators == ((3, 0),)
 
 
-def test_saturated_powers_share_the_chain_of_a_powers_family():
-    powers = GradedFamilySpec.powers(X2_XY)
-    fam = GradedFamilySpec.saturated_powers(X2_XY, powers=powers)
+def test_saturated_powers_read_their_own_powers_family():
+    fam = GradedFamilySpec.saturated_powers(X2_XY)
     assert fam(4) == X2_XY.power(4).saturate()
-    assert fam(4) == GradedFamilySpec.saturated_powers(X2_XY)(4)
-    assert 4 in powers._cache
-
-
-def test_shared_chain_must_be_the_powers_of_the_same_base():
-    with pytest.raises(ValueError):
-        GradedFamilySpec.saturated_powers(X2_XY, powers=GradedFamilySpec.powers(unit_ideal(2)))
-    with pytest.raises(ValueError):
-        GradedFamilySpec.saturated_powers(
-            X2_XY, powers=GradedFamilySpec.fixed_power_family(X2_XY, 2)
-        )
+    assert 4 in fam._powers_family()._cache
 
 
 def test_deep_index_needs_no_recursion():

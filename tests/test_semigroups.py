@@ -143,6 +143,22 @@ class TestKFoldSums:
     def test_keys_near_the_int64_limit_stay_exact(self):
         sg = Semigroup.generated(1, [(0, 1), (2**60, 1)])
         assert k_fold_sum_count(sg, 1, 3) == 4
+        # radix product 3*2^61 + 1: past 2^62, every key still below 2^63
+        sg = Semigroup.generated(1, [(0, 1), (2**61, 1)])
+        assert k_fold_sum_count(sg, 1, 3) == 4
+
+    def test_wide_keys_fall_back_to_rows(self):
+        # radix product (2^22 + 1)^3 is past 2^63; every coordinate fits int64
+        sg = Semigroup.generated(3, [(0, 0, 0, 1), (2**21, 2**21, 2**21, 1)])
+        assert k_fold_sum_count(sg, 1, 2) == 3
+        assert k_fold_sum_count(sg, 1, 5) == 6
+        # wrapped int64 keys of the first two points would coincide mod 2^64
+        gens = [(2**20, 0, 2**20, 1), (0, 2**21, 0, 1), (2**21, 2**21, 2**21, 1)]
+        assert k_fold_sum_count(Semigroup.generated(3, gens), 1, 2) == 6
+
+    def test_one_fold_forms_no_sum(self):
+        sg = Semigroup.generated(1, [(0, 1), (2**70, 1)])
+        assert k_fold_sum_count(sg, 1, 1) == 2
 
     def test_keys_past_the_int64_limit_raise(self):
         # int64 keys would wrap and merge two of the five sums
