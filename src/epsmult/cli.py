@@ -31,6 +31,7 @@ from .errors import (
     IdealSyntaxError,
     InconclusiveError,
 )
+from .families import GradedFamilySpec
 from .ideals import MonomialIdeal, from_json_dict
 from .multiplicity import (
     amao,
@@ -376,7 +377,8 @@ def _cmd_okounkov_volume(args) -> int:
         "ideal": args.ideal,
         "nmax": args.nmax,
     }
-    sat_sg, pow_sg = _power_semigroups(ideal, args.beta)
+    saturated = GradedFamilySpec.saturated_powers(ideal)
+    sat_sg, pow_sg = _power_semigroups(saturated, args.beta)
     lines = [_config_line(cfg), "# family: saturated_powers"]
     levels = range(1, args.nmax + 1)
     sat_lines, sat_rows = _volume_sweep_lines(sat_sg, levels, None)

@@ -2,66 +2,22 @@
 
 The length of (J/I) as a module over the local ring at the origin is the
 number of monomials lying in J but not in I.  Every count here reads one
-height grid.  Over each column of the last d-1 coordinates, a staircase is
-a height: the least first coordinate at which the column enters the ideal.
-The height changes only at generator coordinates, so cutting each column
-axis at 0 and at every generator coordinate of the ideals involved gives a
-compressed grid with one height per cell and ideal; the last cell of each
-axis is unbounded.  Containment, finiteness, the length and the deepest
+height grid, built by ideals._height_grids.  Over each column of the last
+d-1 coordinates, a staircase is a height: the least first coordinate at
+which the column enters the ideal.  The height changes only at generator
+coordinates, so cutting each column axis at 0 and at every generator
+coordinate of the ideals involved gives a compressed grid with one height
+per cell and ideal; the last cell of each axis is unbounded.  Containment, finiteness, the length and the deepest
 degree of the difference are array expressions over those cells, and the
 final sums are taken in Python integers, so results past 2^63 stay exact.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .errors import EpsmultError, InfiniteColengthError, SizeLimitError
-from .ideals import DEGREE_LIMIT, MonomialIdeal
-
-# Largest number of cells of one height grid (32 MiB as int64).
-MAX_GRID_CELLS = 1 << 22
-
-# Height of a column that never enters the ideal.  It lies above every
-# exponent the int64 paths accept, so it never equals a real height.
-_NEVER = 2 * DEGREE_LIMIT
-
-
-def _height_grids(ideals) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Heights of ideals in one ring on their shared compressed grid.
-
-    Returns (cuts, grids).  cuts[k] holds 0 and every generator's
-    coordinate k+1, sorted: cell i of that axis spans
-    [cuts[k][i], cuts[k][i+1]), and the last cell is unbounded.  grids[j]
-    holds the height of ideals[j] on every cell, _NEVER where it is
-    infinite.  Raises SizeLimitError above MAX_GRID_CELLS cells.
-    """
-    dim = ideals[0].dim
-    rows = [ideal._array() for ideal in ideals]
-    cuts = [
-        np.unique(np.concatenate([[0], *(r[:, k] for r in rows)]))
-        for k in range(1, dim)
-    ]
-    shape = tuple(len(c) for c in cuts)
-    cells = math.prod(shape)
-    if cells > MAX_GRID_CELLS:
-        raise SizeLimitError(
-            f"a height grid of {cells} cells exceeds the limit of {MAX_GRID_CELLS}"
-        )
-    grids = []
-    for r in rows:
-        flat = np.zeros(len(r), dtype=np.int64)
-        for k, c in enumerate(cuts, start=1):
-            flat = flat * len(c) + np.searchsorted(c, r[:, k])
-        grid = np.full(cells, _NEVER, dtype=np.int64)
-        np.minimum.at(grid, flat, r[:, 0])
-        grid = grid.reshape(shape)
-        for axis in range(dim - 1):
-            np.minimum.accumulate(grid, axis=axis, out=grid)
-        grids.append(grid)
-    return cuts, grids
+from .errors import EpsmultError, InfiniteColengthError
+from .ideals import _NEVER, MonomialIdeal, _height_grids
 
 
 def _cell_corners(cuts, mask: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -70,14 +26,11 @@ def _cell_corners(cuts, mask: np.ndarray) -> tuple[list[np.ndarray], list[np.nda
     Both come as arrays of Python ints, in the order of grid[mask]; the
     width is 0 where the cell is unbounded.
     """
-
-    def on_cells(values: np.ndarray, axis: int) -> np.ndarray:
-        view = [1] * mask.ndim
-        view[axis] = -1
-        return np.broadcast_to(values.reshape(view), mask.shape)[mask].astype(object)
-
-    lows = [on_cells(c, axis) for axis, c in enumerate(cuts)]
-    widths = [on_cells(np.diff(c, append=c[-1]), axis) for axis, c in enumerate(cuts)]
+    at = np.nonzero(mask) if mask.ndim else ()
+    lows = [c[i].astype(object) for c, i in zip(cuts, at)]
+    widths = [
+        (np.concatenate((c[1:], c[-1:])) - c)[i].astype(object) for c, i in zip(cuts, at)
+    ]
     return lows, widths
 
 

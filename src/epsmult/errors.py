@@ -27,9 +27,10 @@ class SizeLimitError(EpsmultError):
     """An input is past a fixed bound of the int64 kernels.
 
     Raised for a generator degree above ``ideals.DEGREE_LIMIT``, for a
-    height grid with more than ``colength.MAX_GRID_CELLS`` cells, for a
-    semigroup level raster with more than ``semigroups._RASTER_CELL_CAP``
-    cells, and for a k-fold sumset coordinate past the int64 range.
+    height grid with more than ``ideals.MAX_GRID_CELLS`` cells (every
+    staircase count and every saturation reads one), for a semigroup
+    level raster with more than ``semigroups._RASTER_CELL_CAP`` cells, and
+    for a k-fold sumset coordinate past the int64 range.
     """
 
 

@@ -128,8 +128,8 @@ class GradedFamilySpec:
     def _saturated_base(self) -> MonomialIdeal:
         got = self._cache.get("sat_base")
         if got is None:
-            assert self.base is not None and self.m is not None
-            got = self.base.power(self.m).saturate()
+            assert self.m is not None
+            got = self._powers_family()(self.m).saturate()
             self._cache["sat_base"] = got
         return got
 

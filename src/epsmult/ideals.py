@@ -6,10 +6,12 @@ constructor and every operation normalizes eagerly, so two ideals are
 equal as values exactly when they are equal as ideals.  The unit ideal
 is generated by the zero vector; the zero ideal has no generators.
 
-All arithmetic is exact integer arithmetic.  numpy is used internally to
-vectorize the antichain filter and batched membership tests on larger
-inputs; a pure-Python path handles small ones (and doubles as an oracle
-for the vectorized path in the test suite).  The numpy paths work in
+All arithmetic is exact integer arithmetic, and exponents must be ints
+(or numpy integers).  numpy is used internally to vectorize the antichain
+filter on larger inputs; a pure-Python path handles small ones (and
+doubles as an oracle for the vectorized path in the test suite).  The
+saturation and every staircase count of the colength module read the
+compressed height grid built by _height_grids.  The numpy paths work in
 int64 and accept generators of degree at most DEGREE_LIMIT = 2^61; past
 it they raise SizeLimitError instead of wrapping.
 
@@ -19,6 +21,7 @@ are safe to call from multiple threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -38,8 +41,15 @@ _BLOCK = 512
 DEGREE_LIMIT = 1 << 61
 
 
+def _exact_int(value, what: str) -> int:
+    """value as a Python int; only int and numpy integers pass, never bool."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    raise TypeError(f"{what} must be an integer, got {value!r}")
+
+
 def _as_vector(vec: Iterable[int], dim: int) -> Exponent:
-    v = tuple(int(c) for c in vec)
+    v = tuple(_exact_int(c, "an exponent") for c in vec)
     if len(v) != dim:
         raise DimensionMismatchError(
             f"exponent vector {v} has length {len(v)}, expected {dim}"
@@ -69,6 +79,70 @@ def _int64_rows(rows, dim: int) -> np.ndarray:
             "past the exact int64 range"
         )
     return np.asarray(rows, dtype=np.int64).reshape(len(rows), dim)
+
+
+# Largest number of cells of one height grid (32 MiB as int64).
+MAX_GRID_CELLS = 1 << 22
+
+# Height of a column that never enters the ideal.  It lies above every
+# exponent the int64 paths accept, so it never equals a real height.
+_NEVER = 2 * DEGREE_LIMIT
+
+
+def _height_grids(ideals) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Heights of ideals in one ring on their shared compressed grid.
+
+    Over each column of the last d-1 coordinates, an ideal's height is the
+    least first coordinate at which the column enters it.  Returns (cuts,
+    grids).  cuts[k] holds 0 and every generator's coordinate k+1, sorted:
+    cell i of that axis spans [cuts[k][i], cuts[k][i+1]), and the last cell
+    is unbounded.  grids[j] holds the height of ideals[j] on every cell,
+    _NEVER where it is infinite.  Raises SizeLimitError above
+    MAX_GRID_CELLS cells.
+    """
+    dim = ideals[0].dim
+    rows = [ideal._array() for ideal in ideals]
+    cuts = [
+        np.unique(np.concatenate([[0], *(r[:, k] for r in rows)]))
+        for k in range(1, dim)
+    ]
+    shape = tuple(len(c) for c in cuts)
+    cells = math.prod(shape)
+    if cells > MAX_GRID_CELLS:
+        raise SizeLimitError(
+            f"a height grid of {cells} cells exceeds the limit of {MAX_GRID_CELLS}"
+        )
+    grids = []
+    for r in rows:
+        flat = np.zeros(len(r), dtype=np.int64)
+        for k, c in enumerate(cuts, start=1):
+            flat = flat * len(c) + np.searchsorted(c, r[:, k])
+        grid = np.full(cells, _NEVER, dtype=np.int64)
+        np.minimum.at(grid, flat, r[:, 0])
+        grid = grid.reshape(shape)
+        for axis in range(dim - 1):
+            np.minimum.accumulate(grid, axis=axis, out=grid)
+        grids.append(grid)
+    return cuts, grids
+
+
+def _saturation_on_grid(ideal: "MonomialIdeal") -> "MonomialIdeal":
+    """The saturation of a nonzero ideal, read off its height grid."""
+    cuts, (height,) = _height_grids((ideal,))
+    sat = np.maximum(height - ideal._array()[:, 0].max(), 0)
+    for axis in range(height.ndim):
+        sat = np.maximum(sat, height.take([-1], axis=axis))
+    sat = np.where(height == _NEVER, _NEVER, sat)
+    # A cell holds a minimal generator, (height, lower corner), where its
+    # height lies below the height one step back along every axis.
+    corner = sat < _NEVER
+    for axis in range(sat.ndim):
+        step = [slice(None)] * sat.ndim
+        step[axis] = slice(1, None)
+        corner[tuple(step)] &= np.diff(sat, axis=axis) < 0
+    at = np.nonzero(corner) if corner.ndim else ()
+    rows = np.column_stack([sat[corner], *(c[i] for c, i in zip(cuts, at))])
+    return _make(ideal.dim, tuple(sorted(map(tuple, rows.tolist()))))
 
 
 def _minimal_numpy(cands: set[Exponent]) -> list[Exponent]:
@@ -113,7 +187,7 @@ class MonomialIdeal:
     generators: tuple[Exponent, ...]
 
     def __init__(self, dim: int, generators: Iterable[Iterable[int]] = ()):
-        dim = int(dim)
+        dim = _exact_int(dim, "dim")
         if dim < 1:
             raise ValueError("dim must be a positive integer")
         gens = minimal_vectors(_as_vector(g, dim) for g in generators)
@@ -147,20 +221,6 @@ class MonomialIdeal:
         """Membership of the monomial x^vec."""
         e = _as_vector(vec, self.dim)
         return any(_dominates(g, e) for g in self.generators)
-
-    def contains_many(self, points: np.ndarray) -> np.ndarray:
-        """Vectorized membership for an (n, dim) array of exponent vectors."""
-        pts = np.asarray(points, dtype=np.int64).reshape(-1, self.dim)
-        if self.is_zero or not len(pts):
-            return np.zeros(len(pts), dtype=bool)
-        gens = self._array()
-        out = np.zeros(len(pts), dtype=bool)
-        for start in range(0, len(pts), 4096):
-            block = pts[start : start + 4096]
-            out[start : start + 4096] = (
-                (gens[None, :, :] <= block[:, None, :]).all(2).any(1)
-            )
-        return out
 
     def __iter__(self) -> Iterator[Exponent]:
         return iter(self.generators)
@@ -232,21 +292,21 @@ class MonomialIdeal:
     def saturate(self) -> "MonomialIdeal":
         """Saturation I : m^infinity with respect to m = (x_1, .., x_d).
 
-        x^e lies in the saturation iff for every variable j some power
-        x_j^t pushes x^e into I, and t = (largest exponent of x_j over
-        the generators) always suffices.  So the saturation is the
-        intersection over j of I : x_j^(T_j), a fixed finite computation.
+        x^e lies in the saturation iff x_j^(T_j) * x^e lies in I for every
+        j, with T_j the largest exponent of x_j over the generators.  On
+        the height grid h of I, multiplying by x_1^(T_1) lowers a height by
+        T_1, and multiplying by x_j^(T_j), j > 1, moves a column into the
+        unbounded last cell of axis j.  So the saturation has height
+        max(h - T_1, 0, h with any one axis at its last cell) on every cell
+        where h is finite.  Memoized on the instance.
         """
         if self.is_zero or self.is_unit:
             return self
-        caps = self.max_exponents()
-        result: MonomialIdeal | None = None
-        for j, t in enumerate(caps):
-            g = tuple(t if i == j else 0 for i in range(self.dim))
-            part = self._colon_single(g)
-            result = part if result is None else result.intersect(part)
-        assert result is not None
-        return result
+        sat = getattr(self, "_sat", None)
+        if sat is None:
+            sat = _saturation_on_grid(self)
+            object.__setattr__(self, "_sat", sat)
+        return sat
 
     def is_subideal_of(self, other: "MonomialIdeal") -> bool:
         """Containment I <= J, decided on the generators of I."""
@@ -298,25 +358,6 @@ def minimalize(generators: Iterable[Iterable[int]], dim: int) -> MonomialIdeal:
     return MonomialIdeal(dim, generators)
 
 
-def saturate_by_colon_iteration(
-    ideal: MonomialIdeal, max_steps: int = 10_000
-) -> MonomialIdeal:
-    """Saturation by iterating J <- J : m until a fixed point.
-
-    The chain is ascending and stabilizes exactly at the saturation.
-    Kept alongside the closed-form `MonomialIdeal.saturate` as an
-    independent route; raises RuntimeError if the cap is ever hit.
-    """
-    m = maximal_ideal(ideal.dim)
-    current = ideal
-    for _ in range(max_steps):
-        nxt = current.colon(m)
-        if nxt == current:
-            return current
-        current = nxt
-    raise RuntimeError(f"saturation did not stabilize within {max_steps} colon steps")
-
-
 # -- serialization ------------------------------------------------------
 
 
@@ -335,4 +376,4 @@ def from_json_dict(data: dict) -> MonomialIdeal:
         raise ValueError('ideal JSON needs "dim" and "generators" keys') from exc
     if not isinstance(gens, list):
         raise ValueError('"generators" must be a list of exponent vectors')
-    return MonomialIdeal(int(dim), gens)
+    return MonomialIdeal(dim, gens)

@@ -219,10 +219,11 @@ def swanson_c_search(
     per_pair: list[tuple[int, int, int]] = []
     worst = 1
     for m in range(1, mk_bound + 1):
-        sat_fam = GradedFamilySpec.power_then_saturate_power(ideal, m)
+        # (saturation of I^m)^k as a chain over the one saturation of I^m
+        sat_powers = GradedFamilySpec.powers(powers(m).saturate())
         for k in range(1, mk_bound // m + 1):
             small = powers(m * k)
-            big = sat_fam(k)
+            big = sat_powers(k)
             deepest = difference_max_degree(small, big)
             c_pair = 1 if deepest is None else deepest // (m * k) + 1
             per_pair.append((m, k, c_pair))

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .colength import _NEVER, _cell_corners, _height_grids
+from .colength import _cell_corners
 from .errors import DimensionMismatchError, InconclusiveError, ZeroIdealError
 from .families import GradedFamilySpec
-from .ideals import MonomialIdeal
+from .ideals import _NEVER, MonomialIdeal, _height_grids
 from .semigroups import Semigroup
 from .valuation import WeightVector, default_weights
 
@@ -240,7 +240,8 @@ def epsilon_via_volumes(
     number to mean anything; beta_stability probes for that.
     """
     _require_volume_probe(ideal, n_probe)
-    return _volume_difference(_power_semigroups(ideal, beta, w), beta, n_probe)
+    saturated = GradedFamilySpec.saturated_powers(ideal)
+    return _volume_difference(_power_semigroups(saturated, beta, w), beta, n_probe)
 
 
 def _require_volume_probe(ideal: MonomialIdeal, n_probe: int) -> None:
@@ -253,14 +254,14 @@ def _require_volume_probe(ideal: MonomialIdeal, n_probe: int) -> None:
 
 
 def _power_semigroups(
-    ideal: MonomialIdeal, beta: int, w: WeightVector | None = None
+    saturated: GradedFamilySpec, beta: int, w: WeightVector | None = None
 ) -> tuple[Semigroup, Semigroup]:
-    """The beta-truncated semigroups of the saturated powers and the powers.
+    """The beta-truncated semigroups of a saturated-powers family and its powers.
 
     Both read I^n from the one chain of powers the saturated family owns,
-    so comparing them level by level builds each power once.
+    so comparing them level by level, at one beta or at several, builds
+    each power and its saturation once.
     """
-    saturated = GradedFamilySpec.saturated_powers(ideal)
     return (
         gamma_beta(saturated, beta, i_max=1, w=w),
         gamma_beta(saturated._powers_family(), beta, i_max=1, w=w),
@@ -270,7 +271,7 @@ def _power_semigroups(
 def _volume_difference(
     semigroups: tuple[Semigroup, Semigroup], beta: int, n_probe: int
 ) -> EpsilonViaVolumes:
-    """epsilon_via_volumes from the pair ``_power_semigroups(ideal, beta)``."""
+    """epsilon_via_volumes from the pair ``_power_semigroups(saturated, beta)``."""
     sat_semigroup, pow_semigroup = semigroups
     count_sat = sat_semigroup.count(n_probe)
     count_pow = pow_semigroup.count(n_probe)
@@ -308,15 +309,23 @@ def beta_stability(
     tol = Fraction(tolerance)
     if tol < 0:
         raise ValueError("tolerance must be nonnegative")
+    _require_volume_probe(ideal, n_probe)
+    # the chain of powers does not depend on beta: every beta reads one
+    saturated = GradedFamilySpec.saturated_powers(ideal)
+
+    def value_at(beta: int) -> Fraction:
+        semigroups = _power_semigroups(saturated, beta, w)
+        return _volume_difference(semigroups, beta, n_probe).value
+
     beta = beta0
-    prev = epsilon_via_volumes(ideal, beta, n_probe, w)
-    history = [(beta, prev.value)]
+    prev = value_at(beta)
+    history = [(beta, prev)]
     for _ in range(max_doublings):
         beta *= 2
-        cur = epsilon_via_volumes(ideal, beta, n_probe, w)
-        history.append((beta, cur.value))
-        if abs(cur.value - prev.value) <= tol:
-            return BetaStability(tuple(history), beta, cur.value)
+        cur = value_at(beta)
+        history.append((beta, cur))
+        if abs(cur - prev) <= tol:
+            return BetaStability(tuple(history), beta, cur)
         prev = cur
     raise InconclusiveError(
         f"volume difference did not stabilize within {max_doublings} doublings of beta",

@@ -16,6 +16,7 @@ from typing import Callable, Iterable, Mapping
 import numpy as np
 
 from .errors import InsufficientDataError, SizeLimitError
+from .ideals import _exact_int
 
 # Refuse to rasterize level grids beyond this many cells (bits).
 _RASTER_CELL_CAP = 200_000_000
@@ -26,7 +27,7 @@ _KEY_LIMIT = 1 << 63
 
 
 def _as_point(p, length: int, what: str) -> tuple[int, ...]:
-    t = tuple(int(x) for x in p)
+    t = tuple(_exact_int(x, f"a {what} coordinate") for x in p)
     if len(t) != length:
         raise ValueError(f"{what} must have {length} coordinates, got {len(t)}")
     if any(x < 0 for x in t):
@@ -50,9 +51,10 @@ class Semigroup:
         count_rule: Callable[[int], int] | None = None,
         level_rule: Callable[[int], Iterable[tuple[int, ...]]] | None = None,
     ):
+        dim = _exact_int(dim, "dim")
         if dim < 1:
             raise ValueError("dimension must be positive")
-        self.dim = int(dim)
+        self.dim = dim
         self.generators: tuple[tuple[int, ...], ...] | None = None
         self._levels: dict[int, frozenset[tuple[int, ...]]] = {}
         self._counts: dict[int, int] = {}
@@ -68,7 +70,7 @@ class Semigroup:
             self.generators = tuple(pts)
         if levels is not None:
             for i, pts in levels.items():
-                i = int(i)
+                i = _exact_int(i, "a level index")
                 if i < 0:
                     raise ValueError("levels must be indexed by nonnegative integers")
                 frozen = frozenset(_as_point(p, dim, f"level-{i} point") for p in pts)
@@ -346,7 +348,7 @@ def semigroup_to_json_dict(sg: Semigroup) -> dict:
 def semigroup_from_json_dict(data: dict) -> Semigroup:
     if not isinstance(data, dict) or "dim" not in data:
         raise ValueError("semigroup JSON needs a 'dim' key")
-    dim = int(data["dim"])
+    dim = _exact_int(data["dim"], "dim")
     if "generators" in data:
         return Semigroup.generated(dim, data["generators"])
     if "levels" in data:

@@ -4,12 +4,18 @@ Everything here works on raw generator tuples and enumerates boxes of
 exponent vectors, taking the textbook definitions at face value: a point
 is in the product if it splits as a sum of members, in the colon if every
 shift by a divisor generator lands inside, and so on.  Slow on purpose --
-these exist to disagree with the fast code, not to race it.
+these exist to disagree with the fast code, not to race it.  Two helpers
+take `MonomialIdeal` values instead: the colon-iteration saturation, an
+independent route to the grid saturation, and a batched membership test.
 """
 
 from __future__ import annotations
 
 from itertools import product as iproduct
+
+import numpy as np
+
+from epsmult.ideals import maximal_ideal
 
 Vec = tuple[int, ...]
 
@@ -91,6 +97,33 @@ def brute_saturate(gens, dim: int) -> frozenset:
         return True
 
     return frozenset(e for e in box_points(bounds) if in_sat(e))
+
+
+def saturate_by_colon_iteration(ideal, max_steps: int = 10_000):
+    """Saturation by iterating J <- J : m until a fixed point.
+
+    The chain is ascending and stabilizes exactly at the saturation.  An
+    independent route to the grid saturation of `MonomialIdeal.saturate`,
+    through the generator arithmetic of `colon` and `intersect`; raises
+    RuntimeError if the cap is ever hit.
+    """
+    m = maximal_ideal(ideal.dim)
+    current = ideal
+    for _ in range(max_steps):
+        nxt = current.colon(m)
+        if nxt == current:
+            return current
+        current = nxt
+    raise RuntimeError(f"saturation did not stabilize within {max_steps} colon steps")
+
+
+def contains_many(ideal, points) -> np.ndarray:
+    """Membership of each row of an (n, dim) array of exponent vectors."""
+    pts = np.asarray(points, dtype=np.int64).reshape(-1, ideal.dim)
+    if ideal.is_zero or not len(pts):
+        return np.zeros(len(pts), dtype=bool)
+    gens = np.asarray(ideal.generators, dtype=np.int64)
+    return (gens[None, :, :] <= pts[:, None, :]).all(2).any(1)
 
 
 def brute_colength(inner_gens, outer_gens, dim: int) -> int | None:

@@ -135,6 +135,22 @@ class TestExitCodes:
         assert err.startswith("error: a generator has degree above")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["epsilon", "-i", '{"dim":2,"generators":[[1.5,0]]}'],
+            ["epsilon", "-i", '{"dim":2,"generators":[[1,true]]}'],
+            ["lemmas", "-i", '{"dim":2.9,"generators":[[1,0]]}', "--nmax", "0"],
+            ["semigroup", "-i", '{"dim":1,"generators":[[0.5,1]]}'],
+        ],
+    )
+    def test_non_integer_exponent_is_4(self, argv, capsys):
+        assert main(argv) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and "must be an integer" in err
+        assert "Traceback" not in err
+
     def test_unit_ideal_is_3(self, capsys):
         assert main(["epsilon", "-i", "x^0"]) == 3
         capsys.readouterr()

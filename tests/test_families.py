@@ -67,6 +67,18 @@ def test_power_then_saturate_power():
     assert fam(3) == X2_XY.power(2).saturate().power(3)
 
 
+def test_power_then_saturate_power_reads_the_powers_chain(monkeypatch):
+    want = X2_XY.power(3).saturate().power(2)
+
+    def no_power(ideal, n):
+        raise AssertionError("the family called MonomialIdeal.power")
+
+    monkeypatch.setattr(MonomialIdeal, "power", no_power)
+    fam = GradedFamilySpec.power_then_saturate_power(X2_XY, 3)
+    assert fam(2) == want
+    assert 3 in fam._powers_family()._cache
+
+
 def test_fixed_power_family():
     fam = GradedFamilySpec.fixed_power_family(X2_XY, 3)
     assert fam(2) == X2_XY.power(6)

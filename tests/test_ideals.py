@@ -2,8 +2,10 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 
+from epsmult import ideals as ideals_mod
 from epsmult import (
     DimensionMismatchError,
     MonomialIdeal,
@@ -21,7 +23,6 @@ from epsmult.ideals import (
     _minimal_numpy,
     _minimal_python,
     minimal_vectors,
-    saturate_by_colon_iteration,
 )
 
 from oracle_utils import (
@@ -29,6 +30,8 @@ from oracle_utils import (
     brute_intersect,
     brute_product,
     brute_saturate,
+    contains_many,
+    saturate_by_colon_iteration,
     staircase_in_box,
 )
 
@@ -67,6 +70,31 @@ class TestConstruction:
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError):
             MonomialIdeal(2, [(1, -1)])
+
+    @pytest.mark.parametrize(
+        "gens",
+        [[(1.5, 0)], [(0, True)], [(2.0, 1)], [("1", 0)], [(1, None)]],
+        ids=["float", "bool", "integral-float", "str", "none"],
+    )
+    def test_non_integer_exponents_rejected(self, gens):
+        # int() would truncate 1.5 to 1 and turn True into 1
+        with pytest.raises(TypeError, match="exponent must be an integer"):
+            MonomialIdeal(2, gens)
+
+    @pytest.mark.parametrize("dim", [2.9, 2.0, True, "2"])
+    def test_non_integer_dim_rejected(self, dim):
+        with pytest.raises(TypeError, match="dim must be an integer"):
+            MonomialIdeal(dim, [(1, 0)])
+
+    def test_numpy_integers_accepted(self):
+        ideal = MonomialIdeal(np.int64(2), [np.array([2, 0]), (np.uint8(1), np.int32(1))])
+        assert ideal == MonomialIdeal(2, [(2, 0), (1, 1)])
+        assert all(type(c) is int for g in ideal.generators for c in g)
+        assert type(ideal.dim) is int
+
+    def test_contains_rejects_non_integers(self):
+        with pytest.raises(TypeError):
+            MonomialIdeal(2, [(1, 0)]).contains((1.5, 0))
 
     def test_equality_is_canonical(self):
         a = MonomialIdeal(2, [(2, 0), (1, 1)])
@@ -131,7 +159,7 @@ class TestQueries:
     def test_contains_many_matches_scalar(self):
         ideal = MonomialIdeal(3, [(2, 0, 1), (0, 3, 0)])
         pts = [(i, j, k) for i in range(4) for j in range(4) for k in range(3)]
-        flags = ideal.contains_many(pts)
+        flags = contains_many(ideal, pts)
         assert [bool(f) for f in flags] == [ideal.contains(p) for p in pts]
 
     def test_max_exponents(self):
@@ -210,6 +238,9 @@ class TestSaturation:
     def test_m_primary_saturates_to_unit(self):
         I = MonomialIdeal(2, [(3, 0), (0, 2)])
         assert I.saturate().is_unit
+        # every nonzero ideal of k[x] is primary to the maximal ideal
+        for e in (1, 7, 2**61):
+            assert MonomialIdeal(1, [(e,)]).saturate().is_unit
 
     def test_already_saturated(self):
         # a prime that misses one variable, and a principal ideal
@@ -217,13 +248,21 @@ class TestSaturation:
         assert P.saturate() == P
         Q = MonomialIdeal(2, [(2, 0)])
         assert Q.saturate() == Q
+        for ideal in (
+            MonomialIdeal(3, [(1, 1, 0), (0, 1, 1), (1, 0, 1)]),  # three lines
+            MonomialIdeal(4, [(2, 0, 1, 0)]),
+            MonomialIdeal(4, [(1, 0, 0, 0), (0, 2, 0, 0), (0, 0, 3, 0)]),
+        ):
+            assert ideal.saturate() == ideal
+            assert saturate_by_colon_iteration(ideal) == ideal
 
     def test_zero_and_unit_fixed(self):
-        assert zero_ideal(2).saturate().is_zero
-        assert unit_ideal(2).saturate().is_unit
+        for dim in (1, 2, 3, 4):
+            assert zero_ideal(dim).saturate().is_zero
+            assert unit_ideal(dim).saturate().is_unit
 
     def test_idempotent_on_corpus(self):
-        for I in corpus(11, 30):
+        for I in corpus(11, 30) + [J.power(2) for J in corpus(44, 30, max_dim=4)]:
             S = I.saturate()
             assert S.saturate() == S
             assert I.is_subideal_of(S)
@@ -231,6 +270,64 @@ class TestSaturation:
     def test_matches_colon_iteration_on_corpus(self):
         for I in corpus(12, 30):
             assert I.saturate() == saturate_by_colon_iteration(I)
+
+    @pytest.mark.parametrize("seed", [41, 42, 43])
+    def test_corpus_powers_in_dims_1_to_4(self, seed):
+        # the grid route against colon iteration and, where the box is
+        # small enough to enumerate, against the pointwise definition
+        dims = set()
+        for base in corpus(seed, 40, max_dim=4):
+            for n in (1, 2, 3):
+                I = base.power(n)
+                S = I.saturate()
+                dims.add(I.dim)
+                assert S == saturate_by_colon_iteration(I)
+                bounds = tuple(t + 1 for t in I.max_exponents())
+                if math.prod(bounds) <= 20_000:
+                    assert staircase_in_box(S.generators, bounds) == brute_saturate(
+                        I.generators, I.dim
+                    )
+        assert dims == {1, 2, 3, 4}
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_monomial_times_primary_near_the_degree_limit(self, dim):
+        # x^a * (x^b, x_2^b, .., x_d^b) saturates to (x^a): the primary
+        # factor is killed.  Every generator stays below 2^61 in degree.
+        a = (1 << 60) - 3
+        b = (1 << 59) // dim + 5
+        lead = [(a + b,) + (0,) * (dim - 1)]
+        others = [
+            (a,) + tuple(b if i == j else 0 for i in range(dim - 1)) for j in range(dim - 1)
+        ]
+        ideal = MonomialIdeal(dim, lead + others)
+        assert ideal.saturate() == MonomialIdeal(dim, [(a,) + (0,) * (dim - 1)])
+
+    def test_embedded_component_near_the_degree_limit(self):
+        # (x^2a, x^a y^b, x^a z^c) = (x^a) meets (x^2a, y^b, z^c): sat = (x^a)
+        a, b, c = 1 << 59, (1 << 60) - 1, (1 << 59) + 7
+        ideal = MonomialIdeal(3, [(2 * a, 0, 0), (a, b, 0), (a, 0, c)])
+        assert ideal.saturate() == MonomialIdeal(3, [(a, 0, 0)])
+        # the columns beyond every cut stay unbounded: x^(a-1) * y^big is out
+        assert not ideal.saturate().contains((a - 1, 1 << 60, 1 << 60))
+
+    def test_past_the_cell_limit_raises(self):
+        # 2101 generators cut both column axes into 2101 cells: 4.4M > 2^22
+        wide = MonomialIdeal(3, [(0, i, 2100 - i) for i in range(2101)])
+        with pytest.raises(SizeLimitError, match="cells exceeds the limit"):
+            wide.saturate()
+
+    def test_memoized_on_the_instance(self, monkeypatch):
+        calls = []
+        grid = ideals_mod._saturation_on_grid
+
+        def counted(ideal):
+            calls.append(ideal)
+            return grid(ideal)
+
+        monkeypatch.setattr(ideals_mod, "_saturation_on_grid", counted)
+        I = MonomialIdeal(2, [(2, 0), (1, 1)]).power(3)
+        assert I.saturate() is I.saturate()
+        assert calls == [I]
 
 
 @pytest.fixture(scope="module")
@@ -281,6 +378,20 @@ class TestAgainstBruteForce:
 
 
 class TestSerialization:
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"dim": 2, "generators": [[1.5, 0]]},
+            {"dim": 2, "generators": [[1, 0.0]]},
+            {"dim": 2, "generators": [[1, True]]},
+            {"dim": 2.9, "generators": [[1, 0]]},
+            {"dim": "2", "generators": [[1, 0]]},
+        ],
+    )
+    def test_non_integer_json_rejected(self, data):
+        with pytest.raises(TypeError, match="must be an integer"):
+            from_json_dict(data)
+
     def test_round_trip(self):
         I = MonomialIdeal(3, [(1, 2, 0), (0, 0, 4)])
         blob = json.dumps(to_json_dict(I))

@@ -20,6 +20,7 @@ from epsmult import (
     theorem_a_table,
     unit_ideal,
 )
+from epsmult import ideals as ideals_mod
 from epsmult import multiplicity as mult_mod
 
 X2_XY = MonomialIdeal(2, [(2, 0), (1, 1)])
@@ -205,6 +206,29 @@ class TestSwanson:
     def test_zero_and_unit_rejected(self):
         with pytest.raises(ZeroIdealError):
             swanson_c_search(unit_ideal(2))
+
+    def test_search_reads_one_power_chain(self, monkeypatch):
+        # every I^m comes from the search's chain of products, not power()
+        def no_power(ideal, n):
+            raise AssertionError("swanson_c_search called MonomialIdeal.power")
+
+        ideal = MonomialIdeal(3, [(2, 1, 0), (0, 1, 3), (1, 1, 1)])
+        want = swanson_c_search(ideal)
+        monkeypatch.setattr(MonomialIdeal, "power", no_power)
+        assert swanson_c_search(ideal) == want
+
+    def test_search_saturates_each_power_once(self, monkeypatch):
+        calls = []
+        grid = ideals_mod._saturation_on_grid
+
+        def counted(ideal):
+            calls.append(ideal.generators)
+            return grid(ideal)
+
+        monkeypatch.setattr(ideals_mod, "_saturation_on_grid", counted)
+        base = MonomialIdeal(2, [(3, 0), (1, 2)])
+        swanson_c_search(base, mk_bound=12)
+        assert sorted(calls) == sorted({base.power(m).generators for m in range(1, 13)})
 
 
 def test_amao_result_guard():

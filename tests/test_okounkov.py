@@ -337,9 +337,10 @@ class TestEpsilonViaVolumes:
             assert epsilon_via_volumes(ideal, beta, n).value == expected
 
     def test_shared_semigroups_give_the_same_value(self):
+        saturated = GradedFamilySpec.saturated_powers(X2_XY)
         for beta in (1, 2, 4):
             for n in (1, 5, 17):
-                shared = _power_semigroups(X2_XY, beta)
+                shared = _power_semigroups(saturated, beta)
                 for _ in range(2):
                     got = _volume_difference(shared, beta, n)
                     assert got == epsilon_via_volumes(X2_XY, beta, n)
@@ -386,6 +387,22 @@ class TestBetaStability:
         res = beta_stability(X2_XY, beta0=1, n_probe=4, tolerance=Fraction(2))
         assert res.stabilized_beta == 2
         assert res.value == Fraction(5, 4)
+
+    def test_one_chain_for_every_beta(self, monkeypatch):
+        calls = []
+        product = MonomialIdeal.product
+
+        def counted(ideal, other):
+            calls.append(other)
+            return product(ideal, other)
+
+        monkeypatch.setattr(MonomialIdeal, "product", counted)
+        n_probe = 30
+        res = beta_stability(
+            X2_XY, beta0=1, n_probe=n_probe, tolerance=Fraction(0), max_doublings=4
+        )
+        assert len(res.history) >= 3
+        assert len(calls) <= n_probe - 1
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError, match="beta0"):

@@ -1,6 +1,7 @@
 import json
 import random
 
+import numpy as np
 import pytest
 
 from epsmult import (
@@ -229,6 +230,27 @@ class TestSerialization:
         sg = Semigroup.from_levels(2, {1: [(0, 0), (2, 1)]})
         back = semigroup_from_json_dict(semigroup_to_json_dict(sg))
         assert back.level(1) == sg.level(1)
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"dim": 1, "generators": [[0.5, 1]]},
+            {"dim": 1, "generators": [[1, 1.0]]},
+            {"dim": 1, "generators": [[True, 1]]},
+            {"dim": 1.5, "generators": [[0, 1]]},
+            {"dim": "1", "generators": [[0, 1]]},
+            {"dim": 1, "levels": {"1": [[0.5]]}},
+        ],
+    )
+    def test_non_integer_payloads_rejected(self, data):
+        # int() would truncate 0.5 to 0 and count a different semigroup
+        with pytest.raises(TypeError, match="must be an integer"):
+            semigroup_from_json_dict(data)
+
+    def test_numpy_integers_accepted(self):
+        sg = Semigroup.generated(np.int64(1), [np.array([0, 1]), (np.int32(1), np.int64(1))])
+        assert sg.generators == ((0, 1), (1, 1))
+        assert sg.count(3) == 4
 
     def test_bad_payloads(self):
         with pytest.raises(ValueError):
