@@ -33,13 +33,7 @@ from .errors import (
 )
 from .families import GradedFamilySpec
 from .ideals import MonomialIdeal, from_json_dict
-from .multiplicity import (
-    amao,
-    check_sat_power_containment,
-    epsilon_sequence,
-    swanson_c_search,
-    theorem_a_table,
-)
+from .multiplicity import amao, epsilon_sequence, lemma_checks, theorem_a_table
 from .okounkov import (
     _power_semigroups,
     _require_volume_probe,
@@ -475,8 +469,7 @@ def _cmd_lemmas(args) -> int:
     grid_cs: list[int] = []
     fixed_c: int | None = None
     for label, ideal in entries:
-        containment = check_sat_power_containment(ideal, args.kmax)
-        search = swanson_c_search(ideal)
+        containment, search = lemma_checks(ideal, args.kmax)
         c_cell = "none" if search.c is None else str(search.c)
         if search.c is not None:
             grid_cs.append(search.c)

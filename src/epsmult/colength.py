@@ -7,9 +7,10 @@ d-1 coordinates, a staircase is a height: the least first coordinate at
 which the column enters the ideal.  The height changes only at generator
 coordinates, so cutting each column axis at 0 and at every generator
 coordinate of the ideals involved gives a compressed grid with one height
-per cell and ideal; the last cell of each axis is unbounded.  Containment, finiteness, the length and the deepest
-degree of the difference are array expressions over those cells, and the
-final sums are taken in Python integers, so results past 2^63 stay exact.
+per cell and ideal; the last cell of each axis is unbounded.  Containment,
+finiteness, the length and the deepest degree of the difference are array
+expressions over those cells, and the final sums are taken in Python
+integers, so results past 2^63 stay exact.
 """
 
 from __future__ import annotations

@@ -26,20 +26,29 @@ class InfiniteColengthError(EpsmultError):
 class SizeLimitError(EpsmultError):
     """An input is past a fixed bound of the int64 kernels.
 
-    Raised for a generator degree above ``ideals.DEGREE_LIMIT``, for a
-    height grid with more than ``ideals.MAX_GRID_CELLS`` cells (every
-    staircase count and every saturation reads one), for a semigroup
-    level raster with more than ``semigroups._RASTER_CELL_CAP`` cells, and
-    for a k-fold sumset coordinate past the int64 range.
+    Raised for a generator degree above ``ideals.DEGREE_LIMIT`` (in an
+    input or in a product), for a height grid with more than
+    ``ideals.MAX_GRID_CELLS`` cells (every staircase count and every
+    saturation reads one), for a semigroup level raster with more than
+    ``semigroups._RASTER_CELL_CAP`` cells, and for a k-fold sumset
+    coordinate past the int64 range.
     """
 
 
 class InconclusiveError(EpsmultError):
-    """A finite-difference tail did not stabilize within the window."""
+    """A finite-difference tail did not stabilize within the window.
 
-    def __init__(self, message: str, k_max: int | None = None):
+    ``tail`` holds the last values that were compared, oldest first (the
+    d-th differences, for a length sequence), so a report can say how far
+    from stable the run was.
+    """
+
+    def __init__(
+        self, message: str, k_max: int | None = None, tail: tuple[int, ...] = ()
+    ):
         super().__init__(message)
         self.k_max = k_max
+        self.tail = tuple(tail)
 
 
 class InsufficientDataError(EpsmultError):

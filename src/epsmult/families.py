@@ -1,7 +1,7 @@
 """Graded families of monomial ideals, indexed by a nonnegative integer.
 
 A family is a rule n -> I_n with I_0 the unit ideal and I_a * I_b inside
-I_(a+b).  The five rules used throughout the package are provided as
+I_(a+b).  The three rules used throughout the package are provided as
 named constructors; instances are immutable, hashable, and cache the
 ideals they have produced.
 """
@@ -10,16 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import ZeroIdealError
 from .ideals import MonomialIdeal, unit_ideal
 
-_KINDS = (
-    "powers",
-    "saturated_powers",
-    "power_then_saturate_power",
-    "fixed_power_family",
-    "constant_unit",
-)
+_KINDS = ("powers", "saturated_powers", "power_then_saturate_power")
 
 
 @dataclass(frozen=True)
@@ -37,9 +30,9 @@ class GradedFamilySpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown family kind {self.kind!r}")
-        if self.kind != "constant_unit" and self.base is None:
+        if self.base is None:
             raise ValueError(f"family kind {self.kind!r} needs a base ideal")
-        if self.kind in ("power_then_saturate_power", "fixed_power_family"):
+        if self.kind == "power_then_saturate_power":
             if self.m is None or self.m < 1:
                 raise ValueError(f"family kind {self.kind!r} needs a positive m")
 
@@ -62,16 +55,6 @@ class GradedFamilySpec:
         """k -> (saturation of I^m)^k, for a fixed m."""
         return cls("power_then_saturate_power", base.dim, base, int(m))
 
-    @classmethod
-    def fixed_power_family(cls, base: MonomialIdeal, m: int) -> "GradedFamilySpec":
-        """k -> I^(m*k), for a fixed m."""
-        return cls("fixed_power_family", base.dim, base, int(m))
-
-    @classmethod
-    def constant_unit(cls, dim: int) -> "GradedFamilySpec":
-        """n -> unit ideal (the whole ring)."""
-        return cls("constant_unit", dim)
-
     # -- evaluation --------------------------------------------------------
 
     def __call__(self, n: int) -> MonomialIdeal:
@@ -87,8 +70,6 @@ class GradedFamilySpec:
         return got
 
     def _compute(self, n: int) -> MonomialIdeal:
-        if self.kind == "constant_unit":
-            return unit_ideal(self.dim)
         base = self.base
         assert base is not None
         if self.kind == "powers":
@@ -97,8 +78,6 @@ class GradedFamilySpec:
             return self._powers_family()(n).saturate()
         if self.kind == "power_then_saturate_power":
             return self._chain(n, self._saturated_base())
-        if self.kind == "fixed_power_family":
-            return self._powers_family()(self.m * n)
         raise AssertionError(self.kind)
 
     def _chain(self, n: int, step: MonomialIdeal) -> MonomialIdeal:
@@ -132,11 +111,3 @@ class GradedFamilySpec:
             got = self._powers_family()(self.m).saturate()
             self._cache["sat_base"] = got
         return got
-
-    def require_proper_base(self) -> MonomialIdeal:
-        """The base ideal, which must be neither zero nor the unit ideal."""
-        if self.base is None or self.base.is_zero or self.base.is_unit:
-            raise ZeroIdealError(
-                "this computation needs a base ideal that is neither zero nor the ring"
-            )
-        return self.base

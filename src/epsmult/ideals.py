@@ -7,13 +7,18 @@ equal as values exactly when they are equal as ideals.  The unit ideal
 is generated by the zero vector; the zero ideal has no generators.
 
 All arithmetic is exact integer arithmetic, and exponents must be ints
-(or numpy integers).  numpy is used internally to vectorize the antichain
-filter on larger inputs; a pure-Python path handles small ones (and
-doubles as an oracle for the vectorized path in the test suite).  The
-saturation and every staircase count of the colength module read the
-compressed height grid built by _height_grids.  The numpy paths work in
-int64 and accept generators of degree at most DEGREE_LIMIT = 2^61; past
-it they raise SizeLimitError instead of wrapping.
+(or numpy integers).  Every nonzero ideal has a compressed height grid
+(see _height_grids), memoized on the instance by MonomialIdeal._grid;
+the saturation and the simplex counts of the okounkov module read it.
+A product of large ideals is a min-plus shift of the larger factor's
+grid.  It reads its generators off the new grid's corners, as the
+saturation does, and keeps the grid for the next link of a power chain.
+Small products take pairwise sums of generators and a pure-Python
+antichain filter.  The constructor, sum, intersection and colon
+minimalize raw vectors with the same filter, vectorized by numpy on
+larger inputs.  The numpy paths work in int64 and accept generators of
+degree at most DEGREE_LIMIT = 2^61; past it they raise SizeLimitError
+instead of wrapping.
 
 Instances are immutable and hashable; operations return new ideals and
 are safe to call from multiple threads.
@@ -22,6 +27,7 @@ are safe to call from multiple threads.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -31,7 +37,8 @@ from .errors import DimensionMismatchError, SizeLimitError, ZeroIdealError
 
 Exponent = tuple[int, ...]
 
-# Below this many candidate vectors the plain-Python antichain filter wins.
+# Below this many candidate vectors (for a product: pairs of generators)
+# the plain-Python antichain filter wins.
 _NUMPY_CUTOVER = 64
 _BLOCK = 512
 
@@ -71,13 +78,17 @@ def _minimal_python(cands: set[Exponent]) -> list[Exponent]:
     return out
 
 
-def _int64_rows(rows, dim: int) -> np.ndarray:
-    """Exponent vectors as an (n, dim) int64 array, within DEGREE_LIMIT."""
-    if max(map(sum, rows), default=0) > DEGREE_LIMIT:
+def _check_degree(degree: int) -> None:
+    if degree > DEGREE_LIMIT:
         raise SizeLimitError(
             f"a generator has degree above {DEGREE_LIMIT} (2^61), "
             "past the exact int64 range"
         )
+
+
+def _int64_rows(rows, dim: int) -> np.ndarray:
+    """Exponent vectors as an (n, dim) int64 array, within DEGREE_LIMIT."""
+    _check_degree(max(map(sum, rows), default=0))
     return np.asarray(rows, dtype=np.int64).reshape(len(rows), dim)
 
 
@@ -87,6 +98,11 @@ MAX_GRID_CELLS = 1 << 22
 # Height of a column that never enters the ideal.  It lies above every
 # exponent the int64 paths accept, so it never equals a real height.
 _NEVER = 2 * DEGREE_LIMIT
+
+
+def _column_cuts(rows: np.ndarray) -> list[np.ndarray]:
+    """0 and every row's coordinate k, sorted, for each column axis k = 1..d-1."""
+    return [np.unique(np.concatenate(([0], rows[:, k]))) for k in range(1, rows.shape[1])]
 
 
 def _height_grids(ideals) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -102,10 +118,7 @@ def _height_grids(ideals) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """
     dim = ideals[0].dim
     rows = [ideal._array() for ideal in ideals]
-    cuts = [
-        np.unique(np.concatenate([[0], *(r[:, k] for r in rows)]))
-        for k in range(1, dim)
-    ]
+    cuts = _column_cuts(np.concatenate(rows))
     shape = tuple(len(c) for c in cuts)
     cells = math.prod(shape)
     if cells > MAX_GRID_CELLS:
@@ -126,23 +139,116 @@ def _height_grids(ideals) -> tuple[list[np.ndarray], list[np.ndarray]]:
     return cuts, grids
 
 
+def _corners(cuts, heights: np.ndarray) -> np.ndarray:
+    """The minimal generators of a height grid, as int64 rows in sorted order.
+
+    The heights must be nonincreasing along every axis.  A cell holds a
+    minimal generator, (height, lower corner), where its height is finite
+    and lies below the height one step back along every axis.
+    """
+    corner = heights < _NEVER
+    for axis in range(heights.ndim):
+        lead = (slice(None),) * axis
+        after, before = lead + (slice(1, None),), lead + (slice(None, -1),)
+        corner[after] &= heights[after] < heights[before]
+    at = np.nonzero(corner) if corner.ndim else ()
+    rows = np.column_stack([heights[corner], *(c[i] for c, i in zip(cuts, at))])
+    # np.nonzero lists the cells in lexicographic order of their corners, so
+    # a stable sort by height sorts the rows lexicographically
+    return rows[np.argsort(rows[:, 0], kind="stable")]
+
+
+def _from_sorted_rows(dim: int, rows: np.ndarray) -> "MonomialIdeal":
+    """The ideal generated by int64 rows already minimal and sorted."""
+    ideal = _make(dim, tuple(map(tuple, rows.tolist())))
+    object.__setattr__(ideal, "_np", rows)
+    return ideal
+
+
 def _saturation_on_grid(ideal: "MonomialIdeal") -> "MonomialIdeal":
-    """The saturation of a nonzero ideal, read off its height grid."""
-    cuts, (height,) = _height_grids((ideal,))
-    sat = np.maximum(height - ideal._array()[:, 0].max(), 0)
+    """The saturation of a nonzero ideal, read off its height grid.
+
+    The largest finite height is the largest first coordinate of a
+    generator, T_1 in MonomialIdeal.saturate.
+    """
+    cuts, height = ideal._grid()
+    finite = height < _NEVER
+    sat = np.maximum(height - height[finite].max(), 0)
     for axis in range(height.ndim):
         sat = np.maximum(sat, height.take([-1], axis=axis))
-    sat = np.where(height == _NEVER, _NEVER, sat)
-    # A cell holds a minimal generator, (height, lower corner), where its
-    # height lies below the height one step back along every axis.
-    corner = sat < _NEVER
-    for axis in range(sat.ndim):
-        step = [slice(None)] * sat.ndim
-        step[axis] = slice(1, None)
-        corner[tuple(step)] &= np.diff(sat, axis=axis) < 0
-    at = np.nonzero(corner) if corner.ndim else ()
-    rows = np.column_stack([sat[corner], *(c[i] for c, i in zip(cuts, at))])
-    return _make(ideal.dim, tuple(sorted(map(tuple, rows.tolist()))))
+    return _from_sorted_rows(ideal.dim, _corners(cuts, np.where(finite, sat, _NEVER)))
+
+
+def _shifted_heights(padded: np.ndarray, cuts, union, shifts: np.ndarray) -> np.ndarray:
+    """For each row g of shifts, g_1 + h(y - g') on every cell y of the union grid.
+
+    h is read from padded, the heights with one extra _NEVER cell at the
+    end of every axis: a column y - g' before the origin finds no cut at
+    or below it, so its index is -1, which lands there.  Returns an array
+    of shape (len(shifts), *union shape).
+    """
+    n, ndim = len(shifts), len(cuts)
+    index = []
+    for k, (c, u) in enumerate(zip(cuts, union)):
+        at = np.searchsorted(c, u[None, :] - shifts[:, k + 1, None], side="right") - 1
+        index.append(at.reshape((n,) + (1,) * k + (-1,) + (1,) * (ndim - 1 - k)))
+    out = padded[tuple(index)]
+    out += shifts[:, 0].reshape((n,) + (1,) * ndim)
+    return out
+
+
+def _union_cuts(big: "MonomialIdeal", small: "MonomialIdeal") -> list[np.ndarray]:
+    """The cuts of the grid _product_on_grid evaluates big * small on.
+
+    0, and big's cuts shifted by the column part g' of every generator of
+    small.  Read off the generators, so big's grid need not exist yet.
+    """
+    grid = getattr(big, "_heights", None)
+    cuts = grid[0] if grid is not None else _column_cuts(big._array())
+    shifts = small._array()
+    return [
+        np.unique(np.concatenate(([0], (c[None, :] + shifts[:, k + 1, None]).ravel())))
+        for k, c in enumerate(cuts)
+    ]
+
+
+def _product_on_grid(big: "MonomialIdeal", small: "MonomialIdeal", union) -> "MonomialIdeal":
+    """big * small as a min-plus shift of big's height grid.
+
+    A column y enters big * small at the least g_1 + h(y - g'), over the
+    generators g = (g_1, g') of small with g' <= y, where h is big's
+    height.  h changes only at big's cuts, so this does too only at 0 and
+    at big's cuts shifted by each g': union must be these cuts, as
+    _union_cuts returns them.  The caller keeps the union grid within
+    MAX_GRID_CELLS cells; the shifts are gathered a chunk of generators at
+    a time, with at most MAX_GRID_CELLS cells in a chunk.
+    """
+    shifts = small._array()
+    cuts, heights = big._grid()
+    shape = tuple(map(len, union))
+    cells = math.prod(shape)
+    padded = np.full([s + 1 for s in heights.shape], _NEVER, dtype=np.int64)
+    padded[tuple(map(slice, heights.shape))] = heights
+    out = np.full(shape, _NEVER, dtype=np.int64)
+    chunk = max(1, MAX_GRID_CELLS // cells)
+    for start in range(0, len(shifts), chunk):
+        part = _shifted_heights(padded, cuts, union, shifts[start : start + chunk])
+        np.minimum(out, part.min(axis=0), out=out)
+    # g_1 + _NEVER still marks a column that never enters
+    np.minimum(out, _NEVER, out=out)
+    rows = _corners(union, out)
+    # The heights change only at 0 and at generator coordinates.  Keeping
+    # just those cuts leaves the product's own grid, as _height_grids would
+    # build it, which the product keeps.
+    own = list(union)
+    for axis in range(out.ndim):
+        keep = np.isin(own[axis], rows[:, axis + 1])
+        keep[0] = True
+        own[axis] = own[axis][keep]
+        out = out.compress(keep, axis=axis)
+    ideal = _from_sorted_rows(big.dim, rows)
+    ideal._set_grid(own, out)
+    return ideal
 
 
 def _minimal_numpy(cands: set[Exponent]) -> list[Exponent]:
@@ -211,6 +317,25 @@ class MonomialIdeal:
             object.__setattr__(self, "_np", arr)
         return arr
 
+    def _grid(self) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+        """(cuts, heights) of this ideal's own height grid, read-only.
+
+        Memoized on the instance.  A product above the cutover keeps the
+        grid it was computed on, so a chain of powers builds each grid once.
+        """
+        grid = getattr(self, "_heights", None)
+        if grid is None:
+            cuts, (heights,) = _height_grids((self,))
+            grid = self._set_grid(cuts, heights)
+        return grid
+
+    def _set_grid(self, cuts, heights: np.ndarray):
+        for arr in (*cuts, heights):
+            arr.flags.writeable = False
+        grid = (tuple(cuts), heights)
+        object.__setattr__(self, "_heights", grid)
+        return grid
+
     def max_exponents(self) -> Exponent:
         """Componentwise maximum over the generators (zeros for the zero ideal)."""
         if self.is_zero:
@@ -239,13 +364,40 @@ class MonomialIdeal:
         return _make(self.dim, minimal_vectors(self.generators + other.generators))
 
     def product(self, other: "MonomialIdeal") -> "MonomialIdeal":
-        """Ideal product I * J (pairwise sums of generators, minimalized)."""
+        """Ideal product I * J.
+
+        Below _NUMPY_CUTOVER pairs of generators, the pairwise sums,
+        minimalized by the Python filter; this raises SizeLimitError when
+        a generator of the product has degree above DEGREE_LIMIT.  At or
+        above it, a min-plus shift of the larger factor's height grid (see
+        _product_on_grid), or the pairwise sums, minimalized by numpy,
+        when that grid would be too large; either raises SizeLimitError
+        when a pairwise sum has degree above DEGREE_LIMIT.
+        """
         self._check_same_dim(other)
         if self.is_zero or other.is_zero:
             return zero_ideal(self.dim)
-        a, b = self._array(), other._array()
-        sums = (a[:, None, :] + b[None, :, :]).reshape(-1, self.dim)
-        return _from_rows(self.dim, sums)
+        big, small = self, other
+        if len(big.generators) < len(small.generators):
+            big, small = small, big
+        n_big, n_small = len(big.generators), len(small.generators)
+        if n_big * n_small < _NUMPY_CUTOVER:
+            sums = (tuple(map(operator.add, g, h)) for g in big for h in small)
+            ideal = _make(self.dim, minimal_vectors(sums))
+            _check_degree(max(map(sum, ideal.generators)))
+            return ideal
+        a, b = big._array(), small._array()
+        _check_degree(int(a.sum(axis=1).max() + b.sum(axis=1).max()))
+        # The grid path gathers one union grid per generator of small; the
+        # numpy filter compares each of the n_big * n_small sums with the
+        # generators kept, of which a product has about n_big or more.  So
+        # the grid path is taken while the union grid has at most n_big^2
+        # cells.  Powers, whose exponents coincide, stay far below that;
+        # generic ideals with large exponents pass it.
+        union = _union_cuts(big, small)
+        if math.prod(map(len, union)) <= min(MAX_GRID_CELLS, n_big * n_big):
+            return _product_on_grid(big, small, union)
+        return _from_rows(self.dim, (a[:, None, :] + b[None, :, :]).reshape(-1, self.dim))
 
     def power(self, n: int) -> "MonomialIdeal":
         """I^n by binary exponentiation; I^0 is the unit ideal."""

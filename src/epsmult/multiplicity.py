@@ -99,10 +99,13 @@ def leading_difference(seq: list[int], d: int, window: int = 3) -> AmaoResult:
         start -= 1
     observed = len(diffs) - start
     if observed < window:
+        tail = tuple(diffs[-window:])
         raise InconclusiveError(
             f"d-th differences did not stabilize: last {observed} equal, "
-            f"window of {window} required",
+            f"window of {window} required; last {len(tail)} d-th differences: "
+            + ", ".join(map(str, tail)),
             k_max=len(seq),
+            tail=tail,
         )
     return AmaoResult(value=value, stabilized_at=start + 1, window=observed)
 
@@ -178,12 +181,30 @@ def theorem_a_table(
 
 def check_sat_power_containment(ideal: MonomialIdeal, i_max: int) -> ContainmentCheck:
     """Verify saturate(I)^i lies inside saturate(I^i) for i = 1..i_max."""
-    sat_powers = GradedFamilySpec.powers(ideal.saturate())
-    powers = GradedFamilySpec.powers(ideal)
+    return _sat_power_containment(GradedFamilySpec.powers(ideal), i_max)
+
+
+def _sat_power_containment(powers: GradedFamilySpec, i_max: int) -> ContainmentCheck:
+    """check_sat_power_containment on the chain of powers of I."""
+    sat_powers = GradedFamilySpec.powers(powers.base.saturate())
     for i in range(1, int(i_max) + 1):
         if not sat_powers(i).is_subideal_of(powers(i).saturate()):
             return ContainmentCheck(False, i)
     return ContainmentCheck(True, None)
+
+
+def lemma_checks(
+    ideal: MonomialIdeal, i_max: int
+) -> tuple[ContainmentCheck, SwansonResult]:
+    """check_sat_power_containment and swanson_c_search, at its default grid.
+
+    Both read I^i and sat(I^i); sharing one chain of powers builds each once.
+    """
+    powers = GradedFamilySpec.powers(ideal)
+    return (
+        _sat_power_containment(powers, i_max),
+        _swanson_c_search(powers, _C_MAX, _MK_BOUND),
+    )
 
 
 def swanson_truncation_agrees(ideal: MonomialIdeal, m: int, k: int, c: int) -> bool:
@@ -200,10 +221,15 @@ def swanson_truncation_agrees(ideal: MonomialIdeal, m: int, k: int, c: int) -> b
     return lhs.intersect(cutoff) == rhs.intersect(cutoff)
 
 
+# The default grid of swanson_c_search.
+_C_MAX = 8
+_MK_BOUND = 12
+
+
 def swanson_c_search(
     ideal: MonomialIdeal,
-    c_max: int = 8,
-    mk_bound: int = 12,
+    c_max: int = _C_MAX,
+    mk_bound: int = _MK_BOUND,
 ) -> SwansonResult:
     """Least c with I^(mk) and (saturation(I^m))^k agreeing past degree c*m*k.
 
@@ -213,9 +239,14 @@ def swanson_c_search(
     grid answer is the max over pairs, or None if it exceeds c_max.  This
     falsifies or corroborates on a grid --- it proves nothing beyond it.
     """
+    return _swanson_c_search(GradedFamilySpec.powers(ideal), c_max, mk_bound)
+
+
+def _swanson_c_search(powers: GradedFamilySpec, c_max: int, mk_bound: int) -> SwansonResult:
+    """swanson_c_search on the chain of powers of I."""
+    ideal = powers.base
     if ideal.is_zero or ideal.is_unit:
         raise ZeroIdealError("the truncation search needs an ideal that is neither zero nor the ring")
-    powers = GradedFamilySpec.powers(ideal)
     per_pair: list[tuple[int, int, int]] = []
     worst = 1
     for m in range(1, mk_bound + 1):

@@ -18,7 +18,7 @@ from itertools import combinations
 from .colength import _cell_corners
 from .errors import DimensionMismatchError, InconclusiveError, ZeroIdealError
 from .families import GradedFamilySpec
-from .ideals import _NEVER, MonomialIdeal, _height_grids
+from .ideals import _NEVER, MonomialIdeal
 from .semigroups import Semigroup
 from .valuation import WeightVector, default_weights
 
@@ -34,7 +34,7 @@ def count_staircase_in_simplex(ideal: MonomialIdeal, cap: int) -> int:
     first argument being zero.
     """
     d = ideal.dim
-    cuts, (heights,) = _height_grids((ideal,))
+    cuts, heights = ideal._grid()
     cells = heights < _NEVER
     lows, widths = _cell_corners(cuts, cells)
     budget = cap - heights[cells].astype(object) - sum(lows)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
@@ -352,6 +353,13 @@ def semigroup_from_json_dict(data: dict) -> Semigroup:
     if "generators" in data:
         return Semigroup.generated(dim, data["generators"])
     if "levels" in data:
-        levels = {int(k): v for k, v in dict(data["levels"]).items()}
+        levels = {}
+        for key, points in dict(data["levels"]).items():
+            # int() would also take "1_0", " 1", "+1" and non-ASCII digits
+            if not (isinstance(key, str) and re.fullmatch(r"[0-9]+", key)):
+                raise ValueError(f"level key {key!r} is not a plain decimal number")
+            if int(key) in levels:
+                raise ValueError(f"level {int(key)} is given twice")
+            levels[int(key)] = points
         return Semigroup.from_levels(dim, levels)
     raise ValueError("semigroup JSON needs 'generators' or 'levels'")

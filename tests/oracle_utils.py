@@ -4,9 +4,10 @@ Everything here works on raw generator tuples and enumerates boxes of
 exponent vectors, taking the textbook definitions at face value: a point
 is in the product if it splits as a sum of members, in the colon if every
 shift by a divisor generator lands inside, and so on.  Slow on purpose --
-these exist to disagree with the fast code, not to race it.  Two helpers
-take `MonomialIdeal` values instead: the colon-iteration saturation, an
-independent route to the grid saturation, and a batched membership test.
+these exist to disagree with the fast code, not to race it.  Three helpers
+take `MonomialIdeal` values instead: the product by pairwise sums, the
+oracle of the grid product; the colon-iteration saturation, an
+independent route to the grid saturation; and a batched membership test.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from itertools import product as iproduct
 
 import numpy as np
 
-from epsmult.ideals import maximal_ideal
+from epsmult.ideals import _minimal_python, maximal_ideal
 
 Vec = tuple[int, ...]
 
@@ -57,6 +58,16 @@ def brute_product(gens_a, gens_b, dim: int) -> frozenset:
                 out.add(e)
                 break
     return frozenset(out)
+
+
+def product_by_sums(a, b):
+    """Generators of a * b: the pairwise sums, minimalized by the Python filter.
+
+    The generator-list product, the oracle of the grid product of
+    `MonomialIdeal.product`.  Exact in Python integers at any size.
+    """
+    sums = {tuple(x + y for x, y in zip(g, h)) for g in a.generators for h in b.generators}
+    return tuple(sorted(_minimal_python(sums)))
 
 
 def brute_intersect(gens_a, gens_b, dim: int) -> frozenset:

@@ -12,7 +12,15 @@ from pathlib import Path
 import pytest
 
 import epsmult.cli as cli
-from epsmult import IdealSyntaxError, InconclusiveError, MonomialIdeal, Semigroup
+from epsmult import ideals as ideals_mod
+from epsmult import (
+    IdealSyntaxError,
+    InconclusiveError,
+    MonomialIdeal,
+    Semigroup,
+    check_sat_power_containment,
+    swanson_c_search,
+)
 from epsmult.cli import main, parse_ideal
 from epsmult.multiplicity import TheoremARow
 
@@ -135,6 +143,15 @@ class TestExitCodes:
         assert err.startswith("error: a generator has degree above")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("key", ["1_0", " 1", "+1", "\u0661", "1.0", ""])
+    def test_level_key_not_plain_decimal_is_4(self, key, capsys):
+        data = json.dumps({"dim": 1, "levels": {key: [[0]]}}, ensure_ascii=False)
+        assert main(["semigroup", "-i", data, "--nmax", "10"]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "is not a plain decimal number" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -176,6 +193,16 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "amao", never_settles)
         assert main(["amao", "--inner", X2_XY, "--outer", OUTER_X]) == 2
         assert "inconclusive" in capsys.readouterr().err
+
+    def test_inconclusive_message_names_the_last_differences(self, capsys):
+        argv = ["amao", "--inner", "x^4, x*y^3, y^4", "--outer", "x^2, x*y, y^2", "--kmax", "5"]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "inconclusive: d-th differences did not stabilize: last 2 equal, "
+            "window of 3 required; last 3 d-th differences: 11, 12, 12\n"
+        )
 
 
 class TestReports:
@@ -301,6 +328,66 @@ class TestNoRecomputation:
         assert main(["okounkov-volume", "-i", X2_XY, "--beta", "2", "--nmax", str(nmax)]) == 0
         assert "# epsilon_via_volumes" in capsys.readouterr().out
         assert len(calls) <= nmax - 1
+
+    def test_okounkov_volume_builds_each_grid_once(self, capsys, monkeypatch):
+        # x * (x^4, x^3*y, x*y^2, y^4): the chain crosses onto grid products,
+        # and I^n and sat(I^n) = (x^n) are all distinct ideals
+        kept, scanned = [], []
+        set_grid, height_grids = MonomialIdeal._set_grid, ideals_mod._height_grids
+
+        def recorded_set_grid(ideal, cuts, heights):
+            kept.append(ideal.generators)
+            return set_grid(ideal, cuts, heights)
+
+        def recorded_height_grids(ideals):
+            scanned.extend(ideal.generators for ideal in ideals)
+            return height_grids(ideals)
+
+        monkeypatch.setattr(MonomialIdeal, "_set_grid", recorded_set_grid)
+        monkeypatch.setattr(ideals_mod, "_height_grids", recorded_height_grids)
+        text = "x^5, x^4*y, x^2*y^2, x*y^4"
+        nmax = 15
+        assert main(["okounkov-volume", "-i", text, "--beta", "2", "--nmax", str(nmax)]) == 0
+        assert "# epsilon_via_volumes" in capsys.readouterr().out
+        monkeypatch.undo()
+        base = parse_ideal(text)
+        links = [base.power(n) for n in range(1, nmax + 1)]
+        # every grid is built once, and a grid product keeps the grid it made
+        assert len(set(kept)) == len(kept)
+        assert {link.generators for link in links} <= set(kept)
+        shifted = [
+            after.generators
+            for before, after in zip(links, links[1:])
+            if len(before.generators) * len(base.generators) >= ideals_mod._NUMPY_CUTOVER
+        ]
+        assert len(shifted) >= 5
+        assert not set(shifted) & set(scanned)
+
+    def test_lemmas_row_reads_one_power_chain(self, capsys, monkeypatch):
+        products, saturations = [], []
+        product = MonomialIdeal.product
+        saturation = ideals_mod._saturation_on_grid
+
+        def counted_product(ideal, other):
+            products.append(other)
+            return product(ideal, other)
+
+        def counted_saturation(ideal):
+            saturations.append(ideal)
+            return saturation(ideal)
+
+        monkeypatch.setattr(MonomialIdeal, "product", counted_product)
+        monkeypatch.setattr(ideals_mod, "_saturation_on_grid", counted_saturation)
+        text = "x^2*y, x*y^3, y^5, x^4"
+        ideal = parse_ideal(text)
+        check_sat_power_containment(ideal, 4)
+        swanson_c_search(ideal)
+        separate = len(products), len(saturations)
+        products.clear()
+        saturations.clear()
+        assert main(["lemmas", "-i", text, "--nmax", "0", "--kmax", "4"]) == 0
+        capsys.readouterr()
+        assert (len(products), len(saturations)) == (separate[0] - 3, separate[1] - 3)
 
     def test_deep_probe_level_needs_no_recursion(self, capsys):
         # The power chain is built bottom-up: a probe level far past the

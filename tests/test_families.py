@@ -1,6 +1,6 @@
 import pytest
 
-from epsmult import GradedFamilySpec, MonomialIdeal, ZeroIdealError, corpus, unit_ideal
+from epsmult import GradedFamilySpec, MonomialIdeal, corpus, unit_ideal
 
 X2_XY = MonomialIdeal(2, [(2, 0), (1, 1)])
 
@@ -10,8 +10,6 @@ def test_level_zero_is_the_ring():
         GradedFamilySpec.powers(X2_XY),
         GradedFamilySpec.saturated_powers(X2_XY),
         GradedFamilySpec.power_then_saturate_power(X2_XY, 2),
-        GradedFamilySpec.fixed_power_family(X2_XY, 3),
-        GradedFamilySpec.constant_unit(2),
     ):
         assert fam(0) == unit_ideal(2)
 
@@ -79,11 +77,6 @@ def test_power_then_saturate_power_reads_the_powers_chain(monkeypatch):
     assert 3 in fam._powers_family()._cache
 
 
-def test_fixed_power_family():
-    fam = GradedFamilySpec.fixed_power_family(X2_XY, 3)
-    assert fam(2) == X2_XY.power(6)
-
-
 def test_graded_law_on_corpus():
     # I_a * I_b is contained in I_(a+b)
     for base in corpus(41, 12):
@@ -115,12 +108,5 @@ def test_base_required():
     with pytest.raises(ValueError):
         GradedFamilySpec("powers", 2)
     with pytest.raises(ValueError):
-        GradedFamilySpec("fixed_power_family", 2, X2_XY)
+        GradedFamilySpec("power_then_saturate_power", 2, X2_XY)
 
-
-def test_require_proper_base():
-    assert GradedFamilySpec.powers(X2_XY).require_proper_base() == X2_XY
-    with pytest.raises(ZeroIdealError):
-        GradedFamilySpec.powers(unit_ideal(2)).require_proper_base()
-    with pytest.raises(ZeroIdealError):
-        GradedFamilySpec.constant_unit(2).require_proper_base()

@@ -31,6 +31,7 @@ from oracle_utils import (
     brute_product,
     brute_saturate,
     contains_many,
+    product_by_sums,
     saturate_by_colon_iteration,
     staircase_in_box,
 )
@@ -328,6 +329,163 @@ class TestSaturation:
         I = MonomialIdeal(2, [(2, 0), (1, 1)]).power(3)
         assert I.saturate() is I.saturate()
         assert calls == [I]
+
+
+def _same_grid(got, want) -> bool:
+    (cuts_a, heights_a), (cuts_b, heights_b) = got, want
+    return (
+        len(cuts_a) == len(cuts_b)
+        and all(np.array_equal(x, y) for x, y in zip(cuts_a, cuts_b))
+        and np.array_equal(heights_a, heights_b)
+    )
+
+
+def _on_grid(big, small):
+    """big * small on the grid, whatever the size switch in product says."""
+    return ideals_mod._product_on_grid(big, small, ideals_mod._union_cuts(big, small))
+
+
+class TestGridProduct:
+    """Products above the cutover: min-plus shifts of a memoized height grid."""
+
+    def test_chains_match_the_pairwise_sums(self):
+        # chains to n = 12 of 1-4 generators cross the cutover on the way
+        dims, crossed = set(), 0
+        for seed in (61, 62, 63):
+            for base in corpus(seed, 14, max_dim=4, max_gens=4):
+                dims.add(base.dim)
+                power = base
+                for _ in range(2, 13):
+                    want = product_by_sums(power, base)
+                    if len(power.generators) * len(base.generators) >= ideals_mod._NUMPY_CUTOVER:
+                        crossed += 1
+                    got = power.product(base)
+                    assert got.generators == want
+                    assert _on_grid(power, base).generators == want
+                    assert _on_grid(base, power).generators == want
+                    power = got
+        assert dims == {1, 2, 3, 4}
+        assert crossed >= 20
+
+    def test_grid_product_against_brute_force(self, pairs):
+        for a, b in pairs:
+            got = _on_grid(a, b)
+            assert staircase_in_box(got.generators, box_for(a, b)) == brute_product(
+                a.generators, b.generators, a.dim
+            )
+
+    def test_kept_grid_is_the_products_own(self):
+        for base in corpus(64, 30, max_dim=4):
+            for n in (2, 3, 5):
+                power = base.power(n)
+                fresh = ideals_mod._make(power.dim, power.generators)
+                assert _same_grid(power._grid(), fresh._grid())
+
+    @staticmethod
+    def _wide(lead: int) -> MonomialIdeal:
+        """(x^lead, x^(7-i) y^(i+1) for i < 7): eight generators of degree <= lead."""
+        return MonomialIdeal(2, [(lead, 0)] + [(7 - i, i + 1) for i in range(7)])
+
+    def test_degree_guard_above_the_switch(self):
+        # 8 x 8 generator pairs take the grid path; the degrees add up to 2^61
+        a, b = self._wide(1 << 60), self._wide(1 << 60)
+        assert len(a.generators) * len(b.generators) >= ideals_mod._NUMPY_CUTOVER
+        got = a.product(b)
+        assert got.generators == product_by_sums(a, b)
+        assert (1 << 61, 0) in got.generators
+        with pytest.raises(SizeLimitError, match="degree above"):
+            a.product(self._wide((1 << 60) + 1))
+
+    def test_degree_guard_on_the_sums_above_the_switch(self):
+        # 200 x 4 generator pairs whose union grid is past the cell limit
+        wide = [(0, i, 199 - i, i) for i in range(200)]
+        a = MonomialIdeal(4, [((1 << 61) - 1, 0, 0, 0)] + wide)
+        assert a.product(maximal_ideal(4)).generators == product_by_sums(a, maximal_ideal(4))
+        with pytest.raises(SizeLimitError, match="degree above"):
+            a.product(MonomialIdeal(4, [(2, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]))
+
+    def test_degree_guard_below_the_switch(self):
+        a = MonomialIdeal(2, [((1 << 61) - 1, 0), (0, 1)])
+        assert a.product(MonomialIdeal(2, [(1, 0)])).generators == ((1, 1), (1 << 61, 0))
+        with pytest.raises(SizeLimitError, match="degree above"):
+            a.product(MonomialIdeal(2, [(2, 0)]))
+
+    def test_degree_guard_below_the_switch_reads_the_minimal_generators(self):
+        # the sum x^(2^60+1) y^(2^60+1) has degree 2^61 + 2, but x*y divides it
+        a = MonomialIdeal(2, [((1 << 60) + 1, 0), (0, 1)])
+        b = MonomialIdeal(2, [(1, 0), (0, (1 << 60) + 1)])
+        want = ((0, (1 << 60) + 2), (1, 1), ((1 << 60) + 2, 0))
+        assert a.product(b).generators == want == product_by_sums(a, b)
+
+    def test_shift_temporary_is_chunked(self, monkeypatch):
+        big = MonomialIdeal(3, [(i % 4, i, 12 - i) for i in range(13)])
+        small = MonomialIdeal(3, [(1, j, 5 - j) for j in range(6)])
+        want = product_by_sums(big, small)
+        cells = []
+        shifted = ideals_mod._shifted_heights
+
+        def recorded(*args):
+            out = shifted(*args)
+            cells.append(out.size)
+            return out
+
+        monkeypatch.setattr(ideals_mod, "_shifted_heights", recorded)
+        # the union grid has 18 x 18 cells: two generators fit a chunk of 700
+        monkeypatch.setattr(ideals_mod, "MAX_GRID_CELLS", 700)
+        assert _on_grid(big, small).generators == want
+        assert len(cells) == 3
+        assert max(cells) <= 700
+
+    @pytest.mark.parametrize(
+        "big, small",
+        [
+            # the factor's own grid alone has 200^3 cells, past 2^22
+            (MonomialIdeal(4, [(0, i, 199 - i, i) for i in range(200)]), maximal_ideal(4)),
+            # the union grid has 2,049^2 cells, past 2^22
+            (MonomialIdeal(3, [(0, i, 1024 - i) for i in range(1025)]),) * 2,
+            # generic: 12 x 9 generators, a union grid of 12,992 cells, past 12^2
+            tuple(
+                MonomialIdeal(3, [tuple(rng.randrange(1000) for _ in "xyz") for _ in range(n)])
+                for rng in [random.Random(7)]
+                for n in (40, 12)
+            ),
+        ],
+    )
+    def test_large_grids_take_the_pairwise_sums(self, big, small):
+        n_big = len(big.generators)
+        assert n_big * len(small.generators) >= ideals_mod._NUMPY_CUTOVER
+        cells = math.prod(map(len, ideals_mod._union_cuts(big, small)))
+        assert cells > min(ideals_mod.MAX_GRID_CELLS, n_big * n_big)
+        got = big.product(small)
+        assert got.generators == product_by_sums(big, small)
+        # neither the factor nor the product got a grid
+        assert getattr(big, "_heights", None) is None
+        assert getattr(got, "_heights", None) is None
+
+    def test_powers_take_the_grid(self):
+        # x^2, xy, yz, zw and x^3, y^2 z, x z^2, y^3
+        for base in (
+            MonomialIdeal(4, [(2, 0, 0, 0), (1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1)]),
+            MonomialIdeal(3, [(3, 0, 0), (0, 2, 1), (1, 0, 2), (0, 3, 0)]),
+        ):
+            power = base.power(6)
+            assert len(power.generators) * len(base.generators) >= ideals_mod._NUMPY_CUTOVER
+            assert getattr(power.product(base), "_heights", None) is not None
+
+    def test_memoized_grids_are_read_only(self):
+        base = MonomialIdeal(3, [(2, 1, 0), (0, 2, 1), (1, 0, 2), (1, 1, 1)])
+        square = base.product(base)
+        fourth = square.product(square)
+        # a grid built on demand, and one a grid product kept
+        assert getattr(base, "_heights", None) is None
+        assert getattr(fourth, "_heights", None) is not None
+        for ideal in (base, fourth):
+            cuts, heights = ideal._grid()
+            assert ideal._grid() is ideal._grid()
+            for arr in (*cuts, heights):
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr[...] = 0
 
 
 @pytest.fixture(scope="module")

@@ -61,6 +61,13 @@ class TestLeadingDifference:
             leading_difference(seq, 1)
         assert info.value.k_max == 8
 
+    def test_inconclusive_carries_the_last_differences(self):
+        seq = [2**n for n in range(8)]
+        with pytest.raises(InconclusiveError) as info:
+            leading_difference(seq, 1)
+        assert info.value.tail == (16, 32, 64)
+        assert str(info.value).endswith("last 3 d-th differences: 16, 32, 64")
+
     def test_degenerate_parameters(self):
         with pytest.raises(ValueError):
             leading_difference([1, 2, 3], 0)

@@ -252,6 +252,18 @@ class TestSerialization:
         assert sg.generators == ((0, 1), (1, 1))
         assert sg.count(3) == 4
 
+    @pytest.mark.parametrize("key", ["1_0", " 1", "1 ", "+1", "-1", "\u0661", "0x1", ""])
+    def test_level_keys_must_be_plain_decimal(self, key):
+        # int() would read "1_0" as level 10 and "\u0661" as level 1
+        with pytest.raises(ValueError, match="not a plain decimal number"):
+            semigroup_from_json_dict({"dim": 1, "levels": {key: [[0]]}})
+
+    def test_level_keys_naming_one_level_twice_rejected(self):
+        with pytest.raises(ValueError, match="given twice"):
+            semigroup_from_json_dict({"dim": 1, "levels": {"1": [[0]], "01": [[1]]}})
+        sg = semigroup_from_json_dict({"dim": 1, "levels": {"10": [[0]], "2": [[1]]}})
+        assert sg.materialized_levels() == [2, 10]
+
     def test_bad_payloads(self):
         with pytest.raises(ValueError):
             semigroup_from_json_dict({"generators": [[0, 1]]})
