@@ -28,7 +28,6 @@ from .ideals import (
     MonomialIdeal,
     from_json_dict,
     maximal_ideal,
-    minimalize,
     to_json_dict,
     unit_ideal,
     zero_ideal,
@@ -44,7 +43,6 @@ from .multiplicity import (
     epsilon_sequence,
     leading_difference,
     swanson_c_search,
-    swanson_truncation_agrees,
     theorem_a_table,
 )
 from .okounkov import (
@@ -54,7 +52,6 @@ from .okounkov import (
     beta_stability,
     count_staircase_in_simplex,
     delta_volume,
-    enumerate_staircase_in_simplex,
     epsilon_via_volumes,
     gamma_beta,
     hull_volume,
@@ -63,19 +60,8 @@ from .semigroups import (
     Semigroup,
     check_cone_conditions,
     k_fold_sum_count,
-    semigroup_count,
     semigroup_from_json_dict,
     semigroup_to_json_dict,
-)
-from .valuation import (
-    ValuationCut,
-    Value,
-    WeightVector,
-    default_weights,
-    nu_value,
-    nu_value_of_support,
-    phi,
-    psi,
 )
 
 __version__ = "0.1.0"
@@ -98,10 +84,7 @@ __all__ = [
     "SizeLimitError",
     "SwansonResult",
     "TheoremARow",
-    "ValuationCut",
-    "Value",
     "VolumeResult",
-    "WeightVector",
     "ZeroIdealError",
     "amao",
     "beta_stability",
@@ -111,9 +94,7 @@ __all__ = [
     "corpus",
     "count_staircase_in_simplex",
     "delta_volume",
-    "default_weights",
     "difference_max_degree",
-    "enumerate_staircase_in_simplex",
     "epsilon_sequence",
     "epsilon_via_volumes",
     "from_json_dict",
@@ -124,17 +105,10 @@ __all__ = [
     "leading_difference",
     "length_sequence",
     "maximal_ideal",
-    "minimalize",
-    "nu_value",
-    "nu_value_of_support",
-    "phi",
-    "psi",
     "random_ideal",
-    "semigroup_count",
     "semigroup_from_json_dict",
     "semigroup_to_json_dict",
     "swanson_c_search",
-    "swanson_truncation_agrees",
     "theorem_a_table",
     "to_json_dict",
     "unit_ideal",

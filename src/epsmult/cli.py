@@ -27,6 +27,7 @@ from fractions import Fraction
 
 from .corpus import corpus
 from .errors import (
+    DimensionMismatchError,
     EpsmultError,
     IdealSyntaxError,
     InconclusiveError,
@@ -35,15 +36,16 @@ from .families import GradedFamilySpec
 from .ideals import MonomialIdeal, from_json_dict
 from .multiplicity import amao, epsilon_sequence, lemma_checks, theorem_a_table
 from .okounkov import (
+    _exact_volume,
     _power_semigroups,
     _require_volume_probe,
     _volume_difference,
-    hull_volume,
 )
 from .semigroups import Semigroup, check_cone_conditions, semigroup_from_json_dict
 
 _NAMED_VARS = {"x": 0, "y": 1, "z": 2, "w": 3}
-_MAX_INDEXED_DIM = 16
+# The largest ring a report accepts, in either ideal syntax and for semigroups.
+_MAX_DIM = 16
 _TOKEN = re.compile(r"[A-Za-z]+[0-9]*|[0-9]+|\^|\*|,|\+|\S")
 
 
@@ -61,15 +63,31 @@ def parse_ideal(text: str) -> MonomialIdeal:
     if not stripped:
         raise IdealSyntaxError("empty input", 1, 1)
     if stripped.startswith("{"):
+        data = _parse_json(text)
         try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise IdealSyntaxError(f"invalid JSON: {exc.msg}", exc.lineno, exc.colno) from exc
-        try:
-            return from_json_dict(data)
-        except (ValueError, TypeError) as exc:
+            ideal = from_json_dict(data)
+        except (ValueError, TypeError, DimensionMismatchError) as exc:
             raise IdealSyntaxError(str(exc), 1, 1) from exc
+        _check_dim(ideal.dim)
+        return ideal
     return _parse_human(text)
+
+
+def _parse_json(text: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise IdealSyntaxError(f"invalid JSON: {exc.msg}", exc.lineno, exc.colno) from exc
+    except RecursionError as exc:  # the decoder recurses once per nesting level
+        raise IdealSyntaxError("invalid JSON: nested too deeply", 1, 1) from exc
+
+
+def _check_dim(dim: int, line: int = 1, col: int = 1) -> None:
+    # n^d in every report normalization would otherwise grow without bound
+    if dim > _MAX_DIM:
+        raise IdealSyntaxError(
+            f"dimension {dim} exceeds the supported maximum {_MAX_DIM}", line, col
+        )
 
 
 def _tokenize(text: str):
@@ -105,7 +123,7 @@ def _parse_human(text: str) -> MonomialIdeal:
                 index, scheme = _variable_index(tok, scheme, line, col)
                 power = 1
                 if i + 1 < len(run) and run[i + 1][0] == "^":
-                    if i + 2 >= len(run) or not run[i + 2][0].isdigit():
+                    if i + 2 >= len(run) or not _is_number(run[i + 2][0]):
                         bad = run[i + 1]
                         raise IdealSyntaxError(
                             "'^' must be followed by a nonnegative integer",
@@ -135,17 +153,22 @@ def _parse_human(text: str) -> MonomialIdeal:
     return MonomialIdeal(dim, vectors)
 
 
+def _is_number(tok: str) -> bool:
+    # ASCII only: str.isdigit also takes "²" and "١", which the grammar does not
+    return tok.isascii() and tok.isdigit()
+
+
 def _variable_index(tok: str, scheme: str | None, line: int, col: int):
-    if tok.isdigit():
+    if _is_number(tok):
         raise IdealSyntaxError(
             "bare integers are not monomials; use the JSON form for "
             "constant ideals",
             line,
             col,
         )
-    if not tok[0].isalpha():
-        raise IdealSyntaxError(f"unexpected token {tok!r}", line, col)
     m = re.fullmatch(r"([A-Za-z]+?)([0-9]+)?", tok)
+    if m is None:
+        raise IdealSyntaxError(f"unexpected token {tok!r}", line, col)
     name, suffix = m.group(1), m.group(2)
     if suffix is None:
         if name not in _NAMED_VARS:
@@ -174,12 +197,7 @@ def _variable_index(tok: str, scheme: str | None, line: int, col: int):
     index = int(suffix)
     if index < 1:
         raise IdealSyntaxError("indexed variables start at x1", line, col)
-    if index > _MAX_INDEXED_DIM:
-        raise IdealSyntaxError(
-            f"dimension {index} exceeds the supported maximum {_MAX_INDEXED_DIM}",
-            line,
-            col,
-        )
+    _check_dim(index, line, col)
     return index - 1, "indexed"
 
 
@@ -403,15 +421,12 @@ def _cmd_okounkov_volume(args) -> int:
 
 
 def _cmd_semigroup(args) -> int:
-    text = _load_text(args.ideal)
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise IdealSyntaxError(f"invalid JSON: {exc.msg}", exc.lineno, exc.colno) from exc
+    data = _parse_json(_load_text(args.ideal))
     try:
         sg = semigroup_from_json_dict(data)
     except (ValueError, TypeError) as exc:
         raise IdealSyntaxError(str(exc), 1, 1) from exc
+    _check_dim(sg.dim)
     cfg = {
         "command": "semigroup",
         "format": args.format,
@@ -420,9 +435,7 @@ def _cmd_semigroup(args) -> int:
     }
     if args.beta is not None:
         cfg["beta"] = args.beta
-    exact = None
-    if sg.generators is not None and all(g[-1] == 1 for g in sg.generators):
-        exact = hull_volume([g[:-1] for g in sg.generators], sg.dim)
+    exact = _exact_volume(sg)
     if sg.is_generated:
         sweep = range(1, args.nmax + 1)
     else:

@@ -1,9 +1,9 @@
 """Graded families of monomial ideals, indexed by a nonnegative integer.
 
 A family is a rule n -> I_n with I_0 the unit ideal and I_a * I_b inside
-I_(a+b).  The three rules used throughout the package are provided as
-named constructors; instances are immutable, hashable, and cache the
-ideals they have produced.
+I_(a+b).  The two rules used throughout the package, powers and
+saturated powers, are provided as named constructors; instances are
+immutable, hashable, and cache the ideals they have produced.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 from .ideals import MonomialIdeal, unit_ideal
 
-_KINDS = ("powers", "saturated_powers", "power_then_saturate_power")
+_KINDS = ("powers", "saturated_powers")
 
 
 @dataclass(frozen=True)
@@ -22,7 +22,6 @@ class GradedFamilySpec:
     kind: str
     dim: int
     base: MonomialIdeal | None = None
-    m: int | None = None
     _cache: dict = field(
         default_factory=dict, repr=False, compare=False, hash=False
     )
@@ -32,9 +31,6 @@ class GradedFamilySpec:
             raise ValueError(f"unknown family kind {self.kind!r}")
         if self.base is None:
             raise ValueError(f"family kind {self.kind!r} needs a base ideal")
-        if self.kind == "power_then_saturate_power":
-            if self.m is None or self.m < 1:
-                raise ValueError(f"family kind {self.kind!r} needs a positive m")
 
     # -- constructors -----------------------------------------------------
 
@@ -47,13 +43,6 @@ class GradedFamilySpec:
     def saturated_powers(cls, base: MonomialIdeal) -> "GradedFamilySpec":
         """n -> saturation of I^n."""
         return cls("saturated_powers", base.dim, base)
-
-    @classmethod
-    def power_then_saturate_power(
-        cls, base: MonomialIdeal, m: int
-    ) -> "GradedFamilySpec":
-        """k -> (saturation of I^m)^k, for a fixed m."""
-        return cls("power_then_saturate_power", base.dim, base, int(m))
 
     # -- evaluation --------------------------------------------------------
 
@@ -70,29 +59,25 @@ class GradedFamilySpec:
         return got
 
     def _compute(self, n: int) -> MonomialIdeal:
-        base = self.base
-        assert base is not None
-        if self.kind == "powers":
-            return self._chain(n, base)
         if self.kind == "saturated_powers":
             return self._powers_family()(n).saturate()
-        if self.kind == "power_then_saturate_power":
-            return self._chain(n, self._saturated_base())
-        raise AssertionError(self.kind)
+        return self._chain(n)
 
-    def _chain(self, n: int, step: MonomialIdeal) -> MonomialIdeal:
-        """The n-th member of the chain step, step^2, .. by incremental products.
+    def _chain(self, n: int) -> MonomialIdeal:
+        """I^n by incremental products along the chain I, I^2, ...
 
         Starts from the highest member already cached and caches every
         member it builds, so a deep index needs no recursion.
         """
-        j, ideal = 1, step
+        base = self.base
+        assert base is not None
+        j, ideal = 1, base
         for i in range(n - 1, 1, -1):
             if i in self._cache:
                 j, ideal = i, self._cache[i]
                 break
         for i in range(j + 1, n + 1):
-            ideal = ideal.product(step)
+            ideal = ideal.product(base)
             self._cache[i] = ideal
         return ideal
 
@@ -102,12 +87,4 @@ class GradedFamilySpec:
             assert self.base is not None
             got = GradedFamilySpec.powers(self.base)
             self._cache["powers"] = got
-        return got
-
-    def _saturated_base(self) -> MonomialIdeal:
-        got = self._cache.get("sat_base")
-        if got is None:
-            assert self.m is not None
-            got = self._powers_family()(self.m).saturate()
-            self._cache["sat_base"] = got
         return got

@@ -505,11 +505,6 @@ def maximal_ideal(dim: int) -> MonomialIdeal:
     return MonomialIdeal(dim, gens)
 
 
-def minimalize(generators: Iterable[Iterable[int]], dim: int) -> MonomialIdeal:
-    """Build the ideal generated by arbitrary vectors (normalizing constructor)."""
-    return MonomialIdeal(dim, generators)
-
-
 # -- serialization ------------------------------------------------------
 
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 from .colength import colength, difference_max_degree, length_sequence
 from .errors import EpsmultError, InconclusiveError, InsufficientDataError, ZeroIdealError
 from .families import GradedFamilySpec
-from .ideals import MonomialIdeal, maximal_ideal
+from .ideals import MonomialIdeal
 
 
 @dataclass(frozen=True)
@@ -205,20 +205,6 @@ def lemma_checks(
         _sat_power_containment(powers, i_max),
         _swanson_c_search(powers, _C_MAX, _MK_BOUND),
     )
-
-
-def swanson_truncation_agrees(ideal: MonomialIdeal, m: int, k: int, c: int) -> bool:
-    """Literal truncation test at a single (m, k, c).
-
-    Compares I^(mk) and (saturation(I^m))^k after intersecting both with
-    the (c*m*k)-th power of the maximal ideal.  Exponentially more work
-    than the degree-bound route in swanson_c_search; kept as the direct
-    transcription of the statement being tested.
-    """
-    lhs = ideal.power(m * k)
-    rhs = ideal.power(m).saturate().power(k)
-    cutoff = maximal_ideal(ideal.dim).power(c * m * k)
-    return lhs.intersect(cutoff) == rhs.intersect(cutoff)
 
 
 # The default grid of swanson_c_search.

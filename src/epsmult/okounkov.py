@@ -2,10 +2,13 @@
 
 For a graded family of monomial ideals, level i of the beta-truncated
 value semigroup collects the exponent vectors of monomials in the i-th
-ideal whose coordinate sum is at most beta*i.  Counting those levels and
-normalizing by n^d estimates the volume of the limit body; the epsilon
-multiplicity appears as d! times the volume difference between the
-saturated and plain power families.
+ideal whose coordinate sum is at most beta*i.  The volume route needs
+only the sizes of those levels, so gamma_beta keeps counts alone, each
+read off the height grid of the i-th ideal.  Normalizing a count by n^d
+estimates the volume of the limit body; the epsilon multiplicity appears
+as d! times the volume difference between the saturated and plain power
+families.  A semigroup generated in level 1 also has an exact volume, the
+volume of the convex hull of its level-1 points.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from .errors import DimensionMismatchError, InconclusiveError, ZeroIdealError
 from .families import GradedFamilySpec
 from .ideals import _NEVER, MonomialIdeal
 from .semigroups import Semigroup
-from .valuation import WeightVector, default_weights
 
 
 def count_staircase_in_simplex(ideal: MonomialIdeal, cap: int) -> int:
@@ -48,68 +50,21 @@ def count_staircase_in_simplex(ideal: MonomialIdeal, cap: int) -> int:
     return total
 
 
-def enumerate_staircase_in_simplex(
-    ideal: MonomialIdeal, cap: int
-) -> frozenset[tuple[int, ...]]:
-    """The staircase points themselves, for materialized levels."""
-    if cap < 0 or ideal.is_zero:
-        return frozenset()
-    d = ideal.dim
-    gens = sorted(ideal.generators)
-    out: set[tuple[int, ...]] = set()
-
-    def rec(j: int, prefix: tuple[int, ...], budget: int, alive) -> None:
-        if not alive:
-            return
-        if j == d - 1:
-            h = min(g[j] for g in alive)
-            for c in range(h, budget + 1):
-                out.add(prefix + (c,))
-            return
-        for c in range(budget + 1):
-            nxt = [g for g in alive if g[j] <= c]
-            if nxt:
-                rec(j + 1, prefix + (c,), budget - c, nxt)
-
-    rec(0, (), cap, gens)
-    return frozenset(out)
-
-
-def gamma_beta(
-    fam: GradedFamilySpec,
-    beta: int,
-    i_max: int,
-    w: WeightVector | None = None,
-) -> Semigroup:
+def gamma_beta(fam: GradedFamilySpec, beta: int) -> Semigroup:
     """The beta-truncated value semigroup of a graded monomial family.
 
     Level i holds the exponent vectors of monomials in fam(i) with
-    coordinate sum at most beta*i.  Levels up to i_max are materialized;
-    counts at any level stay available through a closed-form rule.  The
-    weight vector fixes the value order; for monomial ideals the level
-    sets do not depend on it (each monomial is its own value class).
+    coordinate sum at most beta*i.  Only the level counts are kept: the
+    semigroup materializes no level and counts level i, on demand, on the
+    height grid of fam(i).
     """
     if beta < 1:
         raise ValueError("beta must be a positive integer")
-    if i_max < 1:
-        raise ValueError("i_max must be a positive integer")
-    if w is None:
-        w = default_weights(fam.dim)
-    if w.dim != fam.dim:
-        raise DimensionMismatchError(
-            f"weight vector has dimension {w.dim}, family has {fam.dim}"
-        )
     if fam(1).is_zero:
         raise ZeroIdealError("the family is zero at level 1")
-    levels = {
-        i: enumerate_staircase_in_simplex(fam(i), beta * i)
-        for i in range(1, i_max + 1)
-    }
     return Semigroup(
         fam.dim,
-        levels=levels,
         count_rule=lambda i: count_staircase_in_simplex(fam(i), beta * i),
-        level_rule=lambda i: enumerate_staircase_in_simplex(fam(i), beta * i),
     )
 
 
@@ -209,10 +164,19 @@ def delta_volume(sg: Semigroup, n_probe: int) -> VolumeResult:
         raise ValueError("n_probe must be positive")
     count = sg.count(n_probe)
     estimate = Fraction(count, n_probe**sg.dim)
-    exact = None
-    if sg.generators is not None and all(g[-1] == 1 for g in sg.generators):
-        exact = hull_volume([g[:-1] for g in sg.generators], sg.dim)
-    return VolumeResult(exact, estimate, n_probe, count)
+    return VolumeResult(_exact_volume(sg), estimate, n_probe, count)
+
+
+def _exact_volume(sg: Semigroup) -> Fraction | None:
+    """The limit body's exact volume, or None when it is not reachable.
+
+    It is reachable iff the semigroup is generated in level 1: the body is
+    then the convex hull of the level-1 points, whose volume hull_volume
+    gives up to dimension 3 (and None beyond).
+    """
+    if sg.generators is None or any(g[-1] != 1 for g in sg.generators):
+        return None
+    return hull_volume([g[:-1] for g in sg.generators], sg.dim)
 
 
 @dataclass(frozen=True)
@@ -230,7 +194,6 @@ def epsilon_via_volumes(
     ideal: MonomialIdeal,
     beta: int,
     n_probe: int,
-    w: WeightVector | None = None,
 ) -> EpsilonViaVolumes:
     """Volume-difference estimate of the epsilon multiplicity.
 
@@ -241,7 +204,7 @@ def epsilon_via_volumes(
     """
     _require_volume_probe(ideal, n_probe)
     saturated = GradedFamilySpec.saturated_powers(ideal)
-    return _volume_difference(_power_semigroups(saturated, beta, w), beta, n_probe)
+    return _volume_difference(_power_semigroups(saturated, beta), beta, n_probe)
 
 
 def _require_volume_probe(ideal: MonomialIdeal, n_probe: int) -> None:
@@ -254,7 +217,7 @@ def _require_volume_probe(ideal: MonomialIdeal, n_probe: int) -> None:
 
 
 def _power_semigroups(
-    saturated: GradedFamilySpec, beta: int, w: WeightVector | None = None
+    saturated: GradedFamilySpec, beta: int
 ) -> tuple[Semigroup, Semigroup]:
     """The beta-truncated semigroups of a saturated-powers family and its powers.
 
@@ -263,8 +226,8 @@ def _power_semigroups(
     each power and its saturation once.
     """
     return (
-        gamma_beta(saturated, beta, i_max=1, w=w),
-        gamma_beta(saturated._powers_family(), beta, i_max=1, w=w),
+        gamma_beta(saturated, beta),
+        gamma_beta(saturated._powers_family(), beta),
     )
 
 
@@ -294,7 +257,6 @@ def beta_stability(
     beta0: int,
     n_probe: int,
     tolerance: Fraction,
-    w: WeightVector | None = None,
     max_doublings: int = 8,
 ) -> BetaStability:
     """Double beta until two successive volume differences agree.
@@ -314,7 +276,7 @@ def beta_stability(
     saturated = GradedFamilySpec.saturated_powers(ideal)
 
     def value_at(beta: int) -> Fraction:
-        semigroups = _power_semigroups(saturated, beta, w)
+        semigroups = _power_semigroups(saturated, beta)
         return _volume_difference(semigroups, beta, n_probe).value
 
     beta = beta0

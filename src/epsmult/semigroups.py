@@ -5,6 +5,7 @@ known either by finitely many generators (levels are then computed by
 dynamic programming over generator sums, rasterized into big-integer
 bitmasks so million-point levels stay cheap), by explicitly materialized
 levels, or by a counting rule supplied by the construction that built it.
+A counting rule gives the size of every level but none of its points.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ class Semigroup:
         generators: Iterable[Iterable[int]] | None = None,
         levels: Mapping[int, Iterable[Iterable[int]]] | None = None,
         count_rule: Callable[[int], int] | None = None,
-        level_rule: Callable[[int], Iterable[tuple[int, ...]]] | None = None,
     ):
         dim = _exact_int(dim, "dim")
         if dim < 1:
@@ -60,7 +60,6 @@ class Semigroup:
         self._levels: dict[int, frozenset[tuple[int, ...]]] = {}
         self._counts: dict[int, int] = {}
         self._count_rule = count_rule
-        self._level_rule = level_rule
         if generators is not None:
             pts = sorted({_as_point(p, dim + 1, "generator") for p in generators})
             for p in pts:
@@ -144,17 +143,11 @@ class Semigroup:
         got = self._levels.get(n)
         if got is not None:
             return got
-        if self.generators is not None:
-            value = self._materialize_generated(n)
-        elif self._level_rule is not None:
-            value = frozenset(tuple(map(int, p)) for p in self._level_rule(n))
-        else:
+        if self.generators is None:
             raise InsufficientDataError(
-                f"level {n} is not materialized and no generating set or rule is known"
+                f"level {n} is not materialized and no generating set is known"
             )
-        self._levels[n] = value
-        self._counts[n] = len(value)
-        return value
+        return self._materialize_generated(n)
 
     # -- generated-case machinery -------------------------------------
 
@@ -219,11 +212,6 @@ class Semigroup:
             self._levels.setdefault(j, frozenset(levels[j]))
             self._counts.setdefault(j, len(levels[j]))
         return self._levels[n]
-
-
-def semigroup_count(sg: Semigroup, n: int) -> int:
-    """#S_n, exactly."""
-    return sg.count(n)
 
 
 def k_fold_sum_count(sg: Semigroup, p: int, k: int) -> int:

@@ -4,10 +4,12 @@ Everything here works on raw generator tuples and enumerates boxes of
 exponent vectors, taking the textbook definitions at face value: a point
 is in the product if it splits as a sum of members, in the colon if every
 shift by a divisor generator lands inside, and so on.  Slow on purpose --
-these exist to disagree with the fast code, not to race it.  Three helpers
+these exist to disagree with the fast code, not to race it.  Five helpers
 take `MonomialIdeal` values instead: the product by pairwise sums, the
 oracle of the grid product; the colon-iteration saturation, an
-independent route to the grid saturation; and a batched membership test.
+independent route to the grid saturation; a batched membership test; the
+staircase points in a simplex, the oracle of the simplex count; and the
+literal truncation statement, the oracle of the truncation search.
 """
 
 from __future__ import annotations
@@ -206,3 +208,44 @@ def brute_k_fold_sums(level_points, k: int) -> frozenset:
             tuple(x + y for x, y in zip(a, b)) for a in acc for b in base
         )
     return acc
+
+
+def enumerate_staircase_in_simplex(ideal, cap: int) -> frozenset:
+    """Staircase points of the ideal with coordinate sum <= cap, listed.
+
+    Walks the coordinates in order, keeping only the generators that can
+    still divide a point with the prefix chosen so far; the last
+    coordinate runs from the least exponent they leave up to the budget.
+    The oracle of `okounkov.count_staircase_in_simplex` and the level sets
+    of `gamma_beta`, which keeps only their sizes.
+    """
+    if cap < 0 or ideal.is_zero:
+        return frozenset()
+    d = ideal.dim
+    out: set[Vec] = set()
+
+    def rec(j: int, prefix: Vec, budget: int, alive) -> None:
+        if j == d - 1:
+            h = min(g[j] for g in alive)
+            out.update(prefix + (c,) for c in range(h, budget + 1))
+            return
+        for c in range(budget + 1):
+            nxt = [g for g in alive if g[j] <= c]
+            if nxt:
+                rec(j + 1, prefix + (c,), budget - c, nxt)
+
+    rec(0, (), cap, list(ideal.generators))
+    return frozenset(out)
+
+
+def swanson_truncation_agrees(ideal, m: int, k: int, c: int) -> bool:
+    """Literal truncation test at a single (m, k, c).
+
+    Compares I^(mk) and (saturation(I^m))^k after intersecting both with
+    the (c*m*k)-th power of the maximal ideal: the direct transcription of
+    the statement that `swanson_c_search` decides by a degree bound.
+    """
+    lhs = ideal.power(m * k)
+    rhs = ideal.power(m).saturate().power(k)
+    cutoff = maximal_ideal(ideal.dim).power(c * m * k)
+    return lhs.intersect(cutoff) == rhs.intersect(cutoff)

@@ -1,5 +1,7 @@
 """Command-line behavior: ideal parsing, exit codes, report formats, goldens."""
 
+import contextlib
+import io
 import json
 import os
 import pkgutil
@@ -10,6 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import epsmult.cli as cli
 from epsmult import ideals as ideals_mod
@@ -74,10 +77,19 @@ class TestParseIdeal:
             ("x,", "empty generator"),
             ("{not json", "invalid JSON"),
             ('{"dim": 2}', "generators"),
+            ('{"dim": 2, "generators": [[1]]}', "has length 1, expected 2"),
+            ('{"dim": 17, "generators": []}', "exceeds the supported maximum"),
+            ("\u00c0", "unexpected token"),  # a letter, but not one of the grammar's
+            ("x^\u00b2", "nonnegative integer"),  # a digit, but not an ASCII one
         ],
     )
     def test_rejected_inputs(self, text, needle):
         with pytest.raises(IdealSyntaxError, match=needle):
+            parse_ideal(text)
+
+    def test_deeply_nested_json_is_a_syntax_error(self):
+        text = '{"generators": ' + "[" * 10**5 + "]" * 10**5 + "}"
+        with pytest.raises(IdealSyntaxError, match="nested too deeply"):
             parse_ideal(text)
 
     def test_errors_carry_positions(self):
@@ -131,6 +143,21 @@ class TestExitCodes:
     def test_dimension_mismatch_is_3(self, capsys):
         assert main(["amao", "--inner", X2_XY, "--outer", "x"]) == 3
         capsys.readouterr()
+
+    def test_semigroup_dimension_past_the_maximum_is_4(self, capsys):
+        # the report normalizes by n^d: at d = 2^70 that alone would exhaust memory
+        data = json.dumps({"dim": 2**70, "generators": []})
+        assert main(["semigroup", "-i", data, "--nmax", "2"]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "exceeds the supported maximum 16" in err
+
+    def test_generator_of_the_wrong_length_in_json_is_4(self, capsys):
+        # a schema error inside one ideal, not two ideals in different rings
+        assert main(["epsilon", "-i", '{"dim":2,"generators":[[1]]}']) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: exponent vector (1,) has length 1, expected 2")
 
     def test_infinite_quotient_is_3(self, capsys):
         assert main(["amao", "--inner", "x*y", "--outer", "x*y^0"]) == 3
@@ -477,3 +504,56 @@ class TestGoldenReports:
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert out == (GOLDEN / "semigroup_simplex.csv").read_text(encoding="utf-8")
+
+
+# -- any command line ends in a documented exit code -------------------------
+
+_VARIABLE = st.sampled_from(["x", "y", "z", "w", "x1", "x2", "x3", "x4"])
+_MONOMIAL = st.lists(st.tuples(_VARIABLE, st.integers(0, 2)), min_size=1, max_size=3).map(
+    lambda factors: "*".join(f"{v}^{e}" for v, e in factors)
+)
+_SCALAR = st.one_of(st.integers(-1, 3), st.sampled_from([2**70, 1.5, True, None, "1"]))
+_JSON = st.recursive(_SCALAR, lambda inner: st.lists(inner, max_size=3), max_leaves=8)
+_LEVELS = st.dictionaries(st.sampled_from(["0", "1", "2", "01", "x"]), _JSON, max_size=2)
+_IDEAL_TEXT = st.one_of(
+    st.lists(_MONOMIAL, min_size=1, max_size=3).map(", ".join),
+    st.builds(
+        lambda dim, key, body: json.dumps({"dim": dim, key: body}),
+        st.one_of(st.integers(-1, 4), _SCALAR),
+        st.sampled_from(["generators", "levels"]),
+        st.one_of(_JSON, _LEVELS),
+    ),
+    st.text(max_size=12),
+)
+_SMALL = st.integers(-1, 4)
+_ARGVS = st.one_of(
+    st.tuples(_IDEAL_TEXT, _SMALL).map(lambda a: ["epsilon", "-i", a[0], "--nmax", str(a[1])]),
+    st.tuples(_IDEAL_TEXT, _IDEAL_TEXT, st.integers(-1, 8), _SMALL).map(
+        lambda a: ["amao", "--inner", a[0], "--outer", a[1], "--kmax", str(a[2]), "--window", str(a[3])]
+    ),
+    st.tuples(_IDEAL_TEXT, _SMALL, st.integers(-1, 8), _SMALL).map(
+        lambda a: ["theorem-a", "-i", a[0], "--mmax", str(a[1]), "--kmax", str(a[2]), "--nmax", str(a[3])]
+    ),
+    st.tuples(_IDEAL_TEXT, st.integers(-1, 8), _SMALL).map(
+        lambda a: ["okounkov-volume", "-i", a[0], "--beta", str(a[1]), "--nmax", str(a[2])]
+    ),
+    st.tuples(_IDEAL_TEXT, _SMALL, st.one_of(st.none(), st.integers(-1, 8))).map(
+        lambda a: ["semigroup", "-i", a[0], "--nmax", str(a[1])]
+        + ([] if a[2] is None else ["--beta", str(a[2])])
+    ),
+    st.tuples(st.one_of(st.none(), _IDEAL_TEXT), _SMALL, st.integers(-1, 8), st.integers(0, 3)).map(
+        lambda a: ["lemmas", "--nmax", str(a[1]), "--kmax", str(a[2]), "--seed", str(a[3])]
+        + ([] if a[0] is None else ["-i", a[0]])
+    ),
+    st.lists(st.text(max_size=8), max_size=4),
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_ARGVS)
+def test_every_command_line_ends_in_a_documented_exit_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()

@@ -9,7 +9,7 @@ def test_level_zero_is_the_ring():
     for fam in (
         GradedFamilySpec.powers(X2_XY),
         GradedFamilySpec.saturated_powers(X2_XY),
-        GradedFamilySpec.power_then_saturate_power(X2_XY, 2),
+        GradedFamilySpec.powers(X2_XY.power(2).saturate()),
     ):
         assert fam(0) == unit_ideal(2)
 
@@ -35,7 +35,8 @@ def test_saturated_powers_read_their_own_powers_family():
 def test_deep_index_needs_no_recursion():
     x = MonomialIdeal(1, [(1,)])
     assert GradedFamilySpec.powers(x)(5000) == MonomialIdeal(1, [(5000,)])
-    fam = GradedFamilySpec.power_then_saturate_power(MonomialIdeal(2, [(1, 1)]), 2)
+    # k -> (saturation of I^m)^k, the chain the truncation search walks
+    fam = GradedFamilySpec.powers(MonomialIdeal(2, [(1, 1)]).power(2).saturate())
     assert fam(3000) == MonomialIdeal(2, [(6000, 6000)])
 
 
@@ -60,7 +61,8 @@ def test_chain_resumes_from_the_highest_cached_member(monkeypatch):
 
 
 def test_power_then_saturate_power():
-    fam = GradedFamilySpec.power_then_saturate_power(X2_XY, 2)
+    # k -> (saturation of I^m)^k is the powers family of one saturation
+    fam = GradedFamilySpec.powers(X2_XY.power(2).saturate())
     assert fam(1) == X2_XY.power(2).saturate()
     assert fam(3) == X2_XY.power(2).saturate().power(3)
 
@@ -72,9 +74,10 @@ def test_power_then_saturate_power_reads_the_powers_chain(monkeypatch):
         raise AssertionError("the family called MonomialIdeal.power")
 
     monkeypatch.setattr(MonomialIdeal, "power", no_power)
-    fam = GradedFamilySpec.power_then_saturate_power(X2_XY, 3)
+    powers = GradedFamilySpec.powers(X2_XY)
+    fam = GradedFamilySpec.powers(powers(3).saturate())
     assert fam(2) == want
-    assert 3 in fam._powers_family()._cache
+    assert 3 in powers._cache
 
 
 def test_graded_law_on_corpus():
@@ -83,7 +86,7 @@ def test_graded_law_on_corpus():
         for fam in (
             GradedFamilySpec.powers(base),
             GradedFamilySpec.saturated_powers(base),
-            GradedFamilySpec.power_then_saturate_power(base, 2),
+            GradedFamilySpec.powers(base.power(2).saturate()),
         ):
             for a, b in ((1, 1), (1, 2), (2, 3)):
                 assert fam(a).product(fam(b)).is_subideal_of(fam(a + b))
@@ -102,11 +105,11 @@ def test_negative_index_rejected():
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError):
         GradedFamilySpec("cubes", 2, X2_XY)
+    with pytest.raises(ValueError, match="unknown family kind"):
+        GradedFamilySpec("power_then_saturate_power", 2, X2_XY)
 
 
 def test_base_required():
     with pytest.raises(ValueError):
         GradedFamilySpec("powers", 2)
-    with pytest.raises(ValueError):
-        GradedFamilySpec("power_then_saturate_power", 2, X2_XY)
 

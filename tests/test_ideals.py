@@ -14,7 +14,6 @@ from epsmult import (
     corpus,
     from_json_dict,
     maximal_ideal,
-    minimalize,
     to_json_dict,
     unit_ideal,
     zero_ideal,
@@ -102,9 +101,6 @@ class TestConstruction:
         b = MonomialIdeal(2, [(1, 1), (2, 0), (3, 0), (2, 5)])
         assert a == b
         assert hash(a) == hash(b)
-
-    def test_minimalize_helper(self):
-        assert minimalize([(2, 0), (4, 0)], 2) == MonomialIdeal(2, [(2, 0)])
 
     def test_minimal_vectors_antichain(self):
         vecs = minimal_vectors({(1, 2), (2, 2), (0, 5), (1, 3)})

@@ -16,12 +16,12 @@ from epsmult import (
     epsilon_sequence,
     leading_difference,
     swanson_c_search,
-    swanson_truncation_agrees,
     theorem_a_table,
     unit_ideal,
 )
 from epsmult import ideals as ideals_mod
 from epsmult import multiplicity as mult_mod
+from oracle_utils import swanson_truncation_agrees
 
 X2_XY = MonomialIdeal(2, [(2, 0), (1, 1)])
 M2_SQUARED = MonomialIdeal(2, [(1, 0), (0, 1)]).power(2)

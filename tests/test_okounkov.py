@@ -11,7 +11,6 @@ from epsmult import (
     InconclusiveError,
     MonomialIdeal,
     Semigroup,
-    WeightVector,
     ZeroIdealError,
     beta_stability,
     colength,
@@ -19,7 +18,6 @@ from epsmult import (
     corpus,
     delta_volume,
     difference_max_degree,
-    enumerate_staircase_in_simplex,
     epsilon_sequence,
     epsilon_via_volumes,
     gamma_beta,
@@ -28,7 +26,12 @@ from epsmult import (
 )
 
 from epsmult.okounkov import _power_semigroups, _volume_difference
-from oracle_utils import box_points, brute_k_fold_sums, member
+from oracle_utils import (
+    box_points,
+    brute_k_fold_sums,
+    enumerate_staircase_in_simplex,
+    member,
+)
 
 X2_XY = MonomialIdeal(2, [(2, 0), (1, 1)])
 PLANE_LINE = MonomialIdeal(2, [(1, 0)])
@@ -94,58 +97,52 @@ class TestSimplexCounts:
             assert enumerate_staircase_in_simplex(ideal, cap) == expected
 
 
+def gamma_level(fam, beta, i):
+    """Level i of gamma_beta(fam, beta), listed by the oracle.
+
+    gamma_beta keeps only the level sizes; the listed set must have the
+    size the semigroup counts.
+    """
+    points = enumerate_staircase_in_simplex(fam(i), beta * i)
+    assert gamma_beta(fam, beta).count(i) == len(points)
+    return points
+
+
 class TestGammaBeta:
     def test_worked_level_one(self):
-        sg = gamma_beta(GradedFamilySpec.powers(PLANE_LINE), beta=2, i_max=3)
-        assert sg.level(1) == frozenset({(1, 0), (1, 1), (2, 0)})
+        fam = GradedFamilySpec.powers(PLANE_LINE)
+        assert gamma_level(fam, 2, 1) == frozenset({(1, 0), (1, 1), (2, 0)})
 
     def test_counts_follow_the_closed_form(self):
         # level i of the beta=2 truncation of powers of (x) is a triangle
-        sg = gamma_beta(GradedFamilySpec.powers(PLANE_LINE), beta=2, i_max=2)
+        sg = gamma_beta(GradedFamilySpec.powers(PLANE_LINE), beta=2)
         for i in range(1, 7):
             assert sg.count(i) == (i + 1) * (i + 2) // 2
 
-    def test_materialized_level_beyond_i_max_via_rule(self):
-        sg = gamma_beta(GradedFamilySpec.powers(PLANE_LINE), beta=2, i_max=1)
-        assert sg.level(3) == enumerate_staircase_in_simplex(PLANE_LINE.power(3), 6)
+    def test_counts_need_no_materialized_level(self):
+        # level 3 holds about 4.5 * 10^12 points: only a count can reach it
+        beta = 10**6
+        sg = gamma_beta(GradedFamilySpec.powers(PLANE_LINE), beta=beta)
+        assert sg.materialized_levels() == []
+        assert sg.count(3) == math.comb(3 * (beta - 1) + 2, 2)
+        assert sg.materialized_levels() == []
 
     def test_saturated_family_levels(self):
-        sg = gamma_beta(GradedFamilySpec.saturated_powers(X2_XY), beta=2, i_max=2)
+        sat = GradedFamilySpec.saturated_powers(X2_XY)
         # saturation of (x^2, xy)^i is (x^i), so the level sets match (x)'s powers
-        ref = gamma_beta(GradedFamilySpec.powers(PLANE_LINE), beta=2, i_max=2)
+        ref = GradedFamilySpec.powers(PLANE_LINE)
         for i in (1, 2, 4):
-            assert sg.level(i) == ref.level(i)
-
-    def test_levels_do_not_depend_on_the_weight_vector(self):
-        fam = GradedFamilySpec.powers(MonomialIdeal(2, [(2, 1), (0, 3)]))
-        wa = WeightVector((1, Fraction(3, 2)))
-        wb = WeightVector((1, Fraction(7, 5)))
-        sa = gamma_beta(fam, beta=2, i_max=3, w=wa)
-        sb = gamma_beta(fam, beta=2, i_max=3, w=wb)
-        sc = gamma_beta(fam, beta=2, i_max=3)
-        for i in range(1, 5):
-            assert sa.level(i) == sb.level(i) == sc.level(i)
-            assert sa.count(i) == sb.count(i) == sc.count(i)
+            assert gamma_level(sat, 2, i) == gamma_level(ref, 2, i)
 
     def test_beta_must_be_positive(self):
         fam = GradedFamilySpec.powers(X2_XY)
         with pytest.raises(ValueError, match="beta"):
-            gamma_beta(fam, beta=0, i_max=2)
-
-    def test_i_max_must_be_positive(self):
-        fam = GradedFamilySpec.powers(X2_XY)
-        with pytest.raises(ValueError, match="i_max"):
-            gamma_beta(fam, beta=2, i_max=0)
+            gamma_beta(fam, beta=0)
 
     def test_zero_family_is_rejected(self):
         fam = GradedFamilySpec.powers(MonomialIdeal(2, []))
         with pytest.raises(ZeroIdealError, match="zero at level 1"):
-            gamma_beta(fam, beta=2, i_max=2)
-
-    def test_weight_dimension_must_match(self):
-        fam = GradedFamilySpec.powers(X2_XY)
-        with pytest.raises(DimensionMismatchError):
-            gamma_beta(fam, beta=2, i_max=2, w=WeightVector((1, Fraction(3, 2), 2)))
+            gamma_beta(fam, beta=2)
 
 
 class TestGammaInclusionChain:
@@ -163,25 +160,19 @@ class TestGammaInclusionChain:
     def test_chain_for_power_families(self, beta, m, k):
         for ideal in self.IDEALS:
             fam = GradedFamilySpec.powers(ideal)
-            outer = gamma_beta(fam, beta, i_max=m * k)
-            mid = gamma_beta(
-                GradedFamilySpec.powers(ideal.power(m)), beta * m, i_max=k
-            )
-            sums = brute_k_fold_sums(outer.level(m), k)
-            assert sums <= set(mid.level(k))
-            assert set(mid.level(k)) <= set(outer.level(m * k))
+            rescaled = GradedFamilySpec.powers(ideal.power(m))
+            mid = gamma_level(rescaled, beta * m, k)
+            assert brute_k_fold_sums(gamma_level(fam, beta, m), k) <= mid
+            assert mid <= gamma_level(fam, beta, m * k)
 
     @pytest.mark.parametrize("m,k", [(2, 2), (3, 2)])
     def test_chain_for_saturated_families(self, m, k):
         for ideal in self.IDEALS:
             fam = GradedFamilySpec.saturated_powers(ideal)
-            outer = gamma_beta(fam, 2, i_max=m * k)
-            mid = gamma_beta(
-                GradedFamilySpec.saturated_powers(ideal.power(m)), 2 * m, i_max=k
-            )
-            sums = brute_k_fold_sums(outer.level(m), k)
-            assert sums <= set(mid.level(k))
-            assert set(mid.level(k)) <= set(outer.level(m * k))
+            rescaled = GradedFamilySpec.saturated_powers(ideal.power(m))
+            mid = gamma_level(rescaled, 2 * m, k)
+            assert brute_k_fold_sums(gamma_level(fam, 2, m), k) <= mid
+            assert mid <= gamma_level(fam, 2, m * k)
 
 
 class TestHullVolume:
@@ -272,7 +263,7 @@ class TestDeltaVolume:
         assert res.estimate == Fraction(res.count, 30)
 
     def test_leveled_semigroup_has_no_exact_value(self):
-        sg = gamma_beta(GradedFamilySpec.saturated_powers(X2_XY), beta=2, i_max=1)
+        sg = gamma_beta(GradedFamilySpec.saturated_powers(X2_XY), beta=2)
         res = delta_volume(sg, 10)
         assert res.exact is None
         assert res.count == 66

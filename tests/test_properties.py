@@ -1,16 +1,11 @@
 """Property-based checks of the core algebra laws."""
 
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from epsmult import (
     MonomialIdeal,
-    Value,
-    default_weights,
     from_json_dict,
-    nu_value,
     semigroup_from_json_dict,
     semigroup_to_json_dict,
     Semigroup,
@@ -38,13 +33,6 @@ def ideal_pairs(draw, max_dim=3):
         MonomialIdeal(d, draw(lists)),
         MonomialIdeal(d, draw(lists)),
     )
-
-
-@st.composite
-def exponent_pairs(draw, max_dim=4):
-    d = draw(st.integers(1, max_dim))
-    vector = st.tuples(*([st.integers(0, 9)] * d))
-    return d, draw(vector), draw(vector)
 
 
 class TestCanonicalForm:
@@ -130,38 +118,6 @@ class TestGradedFamilies:
         sat_a = ideal.power(a).saturate()
         sat_b = ideal.power(b).saturate()
         assert (sat_a * sat_b).is_subideal_of(ideal.power(a + b).saturate())
-
-
-class TestValues:
-    @given(exponent_pairs())
-    def test_value_addition_matches_monomial_multiplication(self, data):
-        d, a, b = data
-        w = default_weights(d)
-        total = tuple(x + y for x, y in zip(a, b))
-        assert nu_value(a, w) + nu_value(b, w) == nu_value(total, w)
-
-    @given(exponent_pairs())
-    def test_componentwise_order_respects_values(self, data):
-        d, a, b = data
-        w = default_weights(d)
-        lower = tuple(min(x, y) for x, y in zip(a, b))
-        assert nu_value(lower, w) <= nu_value(a, w)
-        assert nu_value(lower, w) <= nu_value(b, w)
-
-    @given(exponent_pairs())
-    def test_value_order_is_total(self, data):
-        d, a, b = data
-        w = default_weights(d)
-        va, vb = nu_value(a, w), nu_value(b, w)
-        assert (va < vb) or (vb < va) or (va == vb)
-        if va == vb:
-            assert a == b
-
-    @given(exponent_pairs())
-    def test_weights_are_exact_rationals(self, data):
-        d, a, _ = data
-        value = nu_value(a, default_weights(d))
-        assert isinstance(value.weight, (int, Fraction))
 
 
 class TestSerialization:

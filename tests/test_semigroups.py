@@ -10,7 +10,6 @@ from epsmult import (
     SizeLimitError,
     check_cone_conditions,
     k_fold_sum_count,
-    semigroup_count,
     semigroup_from_json_dict,
     semigroup_to_json_dict,
 )
@@ -83,9 +82,6 @@ class TestCounting:
         with pytest.raises(SizeLimitError, match="cells"):
             sg.count(500)
 
-    def test_semigroup_count_helper(self):
-        assert semigroup_count(SIMPLEX, 4) == 15
-
 
 class TestLevelsAndRules:
     def test_from_levels(self):
@@ -103,13 +99,11 @@ class TestLevelsAndRules:
             sg.level(3)
 
     def test_rules_back_unbounded_queries(self):
-        sg = Semigroup(
-            1,
-            count_rule=lambda n: n + 1,
-            level_rule=lambda n: [(i,) for i in range(n + 1)],
-        )
+        sg = Semigroup(1, count_rule=lambda n: n + 1)
         assert sg.count(10) == 11
-        assert sg.level(3) == {(0,), (1,), (2,), (3,)}
+        assert sg.materialized_levels() == []
+        with pytest.raises(InsufficientDataError, match="level 3"):
+            sg.level(3)  # a count rule gives sizes, not points
 
     def test_known_points_for_leveled(self):
         sg = Semigroup.from_levels(1, {1: [(0,), (2,)], 2: [(1,)]})

@@ -21,3 +21,35 @@ def test_no_unbounded_loop():
     ]
     assert SOURCES
     assert not found, f"unbounded loop at {found}"
+
+
+def test_every_export_resolves():
+    missing = [name for name in epsmult.__all__ if not hasattr(epsmult, name)]
+    assert not missing, f"__all__ names {missing}, which the package lacks"
+
+
+def _sibling_imports(tree):
+    """(line, module) for every import of a module of this package."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module is None:  # from . import x
+                yield from ((node.lineno, alias.name) for alias in node.names)
+            else:
+                yield node.lineno, node.module.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("epsmult."):
+            yield node.lineno, node.module.split(".")[1]
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("epsmult."):
+                    yield node.lineno, alias.name.split(".")[1]
+
+
+def test_no_import_of_a_missing_sibling_module():
+    modules = {path.stem for path in SOURCES}
+    found = [
+        f"{path.name}:{line} imports {module}"
+        for path in SOURCES
+        for line, module in _sibling_imports(ast.parse(path.read_text(encoding="utf-8")))
+        if module not in modules
+    ]
+    assert not found, f"imports of missing modules: {found}"
