@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import re
 import sys
@@ -34,13 +35,14 @@ from .errors import (
 )
 from .families import GradedFamilySpec
 from .ideals import MonomialIdeal, from_json_dict
-from .multiplicity import amao, epsilon_sequence, lemma_checks, theorem_a_table
-from .okounkov import (
-    _exact_volume,
-    _power_semigroups,
-    _require_volume_probe,
-    _volume_difference,
+from .multiplicity import (
+    amao,
+    check_sat_power_containment,
+    epsilon_sequence,
+    swanson_c_search,
+    theorem_a_table,
 )
+from .okounkov import _exact_volume, _require_volume_probe, gamma_beta
 from .semigroups import Semigroup, check_cone_conditions, semigroup_from_json_dict
 
 _NAMED_VARS = {"x": 0, "y": 1, "z": 2, "w": 3}
@@ -389,8 +391,8 @@ def _cmd_okounkov_volume(args) -> int:
         "ideal": args.ideal,
         "nmax": args.nmax,
     }
-    saturated = GradedFamilySpec.saturated_powers(ideal)
-    sat_sg, pow_sg = _power_semigroups(saturated, args.beta)
+    sat_sg = gamma_beta(GradedFamilySpec.saturated_powers(ideal), args.beta)
+    pow_sg = gamma_beta(GradedFamilySpec.powers(ideal), args.beta)
     lines = [_config_line(cfg), "# family: saturated_powers"]
     levels = range(1, args.nmax + 1)
     sat_lines, sat_rows = _volume_sweep_lines(sat_sg, levels, None)
@@ -398,22 +400,24 @@ def _cmd_okounkov_volume(args) -> int:
     lines.append("# family: powers")
     pow_lines, pow_rows = _volume_sweep_lines(pow_sg, levels, None)
     lines.extend(pow_lines)
+    # epsilon_via_volumes at the probe level nmax, from the counts swept
     _require_volume_probe(ideal, args.nmax)
-    via = _volume_difference((sat_sg, pow_sg), args.beta, args.nmax)
+    count_sat, count_pow = sat_sg.count(args.nmax), pow_sg.count(args.nmax)
+    value = Fraction(math.factorial(ideal.dim) * (count_sat - count_pow), args.nmax**ideal.dim)
     lines.append(
         "# epsilon_via_volumes: num=%d, den=%d, decimal=%s"
-        % (via.value.numerator, via.value.denominator, _decimal12(via.value))
+        % (value.numerator, value.denominator, _decimal12(value))
     )
     payload = {
         "config": cfg,
         "saturated_powers": sat_rows,
         "powers": pow_rows,
         "epsilon_via_volumes": {
-            "num": via.value.numerator,
-            "den": via.value.denominator,
-            "decimal": _decimal12(via.value),
-            "count_saturated": via.count_saturated,
-            "count_powers": via.count_powers,
+            "num": value.numerator,
+            "den": value.denominator,
+            "decimal": _decimal12(value),
+            "count_saturated": count_sat,
+            "count_powers": count_pow,
         },
     }
     _emit(args, lines, payload)
@@ -427,6 +431,8 @@ def _cmd_semigroup(args) -> int:
     except (ValueError, TypeError) as exc:
         raise IdealSyntaxError(str(exc), 1, 1) from exc
     _check_dim(sg.dim)
+    if args.nmax < 1:
+        raise ValueError("nmax must be positive")
     cfg = {
         "command": "semigroup",
         "format": args.format,
@@ -474,15 +480,22 @@ def _cmd_lemmas(args) -> int:
     entries: list[tuple[str, MonomialIdeal]] = []
     if args.ideal is not None:
         entries.append(("input", _load_ideal(args.ideal)))
+    if args.nmax < 0:
+        raise ValueError("nmax (the corpus size) must be nonnegative")
+    if args.kmax < 1:
+        raise ValueError("kmax must be positive")
     for pos, ideal in enumerate(corpus(args.seed, args.nmax)):
         entries.append((f"corpus[{pos}]", ideal))
+    if not entries:
+        raise ValueError("nmax (the corpus size) must be positive without an input ideal")
     lines = [_config_line(cfg), "label,ideal,lemma3_ok,lemma4_grid_c"]
     rows = []
     failures = 0
     grid_cs: list[int] = []
     fixed_c: int | None = None
     for label, ideal in entries:
-        containment, search = lemma_checks(ideal, args.kmax)
+        containment = check_sat_power_containment(ideal, args.kmax)
+        search = swanson_c_search(ideal)
         c_cell = "none" if search.c is None else str(search.c)
         if search.c is not None:
             grid_cs.append(search.c)

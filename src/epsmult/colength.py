@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import EpsmultError, InfiniteColengthError
-from .ideals import _NEVER, MonomialIdeal, _height_grids
+from .ideals import _NEVER, MonomialIdeal, _exact_int, _height_grids
 
 
 def _cell_corners(cuts, mask: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -105,7 +105,7 @@ def length_sequence(
     Errors from a single index are re-raised with that index attached.
     """
     out: list[int] = []
-    for n in range(1, int(n_max) + 1):
+    for n in range(1, _exact_int(n_max, "n_max") + 1):
         try:
             out.append(colength(family_inner(n), family_outer(n)))
         except EpsmultError as exc:

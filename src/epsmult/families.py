@@ -2,15 +2,18 @@
 
 A family is a rule n -> I_n with I_0 the unit ideal and I_a * I_b inside
 I_(a+b).  The two rules used throughout the package, powers and
-saturated powers, are provided as named constructors; instances are
-immutable, hashable, and cache the ideals they have produced.
+saturated powers, are provided as named constructors.  Both are read off
+the base ideal's own memos (MonomialIdeal.power and .saturate), so every
+family over one base ideal shares one chain of powers and each
+saturation.  Instances are immutable and hashable, and cache the ideals
+they have returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .ideals import MonomialIdeal, unit_ideal
+from .ideals import MonomialIdeal, _exact_int
 
 _KINDS = ("powers", "saturated_powers")
 
@@ -47,44 +50,11 @@ class GradedFamilySpec:
     # -- evaluation --------------------------------------------------------
 
     def __call__(self, n: int) -> MonomialIdeal:
-        n = int(n)
-        if n < 0:
-            raise ValueError("family index must be nonnegative")
-        if n == 0:
-            return unit_ideal(self.dim)
+        n = _exact_int(n, "a family index")
         got = self._cache.get(n)
         if got is None:
-            got = self._compute(n)
+            got = self.base.power(n)
+            if self.kind == "saturated_powers":
+                got = got.saturate()
             self._cache[n] = got
-        return got
-
-    def _compute(self, n: int) -> MonomialIdeal:
-        if self.kind == "saturated_powers":
-            return self._powers_family()(n).saturate()
-        return self._chain(n)
-
-    def _chain(self, n: int) -> MonomialIdeal:
-        """I^n by incremental products along the chain I, I^2, ...
-
-        Starts from the highest member already cached and caches every
-        member it builds, so a deep index needs no recursion.
-        """
-        base = self.base
-        assert base is not None
-        j, ideal = 1, base
-        for i in range(n - 1, 1, -1):
-            if i in self._cache:
-                j, ideal = i, self._cache[i]
-                break
-        for i in range(j + 1, n + 1):
-            ideal = ideal.product(base)
-            self._cache[i] = ideal
-        return ideal
-
-    def _powers_family(self) -> "GradedFamilySpec":
-        got = self._cache.get("powers")
-        if got is None:
-            assert self.base is not None
-            got = GradedFamilySpec.powers(self.base)
-            self._cache["powers"] = got
         return got

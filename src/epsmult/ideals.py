@@ -20,8 +20,16 @@ larger inputs.  The numpy paths work in int64 and accept generators of
 degree at most DEGREE_LIMIT = 2^61; past it they raise SizeLimitError
 instead of wrapping.
 
-Instances are immutable and hashable; operations return new ideals and
-are safe to call from multiple threads.
+Instances are immutable and hashable; operations return new ideals.
+Each instance memoizes what it derives: its int64 generator array, its
+height grid, its saturation and its chain of powers I^2, I^3, .. (see
+MonomialIdeal.power).  So every caller that asks one ideal for I^n or
+sat(I^n) reads the same objects, and a report builds each once.  No memo
+refers back to the ideal that holds it, so an ideal and all it derived
+are freed together by reference counting.  Operations are safe to call
+from multiple threads: a memo, or a member of a chain, is stored only
+once complete and under its own key, so a race between threads can
+repeat work but never store a wrong value.
 """
 
 from __future__ import annotations
@@ -400,19 +408,30 @@ class MonomialIdeal:
         return _from_rows(self.dim, (a[:, None, :] + b[None, :, :]).reshape(-1, self.dim))
 
     def power(self, n: int) -> "MonomialIdeal":
-        """I^n by binary exponentiation; I^0 is the unit ideal."""
-        n = int(n)
+        """I^n; I^0 is the unit ideal and I^1 is I.
+
+        The chain I^2, I^3, .. is memoized on the instance, keyed by n.  A
+        missing member is built bottom-up from the highest one below it,
+        I^(k+1) = I^k * I, so each link is one product.  The chain leaves
+        out I itself, so that no ideal is reachable from itself.
+        """
+        n = _exact_int(n, "a power")
         if n < 0:
             raise ValueError("power wants a nonnegative exponent")
-        result = unit_ideal(self.dim)
-        base = self
-        while n:
-            if n & 1:
-                result = result.product(base)
-            n >>= 1
-            if n:
-                base = base.product(base)
-        return result
+        if n < 2:
+            return self if n else unit_ideal(self.dim)
+        chain = getattr(self, "_powers", None)
+        if chain is None:
+            chain = {}
+            object.__setattr__(self, "_powers", chain)
+        got = chain.get(n)
+        if got is None:
+            top = next((k for k in range(n - 1, 1, -1) if k in chain), 1)
+            got = chain.get(top, self)
+            for k in range(top + 1, n + 1):
+                got = got.product(self)
+                chain[k] = got
+        return got
 
     def intersect(self, other: "MonomialIdeal") -> "MonomialIdeal":
         """Ideal intersection via componentwise maxima of generator pairs."""

@@ -17,7 +17,7 @@ from fractions import Fraction
 from .colength import colength, difference_max_degree, length_sequence
 from .errors import EpsmultError, InconclusiveError, InsufficientDataError, ZeroIdealError
 from .families import GradedFamilySpec
-from .ideals import MonomialIdeal
+from .ideals import MonomialIdeal, _exact_int
 
 
 @dataclass(frozen=True)
@@ -163,6 +163,8 @@ def theorem_a_table(
     """
     if ideal.is_zero or ideal.is_unit:
         raise ZeroIdealError("the convergence table needs an ideal that is neither zero nor the ring")
+    if m_max < 1:
+        raise ValueError("m_max must be positive")
     d = ideal.dim
     powers = GradedFamilySpec.powers(ideal)
     rows: list[TheoremARow] = []
@@ -181,41 +183,21 @@ def theorem_a_table(
 
 def check_sat_power_containment(ideal: MonomialIdeal, i_max: int) -> ContainmentCheck:
     """Verify saturate(I)^i lies inside saturate(I^i) for i = 1..i_max."""
-    return _sat_power_containment(GradedFamilySpec.powers(ideal), i_max)
-
-
-def _sat_power_containment(powers: GradedFamilySpec, i_max: int) -> ContainmentCheck:
-    """check_sat_power_containment on the chain of powers of I."""
-    sat_powers = GradedFamilySpec.powers(powers.base.saturate())
-    for i in range(1, int(i_max) + 1):
-        if not sat_powers(i).is_subideal_of(powers(i).saturate()):
+    i_max = _exact_int(i_max, "i_max")
+    if i_max < 1:
+        raise ValueError("i_max must be positive")
+    sat_powers = GradedFamilySpec.powers(ideal.saturate())
+    saturated = GradedFamilySpec.saturated_powers(ideal)
+    for i in range(1, i_max + 1):
+        if not sat_powers(i).is_subideal_of(saturated(i)):
             return ContainmentCheck(False, i)
     return ContainmentCheck(True, None)
 
 
-def lemma_checks(
-    ideal: MonomialIdeal, i_max: int
-) -> tuple[ContainmentCheck, SwansonResult]:
-    """check_sat_power_containment and swanson_c_search, at its default grid.
-
-    Both read I^i and sat(I^i); sharing one chain of powers builds each once.
-    """
-    powers = GradedFamilySpec.powers(ideal)
-    return (
-        _sat_power_containment(powers, i_max),
-        _swanson_c_search(powers, _C_MAX, _MK_BOUND),
-    )
-
-
-# The default grid of swanson_c_search.
-_C_MAX = 8
-_MK_BOUND = 12
-
-
 def swanson_c_search(
     ideal: MonomialIdeal,
-    c_max: int = _C_MAX,
-    mk_bound: int = _MK_BOUND,
+    c_max: int = 8,
+    mk_bound: int = 12,
 ) -> SwansonResult:
     """Least c with I^(mk) and (saturation(I^m))^k agreeing past degree c*m*k.
 
@@ -225,18 +207,12 @@ def swanson_c_search(
     grid answer is the max over pairs, or None if it exceeds c_max.  This
     falsifies or corroborates on a grid --- it proves nothing beyond it.
     """
-    return _swanson_c_search(GradedFamilySpec.powers(ideal), c_max, mk_bound)
-
-
-def _swanson_c_search(powers: GradedFamilySpec, c_max: int, mk_bound: int) -> SwansonResult:
-    """swanson_c_search on the chain of powers of I."""
-    ideal = powers.base
     if ideal.is_zero or ideal.is_unit:
         raise ZeroIdealError("the truncation search needs an ideal that is neither zero nor the ring")
+    powers = GradedFamilySpec.powers(ideal)
     per_pair: list[tuple[int, int, int]] = []
     worst = 1
     for m in range(1, mk_bound + 1):
-        # (saturation of I^m)^k as a chain over the one saturation of I^m
         sat_powers = GradedFamilySpec.powers(powers(m).saturate())
         for k in range(1, mk_bound // m + 1):
             small = powers(m * k)

@@ -203,8 +203,11 @@ def epsilon_via_volumes(
     number to mean anything; beta_stability probes for that.
     """
     _require_volume_probe(ideal, n_probe)
-    saturated = GradedFamilySpec.saturated_powers(ideal)
-    return _volume_difference(_power_semigroups(saturated, beta), beta, n_probe)
+    count_sat = gamma_beta(GradedFamilySpec.saturated_powers(ideal), beta).count(n_probe)
+    count_pow = gamma_beta(GradedFamilySpec.powers(ideal), beta).count(n_probe)
+    d = ideal.dim
+    value = Fraction(math.factorial(d) * (count_sat - count_pow), n_probe**d)
+    return EpsilonViaVolumes(value, count_sat, count_pow, beta, n_probe)
 
 
 def _require_volume_probe(ideal: MonomialIdeal, n_probe: int) -> None:
@@ -214,33 +217,6 @@ def _require_volume_probe(ideal: MonomialIdeal, n_probe: int) -> None:
         )
     if n_probe < 1:
         raise ValueError("n_probe must be positive")
-
-
-def _power_semigroups(
-    saturated: GradedFamilySpec, beta: int
-) -> tuple[Semigroup, Semigroup]:
-    """The beta-truncated semigroups of a saturated-powers family and its powers.
-
-    Both read I^n from the one chain of powers the saturated family owns,
-    so comparing them level by level, at one beta or at several, builds
-    each power and its saturation once.
-    """
-    return (
-        gamma_beta(saturated, beta),
-        gamma_beta(saturated._powers_family(), beta),
-    )
-
-
-def _volume_difference(
-    semigroups: tuple[Semigroup, Semigroup], beta: int, n_probe: int
-) -> EpsilonViaVolumes:
-    """epsilon_via_volumes from the pair ``_power_semigroups(saturated, beta)``."""
-    sat_semigroup, pow_semigroup = semigroups
-    count_sat = sat_semigroup.count(n_probe)
-    count_pow = pow_semigroup.count(n_probe)
-    d = sat_semigroup.dim
-    value = Fraction(math.factorial(d) * (count_sat - count_pow), n_probe**d)
-    return EpsilonViaVolumes(value, count_sat, count_pow, beta, n_probe)
 
 
 @dataclass(frozen=True)
@@ -271,20 +247,13 @@ def beta_stability(
     tol = Fraction(tolerance)
     if tol < 0:
         raise ValueError("tolerance must be nonnegative")
-    _require_volume_probe(ideal, n_probe)
-    # the chain of powers does not depend on beta: every beta reads one
-    saturated = GradedFamilySpec.saturated_powers(ideal)
-
-    def value_at(beta: int) -> Fraction:
-        semigroups = _power_semigroups(saturated, beta)
-        return _volume_difference(semigroups, beta, n_probe).value
-
+    # every beta reads the one chain of powers memoized on the ideal
     beta = beta0
-    prev = value_at(beta)
+    prev = epsilon_via_volumes(ideal, beta, n_probe).value
     history = [(beta, prev)]
     for _ in range(max_doublings):
         beta *= 2
-        cur = value_at(beta)
+        cur = epsilon_via_volumes(ideal, beta, n_probe).value
         history.append((beta, cur))
         if abs(cur - prev) <= tol:
             return BetaStability(tuple(history), beta, cur)

@@ -113,7 +113,7 @@ class Semigroup:
         ]
 
     def count(self, n: int) -> int:
-        n = int(n)
+        n = _exact_int(n, "a level")
         if n < 0:
             raise ValueError("level must be nonnegative")
         if n == 0:
@@ -135,7 +135,7 @@ class Semigroup:
         return value
 
     def level(self, n: int) -> frozenset[tuple[int, ...]]:
-        n = int(n)
+        n = _exact_int(n, "a level")
         if n < 0:
             raise ValueError("level must be nonnegative")
         if n == 0:

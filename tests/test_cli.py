@@ -16,12 +16,12 @@ from hypothesis import given, settings, strategies as st
 
 import epsmult.cli as cli
 from epsmult import ideals as ideals_mod
+from epsmult import okounkov as okounkov_mod
 from epsmult import (
     IdealSyntaxError,
     InconclusiveError,
     MonomialIdeal,
     Semigroup,
-    check_sat_power_containment,
     swanson_c_search,
 )
 from epsmult.cli import main, parse_ideal
@@ -158,6 +158,30 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: exponent vector (1,) has length 1, expected 2")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lemmas", "--nmax", "-3"],
+            ["lemmas", "--nmax", "0"],
+            ["lemmas", "--nmax", "2", "--kmax", "-1"],
+            ["lemmas", "--nmax", "2", "--kmax", "0"],
+            ["lemmas", "-i", X2_XY, "--nmax", "0", "--kmax", "0"],
+            ["semigroup", "-i", '{"dim": 1, "generators": [[0, 1], [1, 1]]}', "--nmax", "0"],
+            ["theorem-a", "-i", X2_XY, "--mmax", "0"],
+            ["epsilon", "-i", X2_XY, "--nmax", "0"],
+        ],
+    )
+    def test_empty_or_negative_ranges_are_3(self, argv, capsys):
+        # each used to print an empty table, or a vacuous pass, and exit 0
+        assert main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and "must be" in err
+
+    def test_lemmas_on_the_input_alone_is_valid(self, capsys):
+        assert main(["lemmas", "-i", X2_XY, "--nmax", "0"]) == 0
+        assert "# lemma3: 1/1 pass" in capsys.readouterr().out
 
     def test_infinite_quotient_is_3(self, capsys):
         assert main(["amao", "--inner", "x*y", "--outer", "x*y^0"]) == 3
@@ -342,19 +366,27 @@ class TestNoRecomputation:
         assert "30,496," in capsys.readouterr().out
         assert calls == [30]
 
-    def test_okounkov_volume_builds_one_power_chain(self, capsys, monkeypatch):
-        calls = []
-        product = MonomialIdeal.product
-
-        def counted(ideal, other):
-            calls.append(other)
-            return product(ideal, other)
-
-        monkeypatch.setattr(MonomialIdeal, "product", counted)
+    def test_okounkov_volume_builds_one_power_chain(self, capsys, products):
         nmax = 15
         assert main(["okounkov-volume", "-i", X2_XY, "--beta", "2", "--nmax", str(nmax)]) == 0
         assert "# epsilon_via_volumes" in capsys.readouterr().out
-        assert len(calls) <= nmax - 1
+        assert len(products) <= nmax - 1
+
+    def test_okounkov_volume_counts_each_level_once(self, capsys, monkeypatch):
+        # the volume difference at the probe level reads the sweep's counts
+        caps = []
+        count = okounkov_mod.count_staircase_in_simplex
+
+        def counted(ideal, cap):
+            caps.append(cap)
+            return count(ideal, cap)
+
+        monkeypatch.setattr(okounkov_mod, "count_staircase_in_simplex", counted)
+        nmax = 15
+        assert main(["okounkov-volume", "-i", X2_XY, "--beta", "2", "--nmax", str(nmax)]) == 0
+        assert "# epsilon_via_volumes" in capsys.readouterr().out
+        # beta 2: level n is counted to 2n, once in each of the two families
+        assert sorted(caps) == sorted(2 * n for n in range(1, nmax + 1) for _ in range(2))
 
     def test_okounkov_volume_builds_each_grid_once(self, capsys, monkeypatch):
         # x * (x^4, x^3*y, x*y^2, y^4): the chain crosses onto grid products,
@@ -390,31 +422,26 @@ class TestNoRecomputation:
         assert len(shifted) >= 5
         assert not set(shifted) & set(scanned)
 
-    def test_lemmas_row_reads_one_power_chain(self, capsys, monkeypatch):
-        products, saturations = [], []
-        product = MonomialIdeal.product
+    def test_lemmas_row_shares_one_chain_between_its_checks(self, capsys, products, monkeypatch):
+        # the truncation search builds every power and saturation the
+        # containment check reads, so the row costs what the search does
+        saturations = []
         saturation = ideals_mod._saturation_on_grid
-
-        def counted_product(ideal, other):
-            products.append(other)
-            return product(ideal, other)
 
         def counted_saturation(ideal):
             saturations.append(ideal)
             return saturation(ideal)
 
-        monkeypatch.setattr(MonomialIdeal, "product", counted_product)
         monkeypatch.setattr(ideals_mod, "_saturation_on_grid", counted_saturation)
         text = "x^2*y, x*y^3, y^5, x^4"
-        ideal = parse_ideal(text)
-        check_sat_power_containment(ideal, 4)
-        swanson_c_search(ideal)
-        separate = len(products), len(saturations)
+        swanson_c_search(parse_ideal(text))
+        search_alone = len(products), len(saturations)
         products.clear()
         saturations.clear()
         assert main(["lemmas", "-i", text, "--nmax", "0", "--kmax", "4"]) == 0
         capsys.readouterr()
-        assert (len(products), len(saturations)) == (separate[0] - 3, separate[1] - 3)
+        assert (len(products), len(saturations)) == search_alone
+        assert len(products) == 34
 
     def test_deep_probe_level_needs_no_recursion(self, capsys):
         # The power chain is built bottom-up: a probe level far past the

@@ -169,3 +169,10 @@ class TestLengthSequence:
         outer = GradedFamilySpec.powers(MonomialIdeal(2, [(1, 0)]))
         with pytest.raises(InfiniteColengthError, match="at family index n=1"):
             length_sequence(inner, outer, 3)
+
+    @pytest.mark.parametrize("n_max", [3.7, True])
+    def test_length_must_be_an_integer(self, n_max):
+        # int() would read 3.7 as 3, and amao's k_max passes through here
+        powers = GradedFamilySpec.powers(X2_XY)
+        with pytest.raises(TypeError, match="n_max must be an integer"):
+            length_sequence(powers, GradedFamilySpec.saturated_powers(X2_XY), n_max)

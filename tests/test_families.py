@@ -26,10 +26,11 @@ def test_saturated_powers_family():
     assert fam(3).generators == ((3, 0),)
 
 
-def test_saturated_powers_read_their_own_powers_family():
-    fam = GradedFamilySpec.saturated_powers(X2_XY)
-    assert fam(4) == X2_XY.power(4).saturate()
-    assert 4 in fam._powers_family()._cache
+def test_saturated_powers_read_the_base_ideal_s_memos():
+    base = MonomialIdeal(2, [(2, 0), (1, 1)])
+    fam = GradedFamilySpec.saturated_powers(base)
+    assert fam(4) is base.power(4).saturate()
+    assert GradedFamilySpec.powers(base)(4) is base.power(4)
 
 
 def test_deep_index_needs_no_recursion():
@@ -40,24 +41,15 @@ def test_deep_index_needs_no_recursion():
     assert fam(3000) == MonomialIdeal(2, [(6000, 6000)])
 
 
-def test_chain_resumes_from_the_highest_cached_member(monkeypatch):
-    calls = []
-    product = MonomialIdeal.product
-
-    def counted(ideal, other):
-        calls.append(other)
-        return product(ideal, other)
-
-    monkeypatch.setattr(MonomialIdeal, "product", counted)
-    fam = GradedFamilySpec.powers(X2_XY)
-    fam(3)
-    assert len(calls) == 2
-    assert fam(7) == X2_XY.power(7)
-    calls.clear()
-    fam(7)
-    fam(9)
-    fam(6)
-    assert len(calls) == 2
+def test_families_share_the_base_ideal_s_chain(products):
+    base = MonomialIdeal(2, [(2, 0), (1, 1)])
+    GradedFamilySpec.saturated_powers(base)(7)
+    assert len(products) == 6
+    # a second family over the base, and the base itself, build nothing
+    fifth = GradedFamilySpec.powers(base)(5)
+    base.power(7)
+    assert len(products) == 6
+    assert fifth == X2_XY.power(5)
 
 
 def test_power_then_saturate_power():
@@ -67,17 +59,11 @@ def test_power_then_saturate_power():
     assert fam(3) == X2_XY.power(2).saturate().power(3)
 
 
-def test_power_then_saturate_power_reads_the_powers_chain(monkeypatch):
-    want = X2_XY.power(3).saturate().power(2)
-
-    def no_power(ideal, n):
-        raise AssertionError("the family called MonomialIdeal.power")
-
-    monkeypatch.setattr(MonomialIdeal, "power", no_power)
-    powers = GradedFamilySpec.powers(X2_XY)
-    fam = GradedFamilySpec.powers(powers(3).saturate())
-    assert fam(2) == want
-    assert 3 in powers._cache
+def test_power_then_saturate_power_reads_the_memos():
+    base = MonomialIdeal(2, [(2, 0), (1, 1)])
+    fam = GradedFamilySpec.powers(GradedFamilySpec.powers(base)(3).saturate())
+    assert fam(2) is base.power(3).saturate().power(2)
+    assert fam(2) == X2_XY.power(3).saturate().power(2)
 
 
 def test_graded_law_on_corpus():
@@ -100,6 +86,15 @@ def test_results_are_cached():
 def test_negative_index_rejected():
     with pytest.raises(ValueError):
         GradedFamilySpec.powers(X2_XY)(-1)
+
+
+@pytest.mark.parametrize("index", [2.7, True, "2", 2.0])
+def test_index_must_be_an_integer(index):
+    # True would otherwise read as level 1, and 2.7 as level 2
+    fam = GradedFamilySpec.powers(X2_XY)
+    fam(1)
+    with pytest.raises(TypeError, match="family index must be an integer"):
+        fam(index)
 
 
 def test_unknown_kind_rejected():

@@ -1,6 +1,10 @@
+import gc
 import json
 import math
 import random
+import sys
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -225,6 +229,68 @@ class TestArithmetic:
         assert I + J == I.sum(J)
         assert (I & J) == I.intersect(J)
         assert I**3 == I.power(3)
+
+
+class TestPowerChain:
+    def test_chain_resumes_from_its_highest_member(self, products):
+        I = MonomialIdeal(2, [(2, 0), (1, 1)])
+        I.power(3)
+        assert len(products) == 2
+        assert I.power(7) == MonomialIdeal(2, [(2, 0), (1, 1)]).power(7)
+        products.clear()
+        I.power(7)
+        I.power(9)
+        I.power(6)
+        assert len(products) == 2
+        assert I.power(9) is I.power(9)
+
+    def test_each_link_is_one_product_by_the_base(self, products):
+        I = MonomialIdeal(3, [(2, 1, 0), (0, 1, 3), (1, 1, 1)])
+        I.power(5)
+        assert products == [I] * 4
+
+    @pytest.mark.parametrize("n", [2.5, 2.9, 2.0, True, "2"])
+    def test_exponent_must_be_an_integer(self, n):
+        I = MonomialIdeal(2, [(2, 0), (1, 1)])
+        with pytest.raises(TypeError, match="power must be an integer"):
+            I.power(n)
+        with pytest.raises(TypeError, match="power must be an integer"):
+            I**n
+
+    def test_numpy_integer_exponent(self):
+        I = MonomialIdeal(2, [(2, 0), (1, 1)])
+        assert I.power(np.int64(3)) == I * I * I
+
+    def test_dropped_ideal_is_freed_without_the_collector(self):
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            I = MonomialIdeal(3, [(2, 1, 0), (0, 1, 3), (1, 1, 1)])
+            ref = weakref.ref(I)
+            I.power(6)
+            I.saturate()
+            I._grid()
+            del I
+            assert ref() is None
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    def test_racing_threads_store_every_member_at_its_index(self):
+        # a race may build a link twice, but never file it under another n
+        want = {n: MonomialIdeal(2, [(3, 0), (1, 2), (0, 4)]).power(n) for n in range(2, 25)}
+        asked = [24, 9, 17, 24, 3, 12, 20, 6]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                I = MonomialIdeal(2, [(3, 0), (1, 2), (0, 4)])
+                with ThreadPoolExecutor(max_workers=4) as pool:
+                    got = list(pool.map(I.power, asked, timeout=60))
+                assert got == [want[n] for n in asked]
+                assert all(I.power(n) == want[n] for n in range(2, 25))
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestSaturation:

@@ -163,6 +163,20 @@ class TestTheoremATable:
         with pytest.raises(ZeroIdealError):
             theorem_a_table(unit_ideal(2))
 
+    def test_bad_m_max(self):
+        # an empty table would read as a complete one
+        with pytest.raises(ValueError, match="m_max"):
+            theorem_a_table(X2_XY, m_max=0)
+
+    def test_epsilon_appendix_reads_the_table_s_chain(self, products):
+        # the theorem-a report of the benchmark: I^2..I^10 for the table's
+        # amao at m = 1 already hold the appendix's I^2..I^4
+        ideal = MonomialIdeal(3, [(2, 1, 0), (0, 3, 1), (1, 0, 4), (1, 1, 1)])
+        theorem_a_table(ideal, m_max=1, k_max=10)
+        assert len(products) == 18
+        epsilon_sequence(ideal, 4)
+        assert len(products) == 18
+
 
 class TestContainmentLemma:
     def test_worked_example(self):
@@ -172,6 +186,12 @@ class TestContainmentLemma:
     def test_corpus_never_fails(self):
         for I in corpus(52, 25):
             assert check_sat_power_containment(I, 4).ok
+
+    @pytest.mark.parametrize("i_max", [0, -1])
+    def test_depth_must_be_positive(self, i_max):
+        # checking no power at all used to report a pass
+        with pytest.raises(ValueError, match="i_max"):
+            check_sat_power_containment(X2_XY, i_max)
 
 
 class TestSwanson:
@@ -214,15 +234,15 @@ class TestSwanson:
         with pytest.raises(ZeroIdealError):
             swanson_c_search(unit_ideal(2))
 
-    def test_search_reads_one_power_chain(self, monkeypatch):
-        # every I^m comes from the search's chain of products, not power()
-        def no_power(ideal, n):
-            raise AssertionError("swanson_c_search called MonomialIdeal.power")
-
+    def test_search_reads_the_ideal_s_chain_of_powers(self, products):
         ideal = MonomialIdeal(3, [(2, 1, 0), (0, 1, 3), (1, 1, 1)])
         want = swanson_c_search(ideal)
-        monkeypatch.setattr(MonomialIdeal, "power", no_power)
+        products.clear()
+        # the search memoized I^12 on the ideal; a second search builds nothing
+        ideal.power(12)
         assert swanson_c_search(ideal) == want
+        assert products == []
+        assert want == swanson_c_search(MonomialIdeal(3, [(2, 1, 0), (0, 1, 3), (1, 1, 1)]))
 
     def test_search_saturates_each_power_once(self, monkeypatch):
         calls = []

@@ -25,7 +25,6 @@ from epsmult import (
     unit_ideal,
 )
 
-from epsmult.okounkov import _power_semigroups, _volume_difference
 from oracle_utils import (
     box_points,
     brute_k_fold_sums,
@@ -327,14 +326,14 @@ class TestEpsilonViaVolumes:
             )
             assert epsilon_via_volumes(ideal, beta, n).value == expected
 
-    def test_shared_semigroups_give_the_same_value(self):
-        saturated = GradedFamilySpec.saturated_powers(X2_XY)
+    def test_memoized_chain_gives_the_same_value(self):
+        # later calls on one ideal read the chain of powers the first built
+        ideal = MonomialIdeal(2, [(2, 0), (1, 1)])
         for beta in (1, 2, 4):
-            for n in (1, 5, 17):
-                shared = _power_semigroups(saturated, beta)
+            for n in (17, 5, 1):
+                fresh = epsilon_via_volumes(MonomialIdeal(2, [(2, 0), (1, 1)]), beta, n)
                 for _ in range(2):
-                    got = _volume_difference(shared, beta, n)
-                    assert got == epsilon_via_volumes(X2_XY, beta, n)
+                    assert epsilon_via_volumes(ideal, beta, n) == fresh
 
     def test_zero_and_unit_ideals_are_rejected(self):
         with pytest.raises(ZeroIdealError, match="neither zero nor the ring"):
@@ -379,21 +378,23 @@ class TestBetaStability:
         assert res.stabilized_beta == 2
         assert res.value == Fraction(5, 4)
 
-    def test_one_chain_for_every_beta(self, monkeypatch):
-        calls = []
-        product = MonomialIdeal.product
-
-        def counted(ideal, other):
-            calls.append(other)
-            return product(ideal, other)
-
-        monkeypatch.setattr(MonomialIdeal, "product", counted)
+    def test_one_chain_for_every_beta(self, products):
+        ideal = MonomialIdeal(2, [(2, 0), (1, 1)])
         n_probe = 30
         res = beta_stability(
-            X2_XY, beta0=1, n_probe=n_probe, tolerance=Fraction(0), max_doublings=4
+            ideal, beta0=1, n_probe=n_probe, tolerance=Fraction(0), max_doublings=4
         )
         assert len(res.history) >= 3
-        assert len(calls) <= n_probe - 1
+        assert len(products) == n_probe - 1
+
+    def test_criterion_6_calls_share_one_chain(self, products):
+        # two volume probes and a stability sweep over one ideal, as in
+        # acceptance criterion 6: each call used to build its own chain
+        ideal = MonomialIdeal(2, [(2, 0), (1, 1)])
+        for beta in (4, 8):
+            epsilon_via_volumes(ideal, beta, n_probe=200)
+        beta_stability(ideal, beta0=4, n_probe=200, tolerance=Fraction(5, 200))
+        assert len(products) == 199
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError, match="beta0"):

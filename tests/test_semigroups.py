@@ -77,6 +77,15 @@ class TestCounting:
         with pytest.raises(ValueError):
             SIMPLEX.level(-2)
 
+    @pytest.mark.parametrize("n", [2.5, 2.0, True, "2"])
+    def test_level_must_be_an_integer(self, n):
+        # int() would read 2.5 as level 2 and True as level 1
+        with pytest.raises(TypeError, match="level must be an integer"):
+            SIMPLEX.count(n)
+        with pytest.raises(TypeError, match="level must be an integer"):
+            SIMPLEX.level(n)
+        assert SIMPLEX.count(np.int64(2)) == 6
+
     def test_grid_cap_is_an_error_not_a_hang(self):
         sg = Semigroup.generated(3, [(40, 40, 40, 1)])
         with pytest.raises(SizeLimitError, match="cells"):

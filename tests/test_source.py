@@ -53,3 +53,29 @@ def test_no_import_of_a_missing_sibling_module():
         if module not in modules
     ]
     assert not found, f"imports of missing modules: {found}"
+
+
+def _memo_writes(tree):
+    """Lines of every object.__setattr__ call: a write past a frozen dataclass."""
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr == "__setattr__"
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "object"
+        ):
+            yield node.lineno
+
+
+def test_memos_live_in_the_ideals_module():
+    # ideals own every memo (arrays, grids, saturations, chains of powers),
+    # so no other module can hold a second copy of a chain
+    found = [
+        f"{path.name}:{line}"
+        for path in SOURCES
+        if path.name != "ideals.py"
+        for line in _memo_writes(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert not found, f"object.__setattr__ outside ideals.py at {found}"
+    ideals = next(path for path in SOURCES if path.name == "ideals.py")
+    assert list(_memo_writes(ast.parse(ideals.read_text(encoding="utf-8"))))
