@@ -23,29 +23,28 @@ class GradedFamilySpec:
     """A named graded family rule over a base monomial ideal."""
 
     kind: str
-    dim: int
-    base: MonomialIdeal | None = None
+    base: MonomialIdeal
     _cache: dict = field(
-        default_factory=dict, repr=False, compare=False, hash=False
+        default_factory=dict, init=False, repr=False, compare=False, hash=False
     )
 
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown family kind {self.kind!r}")
-        if self.base is None:
-            raise ValueError(f"family kind {self.kind!r} needs a base ideal")
+        if not isinstance(self.base, MonomialIdeal):
+            raise TypeError(f"a family's base must be a MonomialIdeal, got {self.base!r}")
 
     # -- constructors -----------------------------------------------------
 
     @classmethod
     def powers(cls, base: MonomialIdeal) -> "GradedFamilySpec":
         """n -> I^n."""
-        return cls("powers", base.dim, base)
+        return cls("powers", base)
 
     @classmethod
     def saturated_powers(cls, base: MonomialIdeal) -> "GradedFamilySpec":
         """n -> saturation of I^n."""
-        return cls("saturated_powers", base.dim, base)
+        return cls("saturated_powers", base)
 
     # -- evaluation --------------------------------------------------------
 

@@ -7,21 +7,21 @@ only the sizes of those levels, so gamma_beta keeps counts alone, each
 read off the height grid of the i-th ideal.  Normalizing a count by n^d
 estimates the volume of the limit body; the epsilon multiplicity appears
 as d! times the volume difference between the saturated and plain power
-families.  A semigroup generated in level 1 also has an exact volume, the
-volume of the convex hull of its level-1 points.
+families.  A semigroup generated in level 1 also has an exact volume: its
+level-1 points' convex hull, whose volume is exact in integers for d <= 4.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from .colength import _cell_corners
 from .errors import DimensionMismatchError, InconclusiveError, ZeroIdealError
 from .families import GradedFamilySpec
-from .ideals import _NEVER, MonomialIdeal
+from .ideals import _NEVER, MonomialIdeal, _exact_int
 from .semigroups import Semigroup
 
 
@@ -63,84 +63,83 @@ def gamma_beta(fam: GradedFamilySpec, beta: int) -> Semigroup:
     if fam(1).is_zero:
         raise ZeroIdealError("the family is zero at level 1")
     return Semigroup(
-        fam.dim,
+        fam.base.dim,
         count_rule=lambda i: count_staircase_in_simplex(fam(i), beta * i),
     )
 
 
-# -- exact hull volumes in dimensions 1..3 ---------------------------------
+# -- exact hull volumes in dimensions 1..4 ---------------------------------
 
 
-def _cross(o, a, b):
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+def _dot(u, v) -> int:
+    return sum(a * b for a, b in zip(u, v))
 
 
-def _hull_2d(points):
-    pts = sorted(set(points))
-    if len(pts) <= 2:
-        return pts
-    lower = []
-    for p in pts:
-        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return lower[:-1] + upper[:-1]
+def _det(rows) -> int:
+    """Determinant of a square integer matrix, by cofactor expansion."""
+    if not rows:
+        return 1
+    return sum(
+        (-1) ** j * a * _det([r[:j] + r[j + 1 :] for r in rows[1:]])
+        for j, a in enumerate(rows[0])
+        if a
+    )
 
 
-def _polygon_area(hull) -> Fraction:
-    if len(hull) < 3:
-        return Fraction(0)
-    twice = Fraction(0)
-    for (x0, y0), (x1, y1) in zip(hull, hull[1:] + hull[:1]):
-        twice += x0 * y1 - x1 * y0
-    return abs(twice) / 2
+def _facet(verts, pts, inside):
+    """(verts, normal, offset) of the hyperplane through the points verts.
 
-
-def _slice_area(points, z) -> Fraction:
-    cut = [(Fraction(p[0]), Fraction(p[1])) for p in points if p[2] == z]
-    for p, q in combinations(points, 2):
-        if (p[2] - z) * (q[2] - z) < 0:
-            t = Fraction(z - p[2], q[2] - p[2])
-            cut.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
-    return _polygon_area(_hull_2d(cut))
-
-
-def _volume_3d(points) -> Fraction:
-    zs = sorted({p[2] for p in points})
-    if len(zs) < 2:
-        return Fraction(0)
-    total = Fraction(0)
-    for z0, z1 in zip(zs, zs[1:]):
-        mid = Fraction(z0 + z1, 2)
-        a0 = _slice_area(points, z0)
-        am = _slice_area(points, mid)
-        a1 = _slice_area(points, z1)
-        # the slice area is quadratic between consecutive vertex heights,
-        # so Simpson's rule integrates the slab exactly
-        total += Fraction(z1 - z0) * (a0 + 4 * am + a1) / 6
-    return total
+    The normal is the cofactor vector of the edge vectors, signed so that
+    inside, d + 1 times an interior point, lies strictly beneath it.
+    """
+    v0 = pts[verts[0]]
+    edges = [[a - b for a, b in zip(pts[i], v0)] for i in verts[1:]]
+    normal = [(-1) ** k * _det([e[:k] + e[k + 1 :] for e in edges]) for k in range(len(v0))]
+    offset = _dot(normal, v0)
+    if _dot(normal, inside) > (len(v0) + 1) * offset:
+        normal, offset = [-a for a in normal], -offset
+    return verts, normal, offset
 
 
 def hull_volume(points, dim: int) -> Fraction | None:
-    """Exact volume of the convex hull for dim <= 3; None beyond that."""
+    """Exact volume of the convex hull of integer points for dim <= 4; None beyond.
+
+    Beneath-beyond from a full-dimensional simplex of the points (volume 0
+    if there is none).  Every facet is a simplex with an integer normal.
+    A point beyond some facets (normal . p > offset) replaces them by the
+    cones from it over their horizon ridges, those only one of them holds.
+    Coning the facets from one point sums dim! times the volume in integers.
+    """
     pts = [tuple(p) for p in points]
     if not pts:
         return Fraction(0)
     if any(len(p) != dim for p in pts):
         raise DimensionMismatchError("hull points disagree with the stated dimension")
-    if dim == 1:
-        vals = [p[0] for p in pts]
-        return Fraction(max(vals) - min(vals))
-    if dim == 2:
-        return _polygon_area(_hull_2d(pts))
-    if dim == 3:
-        return _volume_3d(pts)
-    return None
+    pts = sorted({tuple(_exact_int(c, "a hull coordinate") for c in p) for p in pts})
+    if not 1 <= dim <= 4:
+        return None
+    # farthest from the centroid first, so that most later points fall inside
+    n, sums = len(pts), [sum(c) for c in zip(*pts)]
+    pts.sort(key=lambda q: -sum((n * x - s) ** 2 for x, s in zip(q, sums)))
+    simplex = [0]
+    for i in range(1, n):  # keep points whose edges from pts[0] have a nonzero Gram det
+        edges = [[a - b for a, b in zip(pts[j], pts[0])] for j in simplex[1:] + [i]]
+        if _det([[_dot(u, v) for v in edges] for u in edges]):
+            simplex.append(i)
+            if len(simplex) > dim:
+                break
+    else:
+        return Fraction(0)
+    inside = [sum(c) for c in zip(*(pts[i] for i in simplex))]
+    facets = [_facet([i for i in simplex if i != skip], pts, inside) for skip in simplex]
+    for k, p in enumerate(pts):
+        kept, seen = [], []
+        for f in facets:
+            (seen if _dot(f[1], p) > f[2] else kept).append(f)
+        ridges = Counter(frozenset(vs) - {v} for vs, _, _ in seen for v in vs)
+        kept += (_facet([k, *r], pts, inside) for r, m in ridges.items() if m == 1)
+        facets = kept
+    return Fraction(sum(off - _dot(nv, pts[0]) for _, nv, off in facets), math.factorial(dim))
 
 
 @dataclass(frozen=True)
@@ -158,7 +157,7 @@ def delta_volume(sg: Semigroup, n_probe: int) -> VolumeResult:
 
     The exact volume is computed only when the semigroup is generated
     entirely in level 1 (the limit body is then the plain convex hull of
-    the level-1 points) and the dimension is at most 3.
+    the level-1 points) and the dimension is at most 4.
     """
     if n_probe < 1:
         raise ValueError("n_probe must be positive")
@@ -172,7 +171,7 @@ def _exact_volume(sg: Semigroup) -> Fraction | None:
 
     It is reachable iff the semigroup is generated in level 1: the body is
     then the convex hull of the level-1 points, whose volume hull_volume
-    gives up to dimension 3 (and None beyond).
+    gives up to dimension 4 (and None beyond).
     """
     if sg.generators is None or any(g[-1] != 1 for g in sg.generators):
         return None

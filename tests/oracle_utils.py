@@ -9,12 +9,15 @@ take `MonomialIdeal` values instead: the product by pairwise sums, the
 oracle of the grid product; the colon-iteration saturation, an
 independent route to the grid saturation; a batched membership test; the
 staircase points in a simplex, the oracle of the simplex count; and the
-literal truncation statement, the oracle of the truncation search.
+literal truncation statement, the oracle of the truncation search.  The
+slicing hull volume, in dimensions 1 to 4, is the oracle of
+`okounkov.hull_volume`.
 """
 
 from __future__ import annotations
 
-from itertools import product as iproduct
+from fractions import Fraction
+from itertools import combinations, product as iproduct
 
 import numpy as np
 
@@ -249,3 +252,98 @@ def swanson_truncation_agrees(ideal, m: int, k: int, c: int) -> bool:
     rhs = ideal.power(m).saturate().power(k)
     cutoff = maximal_ideal(ideal.dim).power(c * m * k)
     return lhs.intersect(cutoff) == rhs.intersect(cutoff)
+
+
+# -- hull volumes by slicing, the oracle of okounkov.hull_volume ------------
+
+
+def _cross(o, a, b):
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def _hull_2d(points):
+    pts = sorted(set(points))
+    if len(pts) <= 2:
+        return pts
+    lower = []
+    for p in pts:
+        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
+            lower.pop()
+        lower.append(p)
+    upper = []
+    for p in reversed(pts):
+        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
+            upper.pop()
+        upper.append(p)
+    return lower[:-1] + upper[:-1]
+
+
+def _polygon_area(hull) -> Fraction:
+    if len(hull) < 3:
+        return Fraction(0)
+    twice = Fraction(0)
+    for (x0, y0), (x1, y1) in zip(hull, hull[1:] + hull[:1]):
+        twice += x0 * y1 - x1 * y0
+    return abs(twice) / 2
+
+
+def _slice_area(points, z) -> Fraction:
+    cut = [(Fraction(p[0]), Fraction(p[1])) for p in points if p[2] == z]
+    for p, q in combinations(points, 2):
+        if (p[2] - z) * (q[2] - z) < 0:
+            t = Fraction(z - p[2], q[2] - p[2])
+            cut.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
+    return _polygon_area(_hull_2d(cut))
+
+
+def _volume_3d(points) -> Fraction:
+    zs = sorted({p[2] for p in points})
+    if len(zs) < 2:
+        return Fraction(0)
+    total = Fraction(0)
+    for z0, z1 in zip(zs, zs[1:]):
+        mid = Fraction(z0 + z1, 2)
+        a0 = _slice_area(points, z0)
+        am = _slice_area(points, mid)
+        a1 = _slice_area(points, z1)
+        # the slice area is quadratic between consecutive vertex heights,
+        # so Simpson's rule integrates the slab exactly
+        total += Fraction(z1 - z0) * (a0 + 4 * am + a1) / 6
+    return total
+
+
+def _slice_volume(points, w) -> Fraction:
+    cut = [p[:3] for p in points if p[3] == w]
+    for p, q in combinations(points, 2):
+        if (p[3] - w) * (q[3] - w) < 0:
+            t = Fraction(w - p[3], q[3] - p[3])
+            cut.append(tuple(a + t * (b - a) for a, b in zip(p[:3], q[:3])))
+    return _volume_3d(cut)
+
+
+def _volume_4d(points) -> Fraction:
+    ws = sorted({p[3] for p in points})
+    total = Fraction(0)
+    for w0, w1 in zip(ws, ws[1:]):
+        mid = Fraction(w0 + w1, 2)
+        v0, vm, v1 = (_slice_volume(points, w) for w in (w0, mid, w1))
+        # the slice volume is cubic between consecutive vertex heights,
+        # and Simpson's rule is exact on cubics
+        total += Fraction(w1 - w0) * (v0 + 4 * vm + v1) / 6
+    return total
+
+
+def slicing_volume(points, dim: int) -> Fraction:
+    """Volume of the convex hull of points in dimension 1..4, by slicing.
+
+    An interval in d = 1; a monotone-chain hull and the shoelace formula in
+    d = 2; in d = 3 and 4, Simpson's rule over slabs between consecutive
+    vertex heights of the last coordinate, each slice the hull of the
+    points on it and of the crossings of every point pair.  Exact in
+    Fractions and O(n^2) pairs per slice.
+    """
+    if dim == 1:
+        return Fraction(max(p[0] for p in points) - min(p[0] for p in points))
+    if dim == 2:
+        return _polygon_area(_hull_2d(points))
+    return _volume_3d(points) if dim == 3 else _volume_4d(points)

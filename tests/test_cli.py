@@ -532,6 +532,13 @@ class TestGoldenReports:
         out = capsys.readouterr().out
         assert out == (GOLDEN / "semigroup_simplex.csv").read_text(encoding="utf-8")
 
+    def test_four_dimensional_semigroup_report_matches_golden(self, capsys, monkeypatch):
+        # the unit 4-simplex in level 1: counts C(n + 4, 4), exact volume 1/24
+        monkeypatch.chdir(GOLDEN)
+        assert main(["semigroup", "-i", "simplex4_semigroup.json", "--nmax", "6"]) == 0
+        out = capsys.readouterr().out
+        assert out == (GOLDEN / "semigroup_simplex4.csv").read_text(encoding="utf-8")
+
 
 # -- any command line ends in a documented exit code -------------------------
 

@@ -1,6 +1,15 @@
+from fractions import Fraction
+
 import pytest
 
-from epsmult import GradedFamilySpec, MonomialIdeal, corpus, unit_ideal
+from epsmult import (
+    GradedFamilySpec,
+    MonomialIdeal,
+    corpus,
+    delta_volume,
+    gamma_beta,
+    unit_ideal,
+)
 
 X2_XY = MonomialIdeal(2, [(2, 0), (1, 1)])
 
@@ -99,12 +108,23 @@ def test_index_must_be_an_integer(index):
 
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError):
-        GradedFamilySpec("cubes", 2, X2_XY)
+        GradedFamilySpec("cubes", X2_XY)
     with pytest.raises(ValueError, match="unknown family kind"):
-        GradedFamilySpec("power_then_saturate_power", 2, X2_XY)
+        GradedFamilySpec("power_then_saturate_power", X2_XY)
 
 
 def test_base_required():
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
+        GradedFamilySpec("powers")
+    # the old (kind, dim, base) form: a dimension is no base ideal
+    with pytest.raises(TypeError, match="must be a MonomialIdeal"):
         GradedFamilySpec("powers", 2)
+    with pytest.raises(TypeError):
+        GradedFamilySpec("powers", 5, X2_XY)
+
+
+def test_counts_are_normalized_in_the_base_ideal_s_dimension():
+    # a family's own stated dimension of 5 once normalized by 10^5, not 10^2
+    res = delta_volume(gamma_beta(GradedFamilySpec("powers", X2_XY), 4), 10)
+    assert res.estimate == Fraction(441, 100)
 

@@ -1,6 +1,8 @@
 """Truncated value-semigroup counts, hull volumes, and the volume route to epsilon."""
 
+import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -30,6 +32,7 @@ from oracle_utils import (
     brute_k_fold_sums,
     enumerate_staircase_in_simplex,
     member,
+    slicing_volume,
 )
 
 X2_XY = MonomialIdeal(2, [(2, 0), (1, 1)])
@@ -174,6 +177,22 @@ class TestGammaInclusionChain:
             assert mid <= gamma_level(fam, 2, m * k)
 
 
+def _seeded_points(rng, dim):
+    """1 to 12 integer points with repeats; about 10% of the sets lie on a
+    line and about 30% on a hyperplane."""
+    hi = rng.choice([1, 2, 3, 10, 1000])
+    pts = [tuple(rng.randint(0, hi) for _ in range(dim)) for _ in range(rng.randint(1, 12))]
+    roll = rng.random()
+    if roll < 0.1:
+        step = [rng.randint(-3, 3) for _ in range(dim)]
+        ts = [rng.randint(-5, 5) for _ in pts]
+        pts = [tuple(x + t * u for x, u in zip(pts[0], step)) for t in ts]
+    elif roll < 0.4 and dim > 1:
+        coeffs = [rng.randint(-2, 2) for _ in range(dim - 1)]
+        pts = [p[:-1] + (sum(c * x for c, x in zip(coeffs, p)) + 5,) for p in pts]
+    return pts + rng.sample(pts, rng.randint(0, len(pts)))
+
+
 class TestHullVolume:
     def test_one_dimensional_span(self):
         assert hull_volume([(3,), (7,), (5,)], 1) == 4
@@ -230,8 +249,53 @@ class TestHullVolume:
         assert isinstance(hull_volume([(0, 0), (1, 0), (0, 1)], 2), Fraction)
         assert isinstance(hull_volume([(0, 0, 0), (1, 1, 1)], 3), Fraction)
 
-    def test_dimension_above_three_is_unsupported(self):
-        assert hull_volume([(0, 0, 0, 0), (1, 0, 0, 0)], 4) is None
+    def test_dimension_above_four_is_unsupported(self):
+        assert hull_volume([(0, 0, 0, 0, 0), (1, 0, 0, 0, 0)], 5) is None
+
+    def test_empty_input_in_dimension_five(self):
+        assert hull_volume([], 5) == 0
+
+    def test_four_dimensional_closed_forms(self):
+        box = list(itertools.product((0, 1), (0, 2), (0, 3), (0, 1)))
+        assert hull_volume(box, 4) == 6
+        units = [tuple(int(i == j) for j in range(4)) for i in range(4)]
+        assert hull_volume([(0, 0, 0, 0)] + units, 4) == Fraction(1, 24)
+        cross = [tuple(3 + s * u for u in e) for e in units for s in (1, -1)]
+        assert hull_volume(cross, 4) == Fraction(2, 3)
+        # a lower-dimensional set has no volume
+        assert hull_volume([(0, 0, 0, 0)] + units[:3], 4) == 0
+
+    def test_four_dimensional_translation_and_scaling(self):
+        pts = [(0, 0, 0, 0), (3, 1, 0, 2), (1, 4, 1, 0), (0, 2, 3, 1), (2, 0, 1, 3), (1, 1, 1, 1)]
+        vol = hull_volume(pts, 4)
+        assert vol > 0
+        moved = [(a + 5, b - 7, c + 2, d + 11) for a, b, c, d in pts]
+        assert hull_volume(moved, 4) == vol
+        assert hull_volume([tuple(2 * x for x in p) for p in pts], 4) == 16 * vol
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_agrees_with_slicing(self, dim):
+        # seeded sets with collinear, flat and repeated points
+        for seed in range(100):
+            pts = _seeded_points(random.Random(1000 * dim + seed), dim)
+            assert hull_volume(pts, dim) == slicing_volume(pts, dim), pts
+
+    def test_agrees_with_slicing_in_four_dimensions(self):
+        # 6 to 8 points in [0, 4]^4: few slabs to slice, and at these seeds
+        # every set spans a 4-d hull
+        for seed in range(8):
+            rng = random.Random(4000 + seed)
+            pts = [tuple(rng.randint(0, 4) for _ in range(4)) for _ in range(rng.randint(6, 8))]
+            vol = hull_volume(pts, 4)
+            assert vol > 0
+            assert vol == slicing_volume(pts, 4), pts
+
+    @pytest.mark.parametrize(
+        "pts", [[(0.5, 0), (1, 0), (0, 1)], [(True, 0), (1, 0), (0, 1)], [(0, 0), (1, 0), (0, 1.0)]]
+    )
+    def test_coordinates_must_be_integers(self, pts):
+        with pytest.raises(TypeError, match="hull coordinate must be an integer"):
+            hull_volume(pts, 2)
 
     def test_point_dimension_must_match(self):
         with pytest.raises(DimensionMismatchError):
