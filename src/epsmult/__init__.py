@@ -48,10 +48,8 @@ from .multiplicity import (
 from .okounkov import (
     BetaStability,
     EpsilonViaVolumes,
-    VolumeResult,
     beta_stability,
     count_staircase_in_simplex,
-    delta_volume,
     epsilon_via_volumes,
     gamma_beta,
     hull_volume,
@@ -84,7 +82,6 @@ __all__ = [
     "SizeLimitError",
     "SwansonResult",
     "TheoremARow",
-    "VolumeResult",
     "ZeroIdealError",
     "amao",
     "beta_stability",
@@ -93,7 +90,6 @@ __all__ = [
     "colength",
     "corpus",
     "count_staircase_in_simplex",
-    "delta_volume",
     "difference_max_degree",
     "epsilon_sequence",
     "epsilon_via_volumes",

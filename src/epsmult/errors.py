@@ -52,7 +52,7 @@ class InconclusiveError(EpsmultError):
 
 
 class InsufficientDataError(EpsmultError):
-    """A semigroup check was asked to run on no data at all."""
+    """No semigroup point or level to read, or a sequence too short for leading_difference."""
 
 
 class IdealSyntaxError(EpsmultError):

@@ -169,9 +169,11 @@ def theorem_a_table(
     powers = GradedFamilySpec.powers(ideal)
     rows: list[TheoremARow] = []
     for m in range(1, m_max + 1):
-        base = powers(m)
+        pair = (powers(m), powers(m).saturate())
+        if m > 1:  # memo-free copies, so the chains amao builds die with the row
+            pair = tuple(MonomialIdeal(d, J.generators) for J in pair)
         try:
-            res = amao(base, base.saturate(), k_max=k_max, window=window)
+            res = amao(*pair, k_max=k_max, window=window)
         except InconclusiveError:
             rows.append(TheoremARow(m, None, None, None, "inconclusive"))
             continue

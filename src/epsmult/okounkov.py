@@ -142,30 +142,6 @@ def hull_volume(points, dim: int) -> Fraction | None:
     return Fraction(sum(off - _dot(nv, pts[0]) for _, nv, off in facets), math.factorial(dim))
 
 
-@dataclass(frozen=True)
-class VolumeResult:
-    """Volume data for the limit body of a graded semigroup."""
-
-    exact: Fraction | None
-    estimate: Fraction
-    n_used: int
-    count: int
-
-
-def delta_volume(sg: Semigroup, n_probe: int) -> VolumeResult:
-    """Count-based volume estimate, with the exact value when reachable.
-
-    The exact volume is computed only when the semigroup is generated
-    entirely in level 1 (the limit body is then the plain convex hull of
-    the level-1 points) and the dimension is at most 4.
-    """
-    if n_probe < 1:
-        raise ValueError("n_probe must be positive")
-    count = sg.count(n_probe)
-    estimate = Fraction(count, n_probe**sg.dim)
-    return VolumeResult(_exact_volume(sg), estimate, n_probe, count)
-
-
 def _exact_volume(sg: Semigroup) -> Fraction | None:
     """The limit body's exact volume, or None when it is not reachable.
 

@@ -1,11 +1,12 @@
 """Graded subsemigroups of N^(d+1) and their level counts.
 
 Points carry their grading in the last coordinate.  A semigroup is
-known either by finitely many generators (levels are then computed by
-dynamic programming over generator sums, rasterized into big-integer
-bitmasks so million-point levels stay cheap), by explicitly materialized
-levels, or by a counting rule supplied by the construction that built it.
-A counting rule gives the size of every level but none of its points.
+known from exactly one source: finitely many generators (levels are then
+computed by dynamic programming over generator sums, rasterized into
+big-integer bitmasks so million-point levels stay cheap), explicitly
+materialized levels, or a counting rule supplied by the construction
+that built it.  A counting rule gives the size of every level but none
+of its points.
 """
 
 from __future__ import annotations
@@ -55,6 +56,11 @@ class Semigroup:
         dim = _exact_int(dim, "dim")
         if dim < 1:
             raise ValueError("dimension must be positive")
+        # with two sources, each query would read whichever it checks first
+        given = (generators is not None) + bool(levels) + (count_rule is not None)
+        if given != 1:
+            how = "only one of " if given else ""
+            raise ValueError(f"a semigroup needs {how}generators, levels, or a rule")
         self.dim = dim
         self.generators: tuple[tuple[int, ...], ...] | None = None
         self._levels: dict[int, frozenset[tuple[int, ...]]] = {}
@@ -68,7 +74,7 @@ class Semigroup:
                         f"generator {p} has level {p[-1]}; levels must be >= 1"
                     )
             self.generators = tuple(pts)
-        if levels is not None:
+        if levels:
             for i, pts in levels.items():
                 i = _exact_int(i, "a level index")
                 if i < 0:
@@ -77,8 +83,6 @@ class Semigroup:
                 if i == 0 and frozen != {(0,) * dim}:
                     raise ValueError("level 0 must be exactly the origin")
                 self._levels[i] = frozen
-        if generators is None and not self._levels and count_rule is None:
-            raise ValueError("a semigroup needs generators, levels, or a rule")
 
     # -- constructors ------------------------------------------------------
 
@@ -151,10 +155,6 @@ class Semigroup:
 
     # -- generated-case machinery -------------------------------------
 
-    def _gen_pairs(self) -> list[tuple[tuple[int, ...], int]]:
-        assert self.generators is not None
-        return [(g[:-1], g[-1]) for g in self.generators]
-
     def _count_generated(self, n: int) -> int:
         """Counts of every level up to n by rasterized subset sums.
 
@@ -163,7 +163,7 @@ class Semigroup:
         level is the union over generators of shifted earlier levels.
         Only a window of max generator level masks is kept alive.
         """
-        gens = self._gen_pairs()
+        gens = [(g[:-1], g[-1]) for g in self.generators]
         if not gens:
             return 0
         maxes = [max(v[a] for v, _ in gens) for a in range(self.dim)]
@@ -198,7 +198,7 @@ class Semigroup:
         return self._counts[n]
 
     def _materialize_generated(self, n: int) -> frozenset[tuple[int, ...]]:
-        gens = self._gen_pairs()
+        gens = [(g[:-1], g[-1]) for g in self.generators]
         levels: list[set[tuple[int, ...]]] = [set() for _ in range(n + 1)]
         levels[0].add((0,) * self.dim)
         for j in range(1, n + 1):
@@ -254,49 +254,26 @@ def k_fold_sum_count(sg: Semigroup, p: int, k: int) -> int:
 def _lattice_spans_everything(points: list[tuple[int, ...]], width: int) -> bool:
     """Whether the integer row span of the points is all of Z^width.
 
-    Triangularizes the point list with exact extended-gcd row operations;
-    the span is full exactly when every column has a pivot and the pivot
-    product is a unit.
+    Euclid elimination, column by column: the row with the least nonzero
+    entry reduces the others until one is left, which must be +-1; rows
+    whose entry became 0 pass on to the next column.
     """
-    basis: list[list[int] | None] = [None] * width
-    for point in points:
-        v = list(point)
-        for col in range(width):
-            if v[col] == 0:
-                continue
-            b = basis[col]
-            if b is None:
-                basis[col] = v
-                break
-            g = math.gcd(b[col], v[col])
-            # unimodular 2x2 move: replace (b, v) keeping the row lattice
-            s, t = _bezout(b[col], v[col])
-            q_b, q_v = b[col] // g, v[col] // g
-            combined = [s * b[i] + t * v[i] for i in range(width)]
-            v = [q_b * v[i] - q_v * b[i] for i in range(width)]
-            basis[col] = combined
-        # fully reduced rows vanish: nothing to record
-    if any(b is None for b in basis):
-        return False
-    det = 1
-    for col, b in enumerate(basis):
-        det *= b[col]  # type: ignore[index]
-    return abs(det) == 1
-
-
-def _bezout(a: int, b: int) -> tuple[int, int]:
-    """(s, t) with s*a + t*b = gcd(a, b)."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_s, old_t = -old_s, -old_t
-    return old_s, old_t
+    rows = [list(p) for p in points]
+    for col in range(width):
+        live = [r for r in rows if r[col]]
+        rows = [r for r in rows if not r[col]]
+        while len(live) > 1:  # the least nonzero entry falls each round
+            pivot = min(live, key=lambda r: abs(r[col]))
+            reduced = [
+                [a - r[col] // pivot[col] * b for a, b in zip(r, pivot)]
+                for r in live
+                if r is not pivot
+            ]
+            rows += [r for r in reduced if not r[col]]
+            live = [pivot] + [r for r in reduced if r[col]]
+        if not live or abs(live[0][col]) != 1:
+            return False
+    return True
 
 
 def check_cone_conditions(sg: Semigroup, beta: int) -> dict[str, bool]:
@@ -304,8 +281,9 @@ def check_cone_conditions(sg: Semigroup, beta: int) -> dict[str, bool]:
 
     cone2: every known point (v, i) has coordinate sum of v at most
     beta*i, so the semigroup sits inside the beta-slope cone.  cone3: the
-    known points generate all of Z^(d+1) as a group.  It is an error to
-    ask with no points at all.
+    known points generate all of Z^(d+1) as a group, decided exactly by
+    Euclid elimination on their rows.  It is an error to ask with no
+    points at all.
     """
     if beta < 1:
         raise ValueError("beta must be positive")

@@ -4,18 +4,20 @@ Everything here works on raw generator tuples and enumerates boxes of
 exponent vectors, taking the textbook definitions at face value: a point
 is in the product if it splits as a sum of members, in the colon if every
 shift by a divisor generator lands inside, and so on.  Slow on purpose --
-these exist to disagree with the fast code, not to race it.  Five helpers
+these exist to disagree with the fast code, not to race it.  Six helpers
 take `MonomialIdeal` values instead: the product by pairwise sums, the
 oracle of the grid product; the colon-iteration saturation, an
 independent route to the grid saturation; a batched membership test; the
-staircase points in a simplex, the oracle of the simplex count; and the
-literal truncation statement, the oracle of the truncation search.  The
-slicing hull volume, in dimensions 1 to 4, is the oracle of
-`okounkov.hull_volume`.
+staircase points in a simplex, the oracle of the simplex count; the
+literal truncation statement, the oracle of the truncation search; and
+the K-polynomial length, which reads generator lists only and so checks
+`colength` at exponents no box can hold.  The slicing hull volume, in
+dimensions 1 to 4, is the oracle of `okounkov.hull_volume`.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import combinations, product as iproduct
 
@@ -179,6 +181,38 @@ def brute_difference_max_degree(inner_gens, outer_gens, dim: int) -> int | None:
             if best is None or sum(e) > best:
                 best = sum(e)
     return best
+
+
+def _k_sum(gens) -> int:
+    """K(G): the sum over nonempty S of G of (-1)^|S| * prod_i lcm(S)_i.
+
+    The subsets are folded in one generator at a time, keyed by their
+    lcm, so subsets with a common lcm share one signed count.
+    """
+    terms: dict[Vec, int] = {}
+    for g in gens:
+        step = {tuple(g): -1}
+        for m, c in terms.items():
+            key = tuple(map(max, m, g))
+            step[key] = step.get(key, 0) - c
+        for key, c in step.items():
+            terms[key] = terms.get(key, 0) + c
+        terms = {m: c for m, c in terms.items() if c}
+    return sum(c * math.prod(m) for m, c in terms.items())
+
+
+def kpoly_length(inner, outer) -> int:
+    """length(outer/inner) from the generators alone, where it is finite.
+
+    The multigraded K-polynomial of S/I is sum over subsets S of the
+    generators of (-1)^|S| t^lcm(S), so the Hilbert series difference of
+    S/inner and S/outer is a polynomial P(t) = (K_inner - K_outer) /
+    prod_i (1 - t_i) whose value at t = 1 is the length.  Taking the mixed
+    d-th derivative at t = 1 of P(t) * prod_i (1 - t_i) gives
+    (-1)^d * (K(gens inner) - K(gens outer)), with t^m contributing
+    prod_i m_i (Miller-Sturmfels, chapters 2 and 5).  No grid, no box.
+    """
+    return (-1) ** inner.dim * (_k_sum(inner.generators) - _k_sum(outer.generators))
 
 
 def lattice_contains_all_units(points) -> bool:

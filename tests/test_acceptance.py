@@ -21,7 +21,6 @@ from epsmult import (
     check_sat_power_containment,
     colength,
     corpus,
-    delta_volume,
     epsilon_sequence,
     epsilon_via_volumes,
     is_finite_colength,
@@ -32,6 +31,7 @@ from epsmult import (
     theorem_a_table,
     unit_ideal,
 )
+from epsmult.okounkov import _exact_volume
 
 from oracle_utils import (
     brute_colength,
@@ -110,7 +110,7 @@ def test_criterion_3_saturated_prime_is_identically_zero(capsys):
 
 def test_criterion_4_simplex_volume_at_three_scales(capsys):
     with criterion(capsys, 4, "simplex counts approach the exact volume", budget=10.0):
-        assert delta_volume(SIMPLEX, 10).exact == Fraction(1, 2)
+        assert _exact_volume(SIMPLEX) == Fraction(1, 2)
         for n in (10, 100, 1000):
             count = SIMPLEX.count(n)
             assert count == (n + 1) * (n + 2) // 2

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -17,7 +18,7 @@ from epsmult import (
     zero_ideal,
 )
 
-from oracle_utils import brute_colength, brute_difference_max_degree
+from oracle_utils import brute_colength, brute_difference_max_degree, kpoly_length
 
 
 X2_XY = MonomialIdeal(2, [(2, 0), (1, 1)])
@@ -88,6 +89,36 @@ def test_saturation_quotients_match_brute_force(seed):
         want = brute_colength(I.generators, S.generators, I.dim)
         assert want is not None
         assert colength(I, S) == want
+
+
+def test_saturation_quotients_match_the_k_polynomial():
+    # I and I^2, I^3 against their saturations, up to 14 generators a side
+    pairs = 0
+    for I in corpus(71, 450, max_dim=4, max_gens=6):
+        for n in (1, 2, 3):
+            P = I.power(n)
+            S = P.saturate()
+            if max(len(P.generators), len(S.generators)) <= 14:
+                assert colength(P, S) == kpoly_length(P, S), (P, S)
+                pairs += 1
+    assert pairs > 1000
+
+
+def test_generic_exponents_in_the_thousands_match_the_k_polynomial():
+    # far past any box oracle: lengths reach about 10^13
+    rng = random.Random(72)
+    for _ in range(200):
+        d = rng.randint(2, 4)
+        gens = [tuple(rng.randint(0, 3000) for _ in range(d)) for _ in range(rng.randint(2, 6))]
+        if rng.random() < 0.5:
+            # m-primary: any larger ideal has finite colength
+            gens += [tuple(rng.randint(1000, 3000) * (i == j) for i in range(d)) for j in range(d)]
+            inner = MonomialIdeal(d, gens)
+            outer = MonomialIdeal(d, gens + [tuple(rng.randint(0, 3000) for _ in range(d))])
+        else:
+            inner = MonomialIdeal(d, gens)
+            outer = inner.saturate()
+        assert colength(inner, outer) == kpoly_length(inner, outer), (inner, outer)
 
 
 def test_mixed_pairs_match_brute_force_including_infinite():

@@ -6,7 +6,6 @@ from epsmult import (
     GradedFamilySpec,
     MonomialIdeal,
     corpus,
-    delta_volume,
     gamma_beta,
     unit_ideal,
 )
@@ -125,6 +124,6 @@ def test_base_required():
 
 def test_counts_are_normalized_in_the_base_ideal_s_dimension():
     # a family's own stated dimension of 5 once normalized by 10^5, not 10^2
-    res = delta_volume(gamma_beta(GradedFamilySpec("powers", X2_XY), 4), 10)
-    assert res.estimate == Fraction(441, 100)
+    sg = gamma_beta(GradedFamilySpec("powers", X2_XY), 4)
+    assert Fraction(sg.count(10), 10**sg.dim) == Fraction(441, 100)
 

@@ -177,6 +177,16 @@ class TestTheoremATable:
         epsilon_sequence(ideal, 4)
         assert len(products) == 18
 
+    def test_rows_past_the_first_leave_no_chain_behind(self):
+        # row m reads (I^m)^k for k <= k_max; held on I^m, those chains
+        # would stay alive as long as I does
+        ideal = MonomialIdeal(3, [(2, 1, 0), (0, 2, 1), (1, 0, 2)])
+        theorem_a_table(ideal, m_max=3, k_max=6)
+        assert sorted(ideal._powers) == [2, 3, 4, 5, 6]
+        for m in (2, 3):
+            assert getattr(ideal.power(m), "_powers", None) is None
+            assert getattr(ideal.power(m).saturate(), "_powers", None) is None
+
 
 class TestContainmentLemma:
     def test_worked_example(self):

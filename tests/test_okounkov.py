@@ -18,7 +18,6 @@ from epsmult import (
     colength,
     count_staircase_in_simplex,
     corpus,
-    delta_volume,
     difference_max_degree,
     epsilon_sequence,
     epsilon_via_volumes,
@@ -26,6 +25,7 @@ from epsmult import (
     hull_volume,
     unit_ideal,
 )
+from epsmult.okounkov import _exact_volume
 
 from oracle_utils import (
     box_points,
@@ -303,39 +303,32 @@ class TestHullVolume:
 
 
 class TestDeltaVolume:
+    """The exact limit-body volume against the count-based estimate."""
+
     def test_simplex_estimate_and_exact(self):
         sg = Semigroup.generated(2, [(0, 0, 1), (1, 0, 1), (0, 1, 1)])
-        res = delta_volume(sg, 100)
-        assert res.exact == Fraction(1, 2)
-        assert res.count == 5151
-        assert res.estimate == Fraction(5151, 10000)
-        assert res.n_used == 100
+        assert _exact_volume(sg) == Fraction(1, 2)
+        assert sg.count(100) == 5151
+        assert Fraction(sg.count(100), 100**2) == Fraction(5151, 10000)
 
     def test_unit_square_generators(self):
         sg = Semigroup.generated(
             2, [(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)]
         )
-        res = delta_volume(sg, 50)
-        assert res.exact == 1
-        assert res.estimate == Fraction(51 * 51, 50 * 50)
+        assert _exact_volume(sg) == 1
+        assert Fraction(sg.count(50), 50**2) == Fraction(51 * 51, 50 * 50)
 
     def test_higher_level_generator_blocks_the_exact_value(self):
         sg = Semigroup.generated(1, [(1, 1), (3, 2)])
-        res = delta_volume(sg, 30)
-        assert res.exact is None
-        assert res.estimate == Fraction(res.count, 30)
+        assert _exact_volume(sg) is None
+        # level 30 holds 30 + j for j = 0..15 copies of (3, 2)
+        assert sg.count(30) == 16
 
     def test_leveled_semigroup_has_no_exact_value(self):
         sg = gamma_beta(GradedFamilySpec.saturated_powers(X2_XY), beta=2)
-        res = delta_volume(sg, 10)
-        assert res.exact is None
-        assert res.count == 66
-        assert res.estimate == Fraction(66, 100)
-
-    def test_probe_level_must_be_positive(self):
-        sg = Semigroup.generated(2, [(0, 0, 1), (1, 0, 1), (0, 1, 1)])
-        with pytest.raises(ValueError, match="n_probe"):
-            delta_volume(sg, 0)
+        assert _exact_volume(sg) is None
+        assert sg.count(10) == 66
+        assert Fraction(sg.count(10), 10**2) == Fraction(66, 100)
 
 
 class TestEpsilonViaVolumes:

@@ -13,6 +13,7 @@ from epsmult import (
     semigroup_from_json_dict,
     semigroup_to_json_dict,
 )
+from epsmult.semigroups import _lattice_spans_everything
 
 from oracle_utils import brute_k_fold_sums, lattice_contains_all_units
 
@@ -31,6 +32,26 @@ class TestConstruction:
     def test_some_data_required(self):
         with pytest.raises(ValueError):
             Semigroup(2)
+
+    @pytest.mark.parametrize(
+        "sources",
+        [
+            {"generators": [(0, 1)], "levels": {1: [(0,)]}},
+            {"generators": [(0, 1)], "count_rule": lambda n: n + 1},
+            {"levels": {1: [(0,)]}, "count_rule": lambda n: 1},
+            {"generators": [], "levels": {1: [(0,)]}, "count_rule": lambda n: 1},
+        ],
+    )
+    def test_two_sources_rejected(self, sources):
+        # count() would read the levels and the cone check the generators
+        with pytest.raises(ValueError, match="needs only one of"):
+            Semigroup(1, **sources)
+
+    def test_empty_levels_are_no_source(self):
+        with pytest.raises(ValueError, match="needs generators"):
+            Semigroup(1, levels={})
+        sg = Semigroup(1, generators=[(1, 1)], levels={})
+        assert sg.count(4) == 1
 
     def test_dimension_positive(self):
         with pytest.raises(ValueError):
@@ -220,6 +241,47 @@ class TestConeConditions:
             sg = Semigroup.generated(d, pts)
             got = check_cone_conditions(sg, 10)["cone3"]
             assert got == lattice_contains_all_units(sg.known_points())
+
+    def test_elimination_matches_normal_form_oracle_on_wide_sets(self):
+        # signed entries up to 10^6 in widths up to 6, with repeated and zero rows
+        rng = random.Random(62)
+        for _ in range(300):
+            width = rng.randint(1, 6)
+            big = rng.choice([1, 2, 5, 1000, 10**6])
+            pts = [
+                tuple(rng.randint(-big, big) for _ in range(width))
+                for _ in range(rng.randint(1, 8))
+            ]
+            if rng.random() < 0.3:
+                pts.append(pts[0])
+            if rng.random() < 0.3:
+                pts.append((0,) * width)
+            rng.shuffle(pts)
+            assert _lattice_spans_everything(pts, width) == lattice_contains_all_units(pts), pts
+
+    def test_elimination_on_scrambled_unit_bases(self):
+        # unimodular row moves keep the span Z^width; doubling a column loses it
+        rng = random.Random(63)
+        for _ in range(60):
+            width = rng.randint(2, 6)
+            rows = [[int(i == j) for j in range(width)] for i in range(width)]
+            for _ in range(8):
+                i, j = rng.sample(range(width), 2)
+                q = rng.randint(-30, 30)
+                rows[i] = [a + q * b for a, b in zip(rows[i], rows[j])]
+            rows += [list(rows[0]), [0] * width]
+            rng.shuffle(rows)
+            assert _lattice_spans_everything(rows, width)
+            assert lattice_contains_all_units(rows)
+            col = rng.randrange(width)
+            doubled = [[2 * a if k == col else a for k, a in enumerate(r)] for r in rows]
+            assert not _lattice_spans_everything(doubled, width)
+            assert not lattice_contains_all_units(doubled)
+
+    @pytest.mark.parametrize("width", range(1, 7))
+    def test_no_points_span_nothing(self, width):
+        assert not _lattice_spans_everything([], width)
+        assert not lattice_contains_all_units([])
 
 
 class TestSerialization:
