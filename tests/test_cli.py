@@ -486,49 +486,53 @@ class TestProcessLevel:
         assert proc.stdout.splitlines()[1] == "n,length,e_n(num),e_n(den)"
 
 
+JSON = ["--format", "json"]
+THEOREM_A_X2XY = ["theorem-a", "-i", X2_XY, "--mmax", "4", "--kmax", "12", "--nmax", "6"]
+AMAO_X2XY = ["amao", "--inner", X2_XY, "--outer", OUTER_X, "--kmax", "12"]
+OKOUNKOV_X2XY = ["okounkov-volume", "-i", X2_XY, "--beta", "2", "--nmax", "10"]
+LEMMAS_X2XY = ["lemmas", "-i", X2_XY, "--seed", "5", "--nmax", "6", "--kmax", "3"]
+# row 1 does not stabilize within kmax = 5, so the run exits 2
+INCONCLUSIVE = ["theorem-a", "-i", "x^4, x*y^3, y^4", "--mmax", "3", "--kmax", "5"]
+INCONCLUSIVE += ["--nmax", "2"]
+# a semigroup given by levels has no exact volume, so its exact columns stay blank
+LEVELS = ["semigroup", "-i", '{"dim": 1, "levels": {"1": [[0],[1]], "3": [[2]]}}']
+LEVELS += ["--nmax", "4", "--beta", "2"]
+SIMPLEX = ["semigroup", "-i", "simplex_semigroup.json", "--nmax", "12", "--beta", "1"]
+
+# (argv, golden file, exit code); every run starts in the golden directory
 GOLDEN_RUNS = [
-    (["epsilon", "-i", X2_XY, "--nmax", "8"], "epsilon_x2xy.csv"),
-    (
-        ["amao", "--inner", X2_XY, "--outer", OUTER_X, "--kmax", "12"],
-        "amao_x2xy_sat.csv",
-    ),
-    (
-        ["theorem-a", "-i", X2_XY, "--mmax", "4", "--kmax", "12", "--nmax", "6"],
-        "theorem_a_x2xy.csv",
-    ),
-    (
-        ["okounkov-volume", "-i", X2_XY, "--beta", "2", "--nmax", "10"],
-        "okounkov_volume_x2xy.csv",
-    ),
-    (
-        [
-            "okounkov-volume",
-            "-i",
-            X2_XY,
-            "--beta",
-            "2",
-            "--nmax",
-            "10",
-            "--format",
-            "json",
-        ],
-        "okounkov_volume_x2xy.json",
-    ),
-    (["lemmas", "--seed", "5", "--nmax", "6", "--kmax", "3"], "lemmas_seed5.csv"),
+    (["epsilon", "-i", X2_XY, "--nmax", "8"], "epsilon_x2xy.csv", 0),
+    (["epsilon", "-i", X2_XY, "--nmax", "8", *JSON], "epsilon_x2xy.json", 0),
+    (AMAO_X2XY, "amao_x2xy_sat.csv", 0),
+    (AMAO_X2XY + JSON, "amao_x2xy_sat.json", 0),
+    (THEOREM_A_X2XY, "theorem_a_x2xy.csv", 0),
+    (THEOREM_A_X2XY + JSON, "theorem_a_x2xy.json", 0),
+    (INCONCLUSIVE, "theorem_a_inconclusive.csv", 2),
+    (INCONCLUSIVE + JSON, "theorem_a_inconclusive.json", 2),
+    (OKOUNKOV_X2XY, "okounkov_volume_x2xy.csv", 0),
+    (OKOUNKOV_X2XY + JSON, "okounkov_volume_x2xy.json", 0),
+    (SIMPLEX + JSON, "semigroup_simplex.json", 0),
+    (LEVELS, "semigroup_levels.csv", 0),
+    (LEVELS + JSON, "semigroup_levels.json", 0),
+    (["lemmas", "--seed", "5", "--nmax", "6", "--kmax", "3"], "lemmas_seed5.csv", 0),
+    (LEMMAS_X2XY, "lemmas_x2xy_seed5.csv", 0),
+    (LEMMAS_X2XY + JSON, "lemmas_x2xy_seed5.json", 0),
 ]
 
 
 class TestGoldenReports:
-    @pytest.mark.parametrize("argv,filename", GOLDEN_RUNS, ids=[f for _, f in GOLDEN_RUNS])
-    def test_report_matches_golden(self, argv, filename, capsys):
-        assert main(argv) == 0
+    @pytest.mark.parametrize(
+        "argv,filename,code", GOLDEN_RUNS, ids=[f for _, f, _ in GOLDEN_RUNS]
+    )
+    def test_report_matches_golden(self, argv, filename, code, capsys, monkeypatch):
+        monkeypatch.chdir(GOLDEN)
+        assert main(argv) == code
         out = capsys.readouterr().out
         assert out == (GOLDEN / filename).read_text(encoding="utf-8")
 
     def test_semigroup_report_matches_golden(self, capsys, monkeypatch):
         monkeypatch.chdir(GOLDEN)
-        argv = ["semigroup", "-i", "simplex_semigroup.json", "--nmax", "12", "--beta", "1"]
-        assert main(argv) == 0
+        assert main(SIMPLEX) == 0
         out = capsys.readouterr().out
         assert out == (GOLDEN / "semigroup_simplex.csv").read_text(encoding="utf-8")
 
