@@ -10,8 +10,13 @@ checks over an input ideal and/or a seeded random corpus).
 
 Exit codes: 0 success, 2 inconclusive stabilization, 4 parse errors
 (ideal syntax, JSON schema, unusable command line), 3 any other violated
-precondition.  Every report embeds its full configuration, so reruns
-with equal inputs are byte-identical.
+precondition.
+
+Every report embeds its configuration, the parsed command line: the
+subcommand and each of its options except --out, leaving out an optional
+option that is unset.  The CSV tables render from the JSON rows, so
+both formats carry the same values, and reruns with equal inputs are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from .errors import (
     InconclusiveError,
 )
 from .families import GradedFamilySpec
-from .ideals import MonomialIdeal, from_json_dict
+from .ideals import MonomialIdeal, from_json_dict, to_json_dict
 from .multiplicity import (
     amao,
     check_sat_power_containment,
@@ -213,15 +218,28 @@ def _decimal12(value: Fraction) -> str:
         return str(dec.quantize(Decimal("1.000000000000")))
 
 
-def _config_line(cfg: dict) -> str:
-    return "# config: " + json.dumps(cfg, sort_keys=True)
+def _cell(value) -> str:
+    # booleans and None by type, not by value: 1 == True and 0 == False
+    text = str(value)
+    return text.lower() if value is None or isinstance(value, bool) else text
+
+
+def _table(header: str, rows: list[dict], keys=None) -> list[str]:
+    """CSV lines: the header, then one line per row; an absent key is an empty cell."""
+    keys = keys or header.split(",")
+    return [header] + [",".join(_cell(row.get(k, "")) for k in keys) for row in rows]
 
 
 def _emit(args, lines: list[str], payload: dict) -> None:
+    config = {
+        key: value
+        for key, value in vars(args).items()
+        if key not in ("func", "out") and value is not None
+    }
     if args.format == "json":
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        text = json.dumps({"config": config, **payload}, indent=2, sort_keys=True) + "\n"
     else:
-        text = "\n".join(lines) + "\n"
+        text = "\n".join(["# config: " + json.dumps(config, sort_keys=True), *lines]) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
@@ -252,14 +270,8 @@ def _ideal_cell(ideal: MonomialIdeal) -> str:
 
 def _cmd_epsilon(args) -> int:
     ideal = _load_ideal(args.ideal)
-    eps_lines, rows = _epsilon_rows(ideal, args.nmax)
-    cfg = {
-        "command": "epsilon",
-        "format": args.format,
-        "ideal": args.ideal,
-        "nmax": args.nmax,
-    }
-    _emit(args, [_config_line(cfg), *eps_lines], {"config": cfg, "rows": rows})
+    lines, rows = _epsilon_rows(ideal, args.nmax)
+    _emit(args, lines, {"rows": rows})
     return 0
 
 
@@ -267,72 +279,34 @@ def _cmd_amao(args) -> int:
     inner = _load_ideal(args.inner)
     outer = _load_ideal(args.outer)
     res = amao(inner, outer, k_max=args.kmax, window=args.window)
-    cfg = {
-        "command": "amao",
-        "format": args.format,
-        "inner": args.inner,
-        "kmax": args.kmax,
-        "outer": args.outer,
-        "window": args.window,
-    }
-    lines = [
-        _config_line(cfg),
-        "value,stabilized_at,window",
-        f"{res.value},{res.stabilized_at},{res.window}",
-    ]
-    payload = {
-        "config": cfg,
-        "value": res.value,
-        "stabilized_at": res.stabilized_at,
-        "window": res.window,
-    }
-    _emit(args, lines, payload)
+    payload = {"value": res.value, "stabilized_at": res.stabilized_at, "window": res.window}
+    _emit(args, _table("value,stabilized_at,window", [payload]), payload)
     return 0
 
 
 def _epsilon_rows(ideal: MonomialIdeal, nmax: int):
     est = epsilon_sequence(ideal, nmax)
-    lines = ["n,length,e_n(num),e_n(den)"]
-    rows = []
-    for n, (length, value) in enumerate(zip(est.lengths, est.sequence), start=1):
-        lines.append(f"{n},{length},{value.numerator},{value.denominator}")
-        rows.append(
-            {
-                "n": n,
-                "length": length,
-                "num": value.numerator,
-                "den": value.denominator,
-                "decimal": _decimal12(value),
-            }
-        )
-    return lines, rows
+    rows = [
+        {
+            "n": n,
+            "length": length,
+            "num": value.numerator,
+            "den": value.denominator,
+            "decimal": _decimal12(value),
+        }
+        for n, (length, value) in enumerate(zip(est.lengths, est.sequence), start=1)
+    ]
+    return _table("n,length,e_n(num),e_n(den)", rows, ("n", "length", "num", "den")), rows
 
 
 def _cmd_theorem_a(args) -> int:
     ideal = _load_ideal(args.ideal)
     table = theorem_a_table(ideal, m_max=args.mmax, k_max=args.kmax, window=args.window)
-    cfg = {
-        "command": "theorem-a",
-        "format": args.format,
-        "ideal": args.ideal,
-        "kmax": args.kmax,
-        "mmax": args.mmax,
-        "nmax": args.nmax,
-        "window": args.window,
-    }
-    lines = [_config_line(cfg), "m,a_m,ratio_num,ratio_den,stabilized_at"]
     rows = []
-    inconclusive = False
     for row in table:
         if row.status == "inconclusive":
-            inconclusive = True
-            lines.append(f"{row.m},inconclusive,,,")
             rows.append({"m": row.m, "status": "inconclusive"})
         else:
-            lines.append(
-                f"{row.m},{row.a_value},{row.ratio.numerator},"
-                f"{row.ratio.denominator},{row.stabilized_at}"
-            )
             rows.append(
                 {
                     "m": row.m,
@@ -345,29 +319,24 @@ def _cmd_theorem_a(args) -> int:
                 }
             )
     eps_lines, eps_rows = _epsilon_rows(ideal, args.nmax)
-    lines.append("# epsilon sequence")
-    lines.extend(eps_lines)
-    payload = {"config": cfg, "table": rows, "epsilon": eps_rows}
-    _emit(args, lines, payload)
-    return 2 if inconclusive else 0
+    # an inconclusive row shows its status in the a_m column
+    lines = _table(
+        "m,a_m,ratio_num,ratio_den,stabilized_at",
+        [{"a_m": row["status"], **row} for row in rows],
+    )
+    lines += ["# epsilon sequence", *eps_lines]
+    _emit(args, lines, {"table": rows, "epsilon": eps_rows})
+    return 2 if any(row["status"] == "inconclusive" for row in rows) else 0
 
 
-def _volume_sweep_lines(sg: Semigroup, levels, exact: Fraction | None):
-    header = "n,count,estimate_num,estimate_den,exact_num,exact_den"
-    ex_num = exact.numerator if exact is not None else ""
-    ex_den = exact.denominator if exact is not None else ""
-    lines = [header]
+def _volume_sweep(sg: Semigroup, levels, exact: Fraction | None):
     rows = []
-    d = sg.dim
     if levels:
         # a generated semigroup rasterizes every level up to the one asked
         sg.count(max(levels))
     for n in levels:
         count = sg.count(n)
-        estimate = Fraction(count, n**d)
-        lines.append(
-            f"{n},{count},{estimate.numerator},{estimate.denominator},{ex_num},{ex_den}"
-        )
+        estimate = Fraction(count, n**sg.dim)
         row = {
             "n": n,
             "count": count,
@@ -379,37 +348,30 @@ def _volume_sweep_lines(sg: Semigroup, levels, exact: Fraction | None):
             row["exact_num"] = exact.numerator
             row["exact_den"] = exact.denominator
         rows.append(row)
-    return lines, rows
+    header = "n,count,estimate_num,estimate_den,exact_num,exact_den"
+    return _table(header, rows), rows
 
 
 def _cmd_okounkov_volume(args) -> int:
     ideal = _load_ideal(args.ideal)
-    cfg = {
-        "command": "okounkov-volume",
-        "format": args.format,
-        "beta": args.beta,
-        "ideal": args.ideal,
-        "nmax": args.nmax,
-    }
     sat_sg = gamma_beta(GradedFamilySpec.saturated_powers(ideal), args.beta)
     pow_sg = gamma_beta(GradedFamilySpec.powers(ideal), args.beta)
-    lines = [_config_line(cfg), "# family: saturated_powers"]
     levels = range(1, args.nmax + 1)
-    sat_lines, sat_rows = _volume_sweep_lines(sat_sg, levels, None)
-    lines.extend(sat_lines)
-    lines.append("# family: powers")
-    pow_lines, pow_rows = _volume_sweep_lines(pow_sg, levels, None)
-    lines.extend(pow_lines)
+    sat_lines, sat_rows = _volume_sweep(sat_sg, levels, None)
+    pow_lines, pow_rows = _volume_sweep(pow_sg, levels, None)
     # epsilon_via_volumes at the probe level nmax, from the counts swept
     _require_volume_probe(ideal, args.nmax)
     count_sat, count_pow = sat_sg.count(args.nmax), pow_sg.count(args.nmax)
     value = Fraction(math.factorial(ideal.dim) * (count_sat - count_pow), args.nmax**ideal.dim)
-    lines.append(
+    lines = [
+        "# family: saturated_powers",
+        *sat_lines,
+        "# family: powers",
+        *pow_lines,
         "# epsilon_via_volumes: num=%d, den=%d, decimal=%s"
-        % (value.numerator, value.denominator, _decimal12(value))
-    )
+        % (value.numerator, value.denominator, _decimal12(value)),
+    ]
     payload = {
-        "config": cfg,
         "saturated_powers": sat_rows,
         "powers": pow_rows,
         "epsilon_via_volumes": {
@@ -425,7 +387,7 @@ def _cmd_okounkov_volume(args) -> int:
 
 
 def _cmd_semigroup(args) -> int:
-    data = _parse_json(_load_text(args.ideal))
+    data = _parse_json(_load_text(args.input))
     try:
         sg = semigroup_from_json_dict(data)
     except (ValueError, TypeError) as exc:
@@ -433,29 +395,18 @@ def _cmd_semigroup(args) -> int:
     _check_dim(sg.dim)
     if args.nmax < 1:
         raise ValueError("nmax must be positive")
-    cfg = {
-        "command": "semigroup",
-        "format": args.format,
-        "input": args.ideal,
-        "nmax": args.nmax,
-    }
-    if args.beta is not None:
-        cfg["beta"] = args.beta
     exact = _exact_volume(sg)
     if sg.is_generated:
         sweep = range(1, args.nmax + 1)
     else:
         sweep = [i for i in sg.materialized_levels() if 1 <= i <= args.nmax]
-    lines = [_config_line(cfg)]
-    payload: dict = {"config": cfg}
+    lines = []
+    payload: dict = {}
     if args.beta is not None:
         cones = check_cone_conditions(sg, args.beta)
-        lines.append(
-            f"# cone2={'true' if cones['cone2'] else 'false'},"
-            f"cone3={'true' if cones['cone3'] else 'false'}"
-        )
+        lines.append(f"# cone2={_cell(cones['cone2'])},cone3={_cell(cones['cone3'])}")
         payload["cone_conditions"] = cones
-    sweep_lines, payload["rows"] = _volume_sweep_lines(sg, sweep, exact)
+    sweep_lines, payload["rows"] = _volume_sweep(sg, sweep, exact)
     lines.extend(sweep_lines)
     if exact is not None:
         payload["exact"] = {
@@ -468,15 +419,6 @@ def _cmd_semigroup(args) -> int:
 
 
 def _cmd_lemmas(args) -> int:
-    cfg = {
-        "command": "lemmas",
-        "format": args.format,
-        "kmax": args.kmax,
-        "nmax": args.nmax,
-        "seed": args.seed,
-    }
-    if args.ideal is not None:
-        cfg["ideal"] = args.ideal
     entries: list[tuple[str, MonomialIdeal]] = []
     if args.ideal is not None:
         entries.append(("input", _load_ideal(args.ideal)))
@@ -488,50 +430,37 @@ def _cmd_lemmas(args) -> int:
         entries.append((f"corpus[{pos}]", ideal))
     if not entries:
         raise ValueError("nmax (the corpus size) must be positive without an input ideal")
-    lines = [_config_line(cfg), "label,ideal,lemma3_ok,lemma4_grid_c"]
     rows = []
-    failures = 0
-    grid_cs: list[int] = []
-    fixed_c: int | None = None
     for label, ideal in entries:
         containment = check_sat_power_containment(ideal, args.kmax)
-        search = swanson_c_search(ideal)
-        c_cell = "none" if search.c is None else str(search.c)
-        if search.c is not None:
-            grid_cs.append(search.c)
-            if label == "input":
-                fixed_c = search.c
-        if not containment.ok:
-            failures += 1
-        lines.append(
-            f"{label},{_ideal_cell(ideal)},"
-            f"{'true' if containment.ok else 'false'},{c_cell}"
-        )
         rows.append(
             {
                 "label": label,
-                "dim": ideal.dim,
-                "generators": [list(g) for g in ideal.generators],
+                **to_json_dict(ideal),
                 "lemma3_ok": containment.ok,
                 "lemma3_first_failure": containment.first_failure,
-                "lemma4_grid_c": search.c,
+                "lemma4_grid_c": swanson_c_search(ideal).c,
             }
         )
-    total = len(entries)
-    lines.append(f"# lemma3: {total - failures}/{total} pass")
-    if fixed_c is not None:
-        lines.append(f"# lemma4 grid-c = {fixed_c}")
+    lines = _table(
+        "label,ideal,lemma3_ok,lemma4_grid_c",
+        [{**row, "ideal": _ideal_cell(ideal)} for row, (_, ideal) in zip(rows, entries)],
+    )
+    passes = sum(row["lemma3_ok"] for row in rows)
+    grid_cs = [row["lemma4_grid_c"] for row in rows if row["lemma4_grid_c"] is not None]
+    lines.append(f"# lemma3: {passes}/{len(rows)} pass")
+    if args.ideal is not None and rows[0]["lemma4_grid_c"] is not None:
+        lines.append(f"# lemma4 grid-c = {rows[0]['lemma4_grid_c']}")
     if grid_cs:
         lines.append(f"# lemma4: max grid-c = {max(grid_cs)}")
     payload = {
-        "config": cfg,
         "rows": rows,
-        "lemma3_passes": total - failures,
-        "lemma3_total": total,
+        "lemma3_passes": passes,
+        "lemma3_total": len(rows),
         "lemma4_max_grid_c": max(grid_cs) if grid_cs else None,
     }
     _emit(args, lines, payload)
-    return 3 if failures else 0
+    return 3 if passes < len(rows) else 0
 
 
 # -- argument plumbing -------------------------------------------------------
@@ -591,7 +520,15 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_okounkov_volume)
 
     p = sub.add_parser("semigroup", help="level counts and volume of a semigroup")
-    p.add_argument("-i", "--ideal", required=True, help="semigroup JSON (file or literal)")
+    # the report records the semigroup as "input"; usage still reads -i IDEAL
+    p.add_argument(
+        "-i",
+        "--ideal",
+        dest="input",
+        metavar="IDEAL",
+        required=True,
+        help="semigroup JSON (file or literal)",
+    )
     p.add_argument("--nmax", type=int, default=20)
     p.add_argument("--beta", type=int, default=None, help="also report cone conditions")
     common(p)
@@ -626,10 +563,7 @@ def main(argv=None) -> int:
     except InconclusiveError as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return 2
-    except EpsmultError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (ValueError, OSError) as exc:
+    except (EpsmultError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

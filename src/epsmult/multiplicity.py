@@ -42,10 +42,6 @@ class EpsilonEstimate:
 
     sequence: tuple[Fraction, ...]
     lengths: tuple[int, ...]
-    n_max: int
-
-    def last(self) -> Fraction:
-        return self.sequence[-1]
 
 
 @dataclass(frozen=True)
@@ -68,10 +64,7 @@ class SwansonResult:
     """Least truncation constant passing on a finite (m, k) grid."""
 
     c: int | None  # None when nothing passes up to c_max
-    c_max: int
-    mk_bound: int
     per_pair: tuple[tuple[int, int, int], ...]  # (m, k, least c for that pair)
-    note: str = "verified on grid only"
 
 
 def leading_difference(seq: list[int], d: int, window: int = 3) -> AmaoResult:
@@ -146,7 +139,7 @@ def epsilon_sequence(ideal: MonomialIdeal, n_max: int) -> EpsilonEstimate:
         ln = colength(p, p.saturate())
         lengths.append(ln)
         values.append(Fraction(fact * ln, n**d))
-    return EpsilonEstimate(tuple(values), tuple(lengths), n_max)
+    return EpsilonEstimate(tuple(values), tuple(lengths))
 
 
 def theorem_a_table(
@@ -223,9 +216,4 @@ def swanson_c_search(
             c_pair = 1 if deepest is None else deepest // (m * k) + 1
             per_pair.append((m, k, c_pair))
             worst = max(worst, c_pair)
-    return SwansonResult(
-        c=worst if worst <= c_max else None,
-        c_max=c_max,
-        mk_bound=mk_bound,
-        per_pair=tuple(per_pair),
-    )
+    return SwansonResult(worst if worst <= c_max else None, tuple(per_pair))

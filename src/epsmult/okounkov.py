@@ -161,8 +161,6 @@ class EpsilonViaVolumes:
     value: Fraction
     count_saturated: int
     count_powers: int
-    beta: int
-    n_probe: int
 
 
 def epsilon_via_volumes(
@@ -182,7 +180,7 @@ def epsilon_via_volumes(
     count_pow = gamma_beta(GradedFamilySpec.powers(ideal), beta).count(n_probe)
     d = ideal.dim
     value = Fraction(math.factorial(d) * (count_sat - count_pow), n_probe**d)
-    return EpsilonViaVolumes(value, count_sat, count_pow, beta, n_probe)
+    return EpsilonViaVolumes(value, count_sat, count_pow)
 
 
 def _require_volume_probe(ideal: MonomialIdeal, n_probe: int) -> None:

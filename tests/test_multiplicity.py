@@ -107,7 +107,7 @@ class TestEpsilonSequence:
         est = epsilon_sequence(X2_XY, 8)
         assert est.lengths == tuple(n * (n + 1) // 2 for n in range(1, 9))
         assert est.sequence == tuple(Fraction(n + 1, n) for n in range(1, 9))
-        assert est.last() == Fraction(9, 8)
+        assert est.sequence[-1] == Fraction(9, 8)
 
     def test_saturated_prime_is_identically_zero(self):
         est = epsilon_sequence(PRIME_3D, 6)
@@ -213,7 +213,6 @@ class TestSwanson:
     def test_grid_search_golden(self):
         res = swanson_c_search(X2_XY, c_max=8, mk_bound=12)
         assert res.c == 2
-        assert res.note == "verified on grid only"
         assert dict(((m, k), c) for m, k, c in res.per_pair)[(1, 1)] == 2
 
     def test_grid_pairs_cover_the_bound(self):

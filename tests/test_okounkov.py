@@ -340,8 +340,6 @@ class TestEpsilonViaVolumes:
         res = epsilon_via_volumes(X2_XY, beta=2, n_probe=10)
         assert res.count_saturated == 66
         assert res.count_powers == 11
-        assert res.beta == 2
-        assert res.n_probe == 10
 
     def test_matches_the_length_based_sequence(self):
         # beta=2 already captures the whole staircase difference here, so the

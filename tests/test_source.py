@@ -79,3 +79,31 @@ def test_memos_live_in_the_ideals_module():
     assert not found, f"object.__setattr__ outside ideals.py at {found}"
     ideals = next(path for path in SOURCES if path.name == "ideals.py")
     assert list(_memo_writes(ast.parse(ideals.read_text(encoding="utf-8"))))
+
+
+def _console_writes(tree):
+    """Lines of every print call and every reach for sys.stdout or sys.stderr."""
+    streams = ("stdout", "stderr")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            if node.func.id == "print":
+                yield node.lineno
+        elif isinstance(node, ast.Attribute) and node.attr in streams:
+            if isinstance(node.value, ast.Name) and node.value.id == "sys":
+                yield node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module == "sys":
+            if any(alias.name in streams for alias in node.names):
+                yield node.lineno
+
+
+def test_only_the_cli_writes_to_the_console():
+    # stdout carries the report alone: library modules return values or raise
+    found = [
+        f"{path.name}:{line}"
+        for path in SOURCES
+        if path.name != "cli.py"
+        for line in _console_writes(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert not found, f"console writes outside cli.py at {found}"
+    cli = next(path for path in SOURCES if path.name == "cli.py")
+    assert list(_console_writes(ast.parse(cli.read_text(encoding="utf-8"))))
