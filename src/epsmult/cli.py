@@ -39,7 +39,7 @@ from .errors import (
     InconclusiveError,
 )
 from .families import GradedFamilySpec
-from .ideals import MonomialIdeal, from_json_dict, to_json_dict
+from .ideals import MonomialIdeal, _exact_int, from_json_dict, to_json_dict
 from .multiplicity import (
     amao,
     check_sat_power_containment,
@@ -393,8 +393,7 @@ def _cmd_semigroup(args) -> int:
     except (ValueError, TypeError) as exc:
         raise IdealSyntaxError(str(exc), 1, 1) from exc
     _check_dim(sg.dim)
-    if args.nmax < 1:
-        raise ValueError("nmax must be positive")
+    _exact_int(args.nmax, "nmax", 1)
     exact = _exact_volume(sg)
     if sg.is_generated:
         sweep = range(1, args.nmax + 1)
@@ -422,14 +421,11 @@ def _cmd_lemmas(args) -> int:
     entries: list[tuple[str, MonomialIdeal]] = []
     if args.ideal is not None:
         entries.append(("input", _load_ideal(args.ideal)))
-    if args.nmax < 0:
-        raise ValueError("nmax (the corpus size) must be nonnegative")
-    if args.kmax < 1:
-        raise ValueError("kmax must be positive")
+    # without an input ideal, the corpus is all there is to check
+    _exact_int(args.nmax, "nmax (the corpus size)", 0 if entries else 1)
+    _exact_int(args.kmax, "kmax", 1)
     for pos, ideal in enumerate(corpus(args.seed, args.nmax)):
         entries.append((f"corpus[{pos}]", ideal))
-    if not entries:
-        raise ValueError("nmax (the corpus size) must be positive without an input ideal")
     rows = []
     for label, ideal in entries:
         containment = check_sat_power_containment(ideal, args.kmax)
@@ -570,3 +566,7 @@ def main(argv=None) -> int:
 
 def entrypoint() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

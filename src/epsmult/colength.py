@@ -105,7 +105,7 @@ def length_sequence(
     Errors from a single index are re-raised with that index attached.
     """
     out: list[int] = []
-    for n in range(1, _exact_int(n_max, "n_max") + 1):
+    for n in range(1, _exact_int(n_max, "n_max", 0) + 1):
         try:
             out.append(colength(family_inner(n), family_outer(n)))
         except EpsmultError as exc:

@@ -36,18 +36,15 @@ class SizeLimitError(EpsmultError):
 
 
 class InconclusiveError(EpsmultError):
-    """A finite-difference tail did not stabilize within the window.
+    """A finite-difference tail, or a beta-doubling sweep, did not stabilize.
 
-    ``tail`` holds the last values that were compared, oldest first (the
-    d-th differences, for a length sequence), so a report can say how far
-    from stable the run was.
+    ``tail`` holds the last d-th differences a length sequence compared,
+    oldest first, so a report can say how far from stable the run was; it
+    is empty for a beta sweep, whose message names the last beta it tried.
     """
 
-    def __init__(
-        self, message: str, k_max: int | None = None, tail: tuple[int, ...] = ()
-    ):
+    def __init__(self, message: str, tail: tuple[int, ...] = ()):
         super().__init__(message)
-        self.k_max = k_max
         self.tail = tuple(tail)
 
 

@@ -49,7 +49,7 @@ class GradedFamilySpec:
     # -- evaluation --------------------------------------------------------
 
     def __call__(self, n: int) -> MonomialIdeal:
-        n = _exact_int(n, "a family index")
+        n = _exact_int(n, "a family index", 0)
         got = self._cache.get(n)
         if got is None:
             got = self.base.power(n)

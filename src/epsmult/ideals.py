@@ -56,21 +56,27 @@ _BLOCK = 512
 DEGREE_LIMIT = 1 << 61
 
 
-def _exact_int(value, what: str) -> int:
-    """value as a Python int; only int and numpy integers pass, never bool."""
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return int(value)
-    raise TypeError(f"{what} must be an integer, got {value!r}")
+def _exact_int(value, what: str, low: int | None = None) -> int:
+    """value as a Python int, at least low if given: the package's one integer check.
+
+    Every count, bound, index, window, slope, dimension and exponent that
+    enters the library passes here once.  Only int and numpy integers pass,
+    never bool: anything else raises TypeError, and a value below low
+    raises ValueError.  Both messages name the argument as `what`.
+    """
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise ValueError(f"{what} must be at least {low}, got {value}")
+    return int(value)
 
 
 def _as_vector(vec: Iterable[int], dim: int) -> Exponent:
-    v = tuple(_exact_int(c, "an exponent") for c in vec)
+    v = tuple(_exact_int(c, "an exponent", 0) for c in vec)
     if len(v) != dim:
         raise DimensionMismatchError(
             f"exponent vector {v} has length {len(v)}, expected {dim}"
         )
-    if any(c < 0 for c in v):
-        raise ValueError(f"exponent vector {v} has a negative entry")
     return v
 
 
@@ -301,9 +307,7 @@ class MonomialIdeal:
     generators: tuple[Exponent, ...]
 
     def __init__(self, dim: int, generators: Iterable[Iterable[int]] = ()):
-        dim = _exact_int(dim, "dim")
-        if dim < 1:
-            raise ValueError("dim must be a positive integer")
+        dim = _exact_int(dim, "dim", 1)
         gens = minimal_vectors(_as_vector(g, dim) for g in generators)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "generators", gens)
@@ -415,9 +419,7 @@ class MonomialIdeal:
         I^(k+1) = I^k * I, so each link is one product.  The chain leaves
         out I itself, so that no ideal is reachable from itself.
         """
-        n = _exact_int(n, "a power")
-        if n < 0:
-            raise ValueError("power wants a nonnegative exponent")
+        n = _exact_int(n, "a power", 0)
         if n < 2:
             return self if n else unit_ideal(self.dim)
         chain = getattr(self, "_powers", None)
@@ -480,9 +482,9 @@ class MonomialIdeal:
         return sat
 
     def is_subideal_of(self, other: "MonomialIdeal") -> bool:
-        """Containment I <= J, decided on the generators of I."""
+        """Containment I <= J: each generator of I is a multiple of one of J."""
         self._check_same_dim(other)
-        return all(other.contains(g) for g in self.generators)
+        return all(any(_dominates(g, e) for g in other.generators) for e in self.generators)
 
     # -- operator sugar --------------------------------------------------
 

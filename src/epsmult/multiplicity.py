@@ -74,10 +74,7 @@ def leading_difference(seq: list[int], d: int, window: int = 3) -> AmaoResult:
     this is d! times the leading coefficient.  Raises InconclusiveError
     unless the final `window` differences agree exactly.
     """
-    if d < 1:
-        raise ValueError("difference order must be positive")
-    if window < 1:
-        raise ValueError("stabilization window must be positive")
+    d, window = _exact_int(d, "d", 1), _exact_int(window, "window", 1)
     if len(seq) < d + window:
         raise InsufficientDataError(
             f"need at least {d + window} terms to take {d} differences "
@@ -97,7 +94,6 @@ def leading_difference(seq: list[int], d: int, window: int = 3) -> AmaoResult:
             f"d-th differences did not stabilize: last {observed} equal, "
             f"window of {window} required; last {len(tail)} d-th differences: "
             + ", ".join(map(str, tail)),
-            k_max=len(seq),
             tail=tail,
         )
     return AmaoResult(value=value, stabilized_at=start + 1, window=observed)
@@ -114,6 +110,7 @@ def amao(
     Requires inner inside outer with finite colength; the result is a
     nonnegative integer once the d-th differences stabilize.
     """
+    k_max, window = _exact_int(k_max, "k_max", 1), _exact_int(window, "window", 1)
     inner._check_same_dim(outer)
     if not inner.is_subideal_of(outer):
         raise EpsmultError("inner not contained in outer")
@@ -127,8 +124,7 @@ def epsilon_sequence(ideal: MonomialIdeal, n_max: int) -> EpsilonEstimate:
     """e_n = d! * length(saturation(I^n)/I^n) / n^d for n = 1..n_max."""
     if ideal.is_zero or ideal.is_unit:
         raise ZeroIdealError("epsilon sequence needs an ideal that is neither zero nor the ring")
-    if n_max < 1:
-        raise ValueError("n_max must be positive")
+    n_max = _exact_int(n_max, "n_max", 1)
     d = ideal.dim
     fact = math.factorial(d)
     powers = GradedFamilySpec.powers(ideal)
@@ -156,8 +152,7 @@ def theorem_a_table(
     """
     if ideal.is_zero or ideal.is_unit:
         raise ZeroIdealError("the convergence table needs an ideal that is neither zero nor the ring")
-    if m_max < 1:
-        raise ValueError("m_max must be positive")
+    m_max = _exact_int(m_max, "m_max", 1)
     d = ideal.dim
     powers = GradedFamilySpec.powers(ideal)
     rows: list[TheoremARow] = []
@@ -178,9 +173,7 @@ def theorem_a_table(
 
 def check_sat_power_containment(ideal: MonomialIdeal, i_max: int) -> ContainmentCheck:
     """Verify saturate(I)^i lies inside saturate(I^i) for i = 1..i_max."""
-    i_max = _exact_int(i_max, "i_max")
-    if i_max < 1:
-        raise ValueError("i_max must be positive")
+    i_max = _exact_int(i_max, "i_max", 1)
     sat_powers = GradedFamilySpec.powers(ideal.saturate())
     saturated = GradedFamilySpec.saturated_powers(ideal)
     for i in range(1, i_max + 1):
@@ -204,6 +197,7 @@ def swanson_c_search(
     """
     if ideal.is_zero or ideal.is_unit:
         raise ZeroIdealError("the truncation search needs an ideal that is neither zero nor the ring")
+    c_max, mk_bound = _exact_int(c_max, "c_max", 1), _exact_int(mk_bound, "mk_bound", 1)
     powers = GradedFamilySpec.powers(ideal)
     per_pair: list[tuple[int, int, int]] = []
     worst = 1

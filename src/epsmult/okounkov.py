@@ -58,8 +58,7 @@ def gamma_beta(fam: GradedFamilySpec, beta: int) -> Semigroup:
     semigroup materializes no level and counts level i, on demand, on the
     height grid of fam(i).
     """
-    if beta < 1:
-        raise ValueError("beta must be a positive integer")
+    beta = _exact_int(beta, "beta", 1)
     if fam(1).is_zero:
         raise ZeroIdealError("the family is zero at level 1")
     return Semigroup(
@@ -110,13 +109,14 @@ def hull_volume(points, dim: int) -> Fraction | None:
     cones from it over their horizon ridges, those only one of them holds.
     Coning the facets from one point sums dim! times the volume in integers.
     """
+    dim = _exact_int(dim, "dim", 1)
     pts = [tuple(p) for p in points]
     if not pts:
         return Fraction(0)
     if any(len(p) != dim for p in pts):
         raise DimensionMismatchError("hull points disagree with the stated dimension")
     pts = sorted({tuple(_exact_int(c, "a hull coordinate") for c in p) for p in pts})
-    if not 1 <= dim <= 4:
+    if dim > 4:
         return None
     # farthest from the centroid first, so that most later points fall inside
     n, sums = len(pts), [sum(c) for c in zip(*pts)]
@@ -175,7 +175,7 @@ def epsilon_via_volumes(
     by n_probe^d / d!.  Beta must already be in the stable regime for the
     number to mean anything; beta_stability probes for that.
     """
-    _require_volume_probe(ideal, n_probe)
+    n_probe = _require_volume_probe(ideal, n_probe)
     count_sat = gamma_beta(GradedFamilySpec.saturated_powers(ideal), beta).count(n_probe)
     count_pow = gamma_beta(GradedFamilySpec.powers(ideal), beta).count(n_probe)
     d = ideal.dim
@@ -183,13 +183,12 @@ def epsilon_via_volumes(
     return EpsilonViaVolumes(value, count_sat, count_pow)
 
 
-def _require_volume_probe(ideal: MonomialIdeal, n_probe: int) -> None:
+def _require_volume_probe(ideal: MonomialIdeal, n_probe: int) -> int:
     if ideal.is_zero or ideal.is_unit:
         raise ZeroIdealError(
             "the volume comparison needs an ideal that is neither zero nor the ring"
         )
-    if n_probe < 1:
-        raise ValueError("n_probe must be positive")
+    return _exact_int(n_probe, "n_probe", 1)
 
 
 @dataclass(frozen=True)
@@ -215,13 +214,12 @@ def beta_stability(
     settle.  Agreement is evidence the truncation stopped biting, not a
     proof that beta dominates the theoretical threshold.
     """
-    if beta0 < 1:
-        raise ValueError("beta0 must be positive")
+    beta = _exact_int(beta0, "beta0", 1)
+    max_doublings = _exact_int(max_doublings, "max_doublings", 0)
     tol = Fraction(tolerance)
     if tol < 0:
         raise ValueError("tolerance must be nonnegative")
     # every beta reads the one chain of powers memoized on the ideal
-    beta = beta0
     prev = epsilon_via_volumes(ideal, beta, n_probe).value
     history = [(beta, prev)]
     for _ in range(max_doublings):
@@ -232,6 +230,6 @@ def beta_stability(
             return BetaStability(tuple(history), beta, cur)
         prev = cur
     raise InconclusiveError(
-        f"volume difference did not stabilize within {max_doublings} doublings of beta",
-        k_max=beta,
+        f"volume difference did not stabilize within {max_doublings} doublings of beta, "
+        f"up to beta = {beta}"
     )

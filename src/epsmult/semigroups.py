@@ -30,11 +30,9 @@ _KEY_LIMIT = 1 << 63
 
 
 def _as_point(p, length: int, what: str) -> tuple[int, ...]:
-    t = tuple(_exact_int(x, f"a {what} coordinate") for x in p)
+    t = tuple(_exact_int(x, f"a {what} coordinate", 0) for x in p)
     if len(t) != length:
         raise ValueError(f"{what} must have {length} coordinates, got {len(t)}")
-    if any(x < 0 for x in t):
-        raise ValueError(f"{what} coordinates must be nonnegative")
     return t
 
 
@@ -53,9 +51,7 @@ class Semigroup:
         levels: Mapping[int, Iterable[Iterable[int]]] | None = None,
         count_rule: Callable[[int], int] | None = None,
     ):
-        dim = _exact_int(dim, "dim")
-        if dim < 1:
-            raise ValueError("dimension must be positive")
+        dim = _exact_int(dim, "dim", 1)
         # with two sources, each query would read whichever it checks first
         given = (generators is not None) + bool(levels) + (count_rule is not None)
         if given != 1:
@@ -76,9 +72,7 @@ class Semigroup:
             self.generators = tuple(pts)
         if levels:
             for i, pts in levels.items():
-                i = _exact_int(i, "a level index")
-                if i < 0:
-                    raise ValueError("levels must be indexed by nonnegative integers")
+                i = _exact_int(i, "a level index", 0)
                 frozen = frozenset(_as_point(p, dim, f"level-{i} point") for p in pts)
                 if i == 0 and frozen != {(0,) * dim}:
                     raise ValueError("level 0 must be exactly the origin")
@@ -117,9 +111,7 @@ class Semigroup:
         ]
 
     def count(self, n: int) -> int:
-        n = _exact_int(n, "a level")
-        if n < 0:
-            raise ValueError("level must be nonnegative")
+        n = _exact_int(n, "a level", 0)
         if n == 0:
             return 1
         got = self._counts.get(n)
@@ -139,9 +131,7 @@ class Semigroup:
         return value
 
     def level(self, n: int) -> frozenset[tuple[int, ...]]:
-        n = _exact_int(n, "a level")
-        if n < 0:
-            raise ValueError("level must be nonnegative")
+        n = _exact_int(n, "a level", 0)
         if n == 0:
             return frozenset({(0,) * self.dim})
         got = self._levels.get(n)
@@ -223,10 +213,7 @@ def k_fold_sum_count(sg: Semigroup, p: int, k: int) -> int:
     radices passes 2^63 the points stay int64 rows instead.  Raises
     SizeLimitError when a coordinate of a k-fold sum passes the int64 range.
     """
-    if p < 1:
-        raise ValueError("p must be positive")
-    if k < 1:
-        raise ValueError("k must be positive")
+    p, k = _exact_int(p, "p", 1), _exact_int(k, "k", 1)
     base = sg.level(p)
     if k == 1 or not base:
         return len(base)
@@ -285,8 +272,7 @@ def check_cone_conditions(sg: Semigroup, beta: int) -> dict[str, bool]:
     Euclid elimination on their rows.  It is an error to ask with no
     points at all.
     """
-    if beta < 1:
-        raise ValueError("beta must be positive")
+    beta = _exact_int(beta, "beta", 1)
     points = sg.known_points()
     if not points:
         raise InsufficientDataError(
@@ -315,9 +301,8 @@ def semigroup_to_json_dict(sg: Semigroup) -> dict:
 def semigroup_from_json_dict(data: dict) -> Semigroup:
     if not isinstance(data, dict) or "dim" not in data:
         raise ValueError("semigroup JSON needs a 'dim' key")
-    dim = _exact_int(data["dim"], "dim")
     if "generators" in data:
-        return Semigroup.generated(dim, data["generators"])
+        return Semigroup.generated(data["dim"], data["generators"])
     if "levels" in data:
         levels = {}
         for key, points in dict(data["levels"]).items():
@@ -327,5 +312,5 @@ def semigroup_from_json_dict(data: dict) -> Semigroup:
             if int(key) in levels:
                 raise ValueError(f"level {int(key)} is given twice")
             levels[int(key)] = points
-        return Semigroup.from_levels(dim, levels)
+        return Semigroup.from_levels(data["dim"], levels)
     raise ValueError("semigroup JSON needs 'generators' or 'levels'")

@@ -239,7 +239,7 @@ class TestExitCodes:
 
     def test_inconclusive_amao_is_2(self, capsys, monkeypatch):
         def never_settles(*a, **k):
-            raise InconclusiveError("differences kept drifting", k_max=12)
+            raise InconclusiveError("differences kept drifting", tail=(11, 12, 12))
 
         monkeypatch.setattr(cli, "amao", never_settles)
         assert main(["amao", "--inner", X2_XY, "--outer", OUTER_X]) == 2
@@ -318,8 +318,8 @@ class TestReports:
         assert "3,6,4,3" in out.split("# epsilon sequence")[1]
 
 
-def _run_checkout(script: str, *argv: str) -> subprocess.CompletedProcess:
-    """Run ``python -c script argv...`` against this checkout's ``epsmult``.
+def _run_checkout(*args: str) -> subprocess.CompletedProcess:
+    """Run ``python args...`` (``-c script ..`` or ``-m module ..``) against this checkout.
 
     The absolute ``src`` of the imported package goes first on the child's
     ``PYTHONPATH``, so the child tests this checkout from any working directory.
@@ -328,7 +328,7 @@ def _run_checkout(script: str, *argv: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env
+        [sys.executable, *args], capture_output=True, text=True, env=env
     )
 
 
@@ -343,10 +343,10 @@ class TestRepeatedCalls:
         assert main([*first, "--out", str(tmp_path / "first.json")]) == 0
         assert main(second) == 0
         streamed = capsys.readouterr().out
-        fresh = _run_checkout(script, *first, "--out", str(tmp_path / "fresh.json"))
+        fresh = _run_checkout("-c", script, *first, "--out", str(tmp_path / "fresh.json"))
         assert fresh.returncode == 0, fresh.stderr
         assert (tmp_path / "first.json").read_text() == (tmp_path / "fresh.json").read_text()
-        fresh = _run_checkout(script, *second)
+        fresh = _run_checkout("-c", script, *second)
         assert fresh.returncode == 0, fresh.stderr
         assert streamed == fresh.stdout
 
@@ -462,18 +462,30 @@ class TestProcessLevel:
             "import sys; from epsmult.cli import entrypoint; "
             "sys.argv[0] = 'epsmult'; sys.exit(entrypoint())"
         )
-        proc = _run_checkout(script, "epsilon", "-i", "x^2", "--nmax", "2")
+        proc = _run_checkout("-c", script, "epsilon", "-i", "x^2", "--nmax", "2")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[1] == "n,length,e_n(num),e_n(den)"
-        assert _run_checkout(script, "epsilon", "-i", "x^2 + y").returncode == 4
+        assert _run_checkout("-c", script, "epsilon", "-i", "x^2 + y").returncode == 4
 
     def test_exit_code_crosses_the_process_boundary(self, tmp_path):
         script = "import sys; from epsmult.cli import main; sys.exit(main(sys.argv[1:]))"
-        ok = _run_checkout(script, "epsilon", "-i", "x^2", "--nmax", "2")
+        ok = _run_checkout("-c", script, "epsilon", "-i", "x^2", "--nmax", "2")
         assert ok.returncode == 0
         assert "1,2,2,1" in ok.stdout
-        bad = _run_checkout(script, "epsilon", "-i", "x^2 + y")
+        bad = _run_checkout("-c", script, "epsilon", "-i", "x^2 + y")
         assert bad.returncode == 4
+
+    @pytest.mark.parametrize("module", ["epsmult", "epsmult.cli"])
+    def test_python_dash_m_runs_the_cli(self, module, capsys):
+        # both used to exit 0 without running anything, or fail to start
+        argv = ["epsilon", "-i", X2_XY, "--nmax", "2"]
+        assert main(argv) == 0
+        proc = _run_checkout("-m", module, *argv)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == capsys.readouterr().out
+        bad = _run_checkout("-m", module, "epsilon", "-i", X2_XY, "--nmax", "0")
+        assert bad.returncode == 3
+        assert bad.stdout == "" and bad.stderr.startswith("error: n_max must be at least 1")
 
     @pytest.mark.skipif(shutil.which("epsmult") is None, reason="no epsmult script on PATH")
     def test_installed_script_runs(self):

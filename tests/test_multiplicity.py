@@ -55,11 +55,14 @@ class TestLeadingDifference:
         with pytest.raises(InsufficientDataError):
             leading_difference([1, 2, 3, 4], 2, window=3)
 
-    def test_inconclusive_carries_k_max(self):
-        seq = [2**n for n in range(8)]
+    def test_inconclusive_tail_reaches_the_last_term(self):
+        # the tail ends with the d-th difference of the last terms, so it
+        # records how far the sequence went; the second differences of n^3
+        # are 6n + 6
+        seq = [n**3 for n in range(10)]
         with pytest.raises(InconclusiveError) as info:
-            leading_difference(seq, 1)
-        assert info.value.k_max == 8
+            leading_difference(seq, 2, window=2)
+        assert info.value.tail == (42, 48)
 
     def test_inconclusive_carries_the_last_differences(self):
         seq = [2**n for n in range(8)]
@@ -151,7 +154,7 @@ class TestTheoremATable:
 
         def flaky(inner, outer, k_max=20, window=3):
             if inner == X2_XY.power(2):
-                raise InconclusiveError("synthetic", k_max=k_max)
+                raise InconclusiveError("synthetic")
             return real_amao(inner, outer, k_max=k_max, window=window)
 
         monkeypatch.setattr(mult_mod, "amao", flaky)

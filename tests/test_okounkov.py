@@ -422,11 +422,10 @@ class TestBetaStability:
         assert res.value == Fraction(5, 4)
 
     def test_runs_out_of_doublings(self):
-        with pytest.raises(InconclusiveError) as info:
+        with pytest.raises(InconclusiveError, match="within 1 doublings of beta, up to beta = 2"):
             beta_stability(
                 X2_XY, beta0=1, n_probe=4, tolerance=Fraction(0), max_doublings=1
             )
-        assert info.value.k_max == 2
 
     def test_loose_tolerance_accepts_the_first_jump(self):
         res = beta_stability(X2_XY, beta0=1, n_probe=4, tolerance=Fraction(2))
