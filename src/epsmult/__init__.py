@@ -59,7 +59,6 @@ from .semigroups import (
     check_cone_conditions,
     k_fold_sum_count,
     semigroup_from_json_dict,
-    semigroup_to_json_dict,
 )
 
 __version__ = "0.1.0"
@@ -103,7 +102,6 @@ __all__ = [
     "maximal_ideal",
     "random_ideal",
     "semigroup_from_json_dict",
-    "semigroup_to_json_dict",
     "swanson_c_search",
     "theorem_a_table",
     "to_json_dict",

@@ -301,6 +301,7 @@ def _epsilon_rows(ideal: MonomialIdeal, nmax: int):
 
 def _cmd_theorem_a(args) -> int:
     ideal = _load_ideal(args.ideal)
+    _exact_int(args.nmax, "n_max", 1)  # a bad --nmax must not cost a whole table
     table = theorem_a_table(ideal, m_max=args.mmax, k_max=args.kmax, window=args.window)
     rows = []
     for row in table:
@@ -395,7 +396,7 @@ def _cmd_semigroup(args) -> int:
     _check_dim(sg.dim)
     _exact_int(args.nmax, "nmax", 1)
     exact = _exact_volume(sg)
-    if sg.is_generated:
+    if sg.generators is not None:
         sweep = range(1, args.nmax + 1)
     else:
         sweep = [i for i in sg.materialized_levels() if 1 <= i <= args.nmax]

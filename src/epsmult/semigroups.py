@@ -1,18 +1,25 @@
 """Graded subsemigroups of N^(d+1) and their level counts.
 
 Points carry their grading in the last coordinate.  A semigroup is
-known from exactly one source: finitely many generators (levels are then
-computed by dynamic programming over generator sums, rasterized into
-big-integer bitmasks so million-point levels stay cheap), explicitly
-materialized levels, or a counting rule supplied by the construction
-that built it.  A counting rule gives the size of every level but none
-of its points.
+known from exactly one source: finitely many generators, explicitly
+given levels, or a counting rule supplied by the construction that
+built it.  A counting rule gives the size of every level but none of
+its points.
+
+A generated semigroup answers each query from its generators alone, by
+one dynamic program over generator sums that keeps only a window of
+levels alive.  `count` runs it on level sets rasterized into
+big-integer bitmasks, so million-point levels stay cheap, and keeps the
+counts; `level` runs it on point sets and keeps nothing.  Neither reads
+what the other computed.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
+import operator
 import re
 from typing import Callable, Iterable, Mapping
 
@@ -36,11 +43,30 @@ def _as_point(p, length: int, what: str) -> tuple[int, ...]:
     return t
 
 
+def _generator_sums(n: int, origin, move, steps):
+    """Yield levels 1..n of a generated semigroup, each from the levels below it.
+
+    steps holds one (level, vector) pair per generator.  Level j is the
+    union over them of move(level j - level, vector), starting from
+    level 0 = origin.  Only the last max-level levels are kept alive.
+    """
+    window = max((lvl for lvl, _ in steps), default=1)
+    alive = {0: origin}
+    for j in range(1, n + 1):
+        level = type(origin)()
+        for lvl, v in steps:
+            if lvl <= j:
+                level |= move(alive[j - lvl], v)  # in place on a set
+        alive[j] = level
+        alive.pop(j - window, None)
+        yield level
+
+
 class Semigroup:
     """A graded subsemigroup of N^(d+1), queried level by level.
 
     S_n is the set of N^d points appearing at level n; S_0 is always the
-    origin alone.  Instances are immutable apart from internal caches.
+    origin alone.  Instances are immutable apart from the count cache.
     """
 
     def __init__(
@@ -59,7 +85,7 @@ class Semigroup:
             raise ValueError(f"a semigroup needs {how}generators, levels, or a rule")
         self.dim = dim
         self.generators: tuple[tuple[int, ...], ...] | None = None
-        self._levels: dict[int, frozenset[tuple[int, ...]]] = {}
+        self._levels: dict[int, frozenset[tuple[int, ...]]] = {}  # only levels given as input
         self._counts: dict[int, int] = {}
         self._count_rule = count_rule
         if generators is not None:
@@ -92,10 +118,6 @@ class Semigroup:
 
     # -- queries -----------------------------------------------------------
 
-    @property
-    def is_generated(self) -> bool:
-        return self.generators is not None
-
     def materialized_levels(self) -> list[int]:
         return sorted(self._levels)
 
@@ -114,94 +136,60 @@ class Semigroup:
         n = _exact_int(n, "a level", 0)
         if n == 0:
             return 1
-        got = self._counts.get(n)
-        if got is not None:
-            return got
         if n in self._levels:
-            value = len(self._levels[n])
-        elif self.generators is not None:
-            value = self._count_generated(n)
-        elif self._count_rule is not None:
-            value = int(self._count_rule(n))
-        else:
-            raise InsufficientDataError(
-                f"level {n} is not materialized and no generating set or rule is known"
-            )
-        self._counts[n] = value
-        return value
+            return len(self._levels[n])
+        if n not in self._counts:
+            if self.generators is not None:
+                self._count_generated(n)
+            elif self._count_rule is not None:
+                self._counts[n] = int(self._count_rule(n))
+            else:
+                raise InsufficientDataError(
+                    f"level {n} is not materialized and no generating set or rule is known"
+                )
+        return self._counts[n]
 
     def level(self, n: int) -> frozenset[tuple[int, ...]]:
         n = _exact_int(n, "a level", 0)
         if n == 0:
             return frozenset({(0,) * self.dim})
-        got = self._levels.get(n)
-        if got is not None:
-            return got
+        if n in self._levels:
+            return self._levels[n]
         if self.generators is None:
             raise InsufficientDataError(
                 f"level {n} is not materialized and no generating set is known"
             )
-        return self._materialize_generated(n)
+        sums = _generator_sums(
+            n,
+            {(0,) * self.dim},
+            lambda pts, v: {tuple(map(operator.add, p, v)) for p in pts},
+            [(g[-1], g[:-1]) for g in self.generators],
+        )
+        return frozenset(collections.deque(sums, maxlen=1).pop())
 
     # -- generated-case machinery -------------------------------------
 
-    def _count_generated(self, n: int) -> int:
-        """Counts of every level up to n by rasterized subset sums.
+    def _count_generated(self, n: int) -> None:
+        """Record the counts of levels 1..n, read off rasterized level sets.
 
-        Level sets are encoded as bitmasks over a fixed grid big enough
-        for level n; adding a generator vector is a single shift, and a
-        level is the union over generators of shifted earlier levels.
-        Only a window of max generator level masks is kept alive.
+        A level set is a bitmask over a fixed grid big enough for level n,
+        so moving it by a generator vector is a single shift.
         """
-        gens = [(g[:-1], g[-1]) for g in self.generators]
-        if not gens:
-            return 0
-        maxes = [max(v[a] for v, _ in gens) for a in range(self.dim)]
-        dims = [n * m + 1 for m in maxes]
+        dims = [
+            n * max((g[a] for g in self.generators), default=0) + 1
+            for a in range(self.dim)
+        ]
         cells = math.prod(dims)
         if cells > _RASTER_CELL_CAP:
             raise SizeLimitError(
                 f"level grid needs {cells} cells, above the limit of "
                 f"{_RASTER_CELL_CAP}; count smaller levels"
             )
-        strides = [0] * self.dim
-        acc = 1
-        for a in range(self.dim - 1, -1, -1):
-            strides[a] = acc
-            acc *= dims[a]
-        shifts = [
-            (sum(v[a] * strides[a] for a in range(self.dim)), lvl) for v, lvl in gens
-        ]
-        window = max(lvl for _, lvl in shifts)
-        masks: dict[int, int] = {0: 1}  # level 0: origin bit
-        for j in range(1, n + 1):
-            m = 0
-            for shift, lvl in shifts:
-                prev = masks.get(j - lvl)
-                if prev:
-                    m |= prev << shift
-            masks[j] = m
-            self._counts.setdefault(j, m.bit_count())
-            stale = j - window
-            if stale >= 1:
-                masks.pop(stale, None)
-        return self._counts[n]
-
-    def _materialize_generated(self, n: int) -> frozenset[tuple[int, ...]]:
-        gens = [(g[:-1], g[-1]) for g in self.generators]
-        levels: list[set[tuple[int, ...]]] = [set() for _ in range(n + 1)]
-        levels[0].add((0,) * self.dim)
-        for j in range(1, n + 1):
-            bucket = levels[j]
-            for v, lvl in gens:
-                if lvl > j:
-                    continue
-                for p in levels[j - lvl]:
-                    bucket.add(tuple(a + b for a, b in zip(p, v)))
-        for j in range(1, n + 1):
-            self._levels.setdefault(j, frozenset(levels[j]))
-            self._counts.setdefault(j, len(levels[j]))
-        return self._levels[n]
+        strides = [math.prod(dims[a + 1 :]) for a in range(self.dim)]
+        shifts = [(g[-1], sum(map(operator.mul, g[:-1], strides))) for g in self.generators]
+        masks = _generator_sums(n, 1, operator.lshift, shifts)
+        for j, mask in enumerate(masks, 1):
+            self._counts[j] = mask.bit_count()
 
 
 def k_fold_sum_count(sg: Semigroup, p: int, k: int) -> int:
@@ -284,26 +272,15 @@ def check_cone_conditions(sg: Semigroup, beta: int) -> dict[str, bool]:
     return {"cone2": cone2, "cone3": cone3}
 
 
-def semigroup_to_json_dict(sg: Semigroup) -> dict:
-    """JSON form: generators when known, else the materialized levels."""
-    if sg.generators is not None:
-        return {"dim": sg.dim, "generators": [list(g) for g in sg.generators]}
-    return {
-        "dim": sg.dim,
-        "levels": {
-            str(i): sorted(list(v) for v in sg.level(i))
-            for i in sg.materialized_levels()
-            if i >= 1
-        },
-    }
-
-
 def semigroup_from_json_dict(data: dict) -> Semigroup:
     if not isinstance(data, dict) or "dim" not in data:
         raise ValueError("semigroup JSON needs a 'dim' key")
-    if "generators" in data:
+    # one source, as Semigroup takes: with both keys, one would be silently ignored
+    if "generators" in data and "levels" in data:
+        raise ValueError("semigroup JSON takes 'generators' or 'levels', not both")
+    if data.get("generators") is not None:
         return Semigroup.generated(data["dim"], data["generators"])
-    if "levels" in data:
+    if data.get("levels"):
         levels = {}
         for key, points in dict(data["levels"]).items():
             # int() would also take "1_0", " 1", "+1" and non-ASCII digits

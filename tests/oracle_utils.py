@@ -236,6 +236,23 @@ def lattice_contains_all_units(points) -> bool:
     return True
 
 
+def brute_level(generators, dim: int, n: int) -> frozenset:
+    """Level n of a generated semigroup: the sum of every multiset of
+    generators (v, level) whose levels add up to n, listed by multiplicities."""
+    found = set()
+
+    def walk(i: int, left: int, acc: Vec) -> None:
+        if left == 0:
+            found.add(acc)
+        elif i < len(generators):
+            g = generators[i]
+            for c in range(left // g[-1] + 1):
+                walk(i + 1, left - c * g[-1], tuple(a + c * b for a, b in zip(acc, g)))
+
+    walk(0, n, (0,) * dim)
+    return frozenset(found)
+
+
 def brute_k_fold_sums(level_points, k: int) -> frozenset:
     """The k-fold sumset of a finite point set, folded one addend at a time."""
     acc = frozenset(tuple(p) for p in level_points)

@@ -219,6 +219,20 @@ class TestExitCodes:
         assert err.startswith("error: ") and "must be an integer" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ('{"dim":1,"levels":{"1":[[1]]},"generators":[[1,1]]}', "not both"),
+            ('{"dim":1,"generators":null}', "JSON needs 'generators' or 'levels'"),
+        ],
+    )
+    def test_semigroup_json_names_exactly_one_source_or_is_4(self, data, message, capsys):
+        # both keys used to exit 0 with the levels silently ignored
+        assert main(["semigroup", "-i", data, "--nmax", "3"]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert message in err
+
     def test_unit_ideal_is_3(self, capsys):
         assert main(["epsilon", "-i", "x^0"]) == 3
         capsys.readouterr()
@@ -226,6 +240,16 @@ class TestExitCodes:
     def test_bad_nmax_is_3(self, capsys):
         assert main(["epsilon", "-i", X2_XY, "--nmax", "0"]) == 3
         capsys.readouterr()
+
+    def test_theorem_a_checks_nmax_before_the_table(self, capsys, monkeypatch):
+        def no_table(*a, **k):
+            raise AssertionError("the table was computed before --nmax was checked")
+
+        monkeypatch.setattr(cli, "theorem_a_table", no_table)
+        assert main(["theorem-a", "-i", X2_XY, "--nmax", "0"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: n_max must be at least 1, got 0\n"
 
     def test_inconclusive_table_is_2(self, capsys, monkeypatch):
         rows = [

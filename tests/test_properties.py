@@ -6,9 +6,6 @@ from hypothesis import given, settings, strategies as st
 from epsmult import (
     MonomialIdeal,
     from_json_dict,
-    semigroup_from_json_dict,
-    semigroup_to_json_dict,
-    Semigroup,
     to_json_dict,
 )
 
@@ -124,19 +121,3 @@ class TestSerialization:
     @given(ideals())
     def test_ideal_roundtrip(self, ideal):
         assert from_json_dict(to_json_dict(ideal)) == ideal
-
-    @given(
-        st.integers(1, 2).flatmap(
-            lambda d: st.lists(
-                st.tuples(*([st.integers(0, 3)] * d + [st.integers(1, 2)])),
-                min_size=1,
-                max_size=4,
-            )
-        )
-    )
-    def test_generated_semigroup_roundtrip(self, points):
-        dim = len(points[0]) - 1
-        sg = Semigroup.generated(dim, points)
-        back = semigroup_from_json_dict(semigroup_to_json_dict(sg))
-        assert back.generators == sg.generators
-        assert [back.count(n) for n in range(4)] == [sg.count(n) for n in range(4)]

@@ -1,4 +1,3 @@
-import json
 import random
 
 import numpy as np
@@ -11,11 +10,10 @@ from epsmult import (
     check_cone_conditions,
     k_fold_sum_count,
     semigroup_from_json_dict,
-    semigroup_to_json_dict,
 )
 from epsmult.semigroups import _lattice_spans_everything
 
-from oracle_utils import brute_k_fold_sums, lattice_contains_all_units
+from oracle_utils import brute_k_fold_sums, brute_level, lattice_contains_all_units
 
 SIMPLEX = Semigroup.generated(2, [(0, 0, 1), (1, 0, 1), (0, 1, 1)])
 
@@ -60,7 +58,6 @@ class TestConstruction:
     def test_generators_are_deduplicated_and_sorted(self):
         sg = Semigroup.generated(1, [(1, 1), (0, 1), (1, 1)])
         assert sg.generators == ((0, 1), (1, 1))
-        assert sg.is_generated
 
 
 class TestCounting:
@@ -73,12 +70,46 @@ class TestCounting:
             assert SIMPLEX.count(n) == (n + 1) * (n + 2) // 2
 
     def test_raster_and_set_materialization_agree(self):
-        gens = [(0, 2, 1), (1, 0, 1), (3, 1, 2), (0, 0, 3)]
-        fast = Semigroup.generated(2, gens)
-        slow = Semigroup.generated(2, gens)
-        counts = [fast.count(n) for n in range(1, 13)]
-        sets = [slow.level(n) for n in range(1, 13)]
-        assert counts == [len(s) for s in sets]
+        for gens in (
+            [(0, 2, 1), (1, 0, 1), (3, 1, 2), (0, 0, 3)],
+            # generators at levels 1 and 3 only: the level DP keeps a window of 3
+            [(1, 0, 1), (0, 1, 3), (2, 2, 3)],
+        ):
+            fast = Semigroup.generated(2, gens)
+            slow = Semigroup.generated(2, gens)
+            counts = [fast.count(n) for n in range(1, 13)]
+            sets = [slow.level(n) for n in range(1, 13)]
+            assert counts == [len(s) for s in sets], gens
+
+    def test_levels_and_counts_match_the_multiset_oracle(self):
+        # generator levels up to 4, so the DP's window is often wider than one level
+        rng = random.Random(84)
+        for _ in range(40):
+            d = rng.randint(1, 2)
+            gens = [
+                tuple(rng.randint(0, 3) for _ in range(d)) + (rng.randint(1, 4),)
+                for _ in range(rng.randint(1, 4))
+            ]
+            sg = Semigroup.generated(d, gens)
+            for n in range(1, 9):
+                expected = brute_level(gens, d, n)
+                assert sg.level(n) == expected, (gens, n)
+                assert sg.count(n) == len(expected), (gens, n)
+
+    def test_levels_are_not_kept(self):
+        sg = Semigroup.generated(2, [(0, 0, 1), (1, 0, 1), (0, 1, 1)])
+        assert len(sg.level(5)) == 21
+        assert sg.materialized_levels() == []
+
+    def test_a_count_does_not_depend_on_an_earlier_level(self):
+        # the raster for level 3 needs 3 * 2^40 + 1 cells; level sets hold 4 points
+        fresh = Semigroup.generated(1, [(0, 1), (2**40, 1)])
+        with pytest.raises(SizeLimitError, match="cells"):
+            fresh.count(3)
+        sg = Semigroup.generated(1, [(0, 1), (2**40, 1)])
+        assert len(sg.level(3)) == 4
+        with pytest.raises(SizeLimitError, match="cells"):
+            sg.count(3)
 
     def test_level_contents_small(self):
         sg = Semigroup.generated(1, [(0, 1), (2, 1)])
@@ -118,7 +149,7 @@ class TestLevelsAndRules:
         sg = Semigroup.from_levels(2, {1: [(0, 0), (1, 1)], 2: [(0, 0)]})
         assert sg.count(1) == 2
         assert sg.level(2) == {(0, 0)}
-        assert not sg.is_generated
+        assert sg.generators is None
         assert sg.materialized_levels() == [1, 2]
 
     def test_unmaterialized_level_raises(self):
@@ -285,16 +316,16 @@ class TestConeConditions:
 
 
 class TestSerialization:
-    def test_generated_round_trip(self):
-        blob = json.dumps(semigroup_to_json_dict(SIMPLEX))
-        back = semigroup_from_json_dict(json.loads(blob))
-        assert back.generators == SIMPLEX.generators
-        assert back.count(7) == SIMPLEX.count(7)
+    def test_both_sources_rejected(self):
+        # the generators used to win and the levels were silently ignored
+        data = {"dim": 1, "levels": {"1": [[1]]}, "generators": [[1, 1]]}
+        with pytest.raises(ValueError, match="not both"):
+            semigroup_from_json_dict(data)
 
-    def test_leveled_round_trip(self):
-        sg = Semigroup.from_levels(2, {1: [(0, 0), (2, 1)]})
-        back = semigroup_from_json_dict(semigroup_to_json_dict(sg))
-        assert back.level(1) == sg.level(1)
+    @pytest.mark.parametrize("data", [{"dim": 1, "generators": None}, {"dim": 1, "levels": {}}])
+    def test_missing_source_names_the_json_keys(self, data):
+        with pytest.raises(ValueError, match="JSON needs 'generators' or 'levels'"):
+            semigroup_from_json_dict(data)
 
     @pytest.mark.parametrize(
         "data",
