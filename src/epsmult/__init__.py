@@ -51,7 +51,6 @@ from .okounkov import (
     beta_stability,
     count_staircase_in_simplex,
     epsilon_via_volumes,
-    gamma_beta,
     hull_volume,
 )
 from .semigroups import (
@@ -93,7 +92,6 @@ __all__ = [
     "epsilon_sequence",
     "epsilon_via_volumes",
     "from_json_dict",
-    "gamma_beta",
     "hull_volume",
     "is_finite_colength",
     "k_fold_sum_count",

@@ -24,7 +24,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import re
 import sys
@@ -47,8 +46,8 @@ from .multiplicity import (
     swanson_c_search,
     theorem_a_table,
 )
-from .okounkov import _exact_volume, _require_volume_probe, gamma_beta
-from .semigroups import Semigroup, check_cone_conditions, semigroup_from_json_dict
+from .okounkov import _exact_volume, count_staircase_in_simplex, epsilon_via_volumes
+from .semigroups import check_cone_conditions, semigroup_from_json_dict
 
 _NAMED_VARS = {"x": 0, "y": 1, "z": 2, "w": 3}
 # The largest ring a report accepts, in either ideal syntax and for semigroups.
@@ -327,17 +326,20 @@ def _cmd_theorem_a(args) -> int:
     )
     lines += ["# epsilon sequence", *eps_lines]
     _emit(args, lines, {"table": rows, "epsilon": eps_rows})
-    return 2 if any(row["status"] == "inconclusive" for row in rows) else 0
+    stalled = [row for row in table if row.status == "inconclusive"]
+    for row in stalled:
+        print(
+            f"inconclusive: m={row.m}: last {len(row.tail)} d-th differences: "
+            + ", ".join(map(str, row.tail)),
+            file=sys.stderr,
+        )
+    return 2 if stalled else 0
 
 
-def _volume_sweep(sg: Semigroup, levels, exact: Fraction | None):
+def _volume_sweep(counts: dict[int, int], dim: int, exact: Fraction | None):
     rows = []
-    if levels:
-        # a generated semigroup rasterizes every level up to the one asked
-        sg.count(max(levels))
-    for n in levels:
-        count = sg.count(n)
-        estimate = Fraction(count, n**sg.dim)
+    for n, count in counts.items():
+        estimate = Fraction(count, n**dim)
         row = {
             "n": n,
             "count": count,
@@ -355,33 +357,27 @@ def _volume_sweep(sg: Semigroup, levels, exact: Fraction | None):
 
 def _cmd_okounkov_volume(args) -> int:
     ideal = _load_ideal(args.ideal)
-    sat_sg = gamma_beta(GradedFamilySpec.saturated_powers(ideal), args.beta)
-    pow_sg = gamma_beta(GradedFamilySpec.powers(ideal), args.beta)
-    levels = range(1, args.nmax + 1)
-    sat_lines, sat_rows = _volume_sweep(sat_sg, levels, None)
-    pow_lines, pow_rows = _volume_sweep(pow_sg, levels, None)
-    # epsilon_via_volumes at the probe level nmax, from the counts swept
-    _require_volume_probe(ideal, args.nmax)
-    count_sat, count_pow = sat_sg.count(args.nmax), pow_sg.count(args.nmax)
-    value = Fraction(math.factorial(ideal.dim) * (count_sat - count_pow), args.nmax**ideal.dim)
-    lines = [
-        "# family: saturated_powers",
-        *sat_lines,
-        "# family: powers",
-        *pow_lines,
+    # first, so that a rejected input costs no count; its counts close both sweeps
+    est = epsilon_via_volumes(ideal, args.beta, args.nmax)
+    lines: list[str] = []
+    payload: dict = {}
+    for kind, top in (("saturated_powers", est.count_saturated), ("powers", est.count_powers)):
+        fam = GradedFamilySpec(kind, ideal)
+        counts = {n: count_staircase_in_simplex(fam(n), args.beta * n) for n in range(1, args.nmax)}
+        counts[args.nmax] = top
+        sweep_lines, payload[kind] = _volume_sweep(counts, ideal.dim, None)
+        lines += [f"# family: {kind}", *sweep_lines]
+    value = est.value
+    lines.append(
         "# epsilon_via_volumes: num=%d, den=%d, decimal=%s"
-        % (value.numerator, value.denominator, _decimal12(value)),
-    ]
-    payload = {
-        "saturated_powers": sat_rows,
-        "powers": pow_rows,
-        "epsilon_via_volumes": {
-            "num": value.numerator,
-            "den": value.denominator,
-            "decimal": _decimal12(value),
-            "count_saturated": count_sat,
-            "count_powers": count_pow,
-        },
+        % (value.numerator, value.denominator, _decimal12(value))
+    )
+    payload["epsilon_via_volumes"] = {
+        "num": value.numerator,
+        "den": value.denominator,
+        "decimal": _decimal12(value),
+        "count_saturated": est.count_saturated,
+        "count_powers": est.count_powers,
     }
     _emit(args, lines, payload)
     return 0
@@ -406,7 +402,10 @@ def _cmd_semigroup(args) -> int:
         cones = check_cone_conditions(sg, args.beta)
         lines.append(f"# cone2={_cell(cones['cone2'])},cone3={_cell(cones['cone3'])}")
         payload["cone_conditions"] = cones
-    sweep_lines, payload["rows"] = _volume_sweep(sg, sweep, exact)
+    if sweep:
+        # a generated semigroup rasterizes every level up to the one asked
+        sg.count(max(sweep))
+    sweep_lines, payload["rows"] = _volume_sweep({n: sg.count(n) for n in sweep}, sg.dim, exact)
     lines.extend(sweep_lines)
     if exact is not None:
         payload["exact"] = {

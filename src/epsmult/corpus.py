@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from .ideals import MonomialIdeal
+from .ideals import MonomialIdeal, _exact_int
 
 
 def random_ideal(
@@ -21,9 +21,9 @@ def random_ideal(
     the top of the exponent range.  The zero exponent vector is rejected,
     so the result is never the zero or unit ideal.
     """
-    d = rng.randint(1, max_dim)
-    count = rng.randint(1, max_gens)
-    cap = rng.randint(1, max_exp)
+    d = rng.randint(1, _exact_int(max_dim, "max_dim", 1))
+    count = rng.randint(1, _exact_int(max_gens, "max_gens", 1))
+    cap = rng.randint(1, _exact_int(max_exp, "max_exp", 1))
     gens: list[tuple[int, ...]] = []
     while len(gens) < count:
         v = tuple(rng.randint(0, cap) for _ in range(d))
@@ -40,8 +40,12 @@ def corpus(
     max_exp: int = 6,
 ) -> list[MonomialIdeal]:
     """A reproducible list of random proper ideals."""
-    rng = random.Random(seed)
-    return [
-        random_ideal(rng, max_dim=max_dim, max_gens=max_gens, max_exp=max_exp)
-        for _ in range(size)
+    size = _exact_int(size, "size", 0)
+    # checked here as well, so that a bad bound fails even when size is 0
+    bounds = [
+        _exact_int(max_dim, "max_dim", 1),
+        _exact_int(max_gens, "max_gens", 1),
+        _exact_int(max_exp, "max_exp", 1),
     ]
+    rng = random.Random(seed)
+    return [random_ideal(rng, *bounds) for _ in range(size)]

@@ -51,6 +51,7 @@ class TheoremARow:
     ratio: Fraction | None
     stabilized_at: int | None
     status: str  # "ok" or "inconclusive"
+    tail: tuple[int, ...] = ()  # an inconclusive row's last d-th differences
 
 
 @dataclass(frozen=True)
@@ -80,7 +81,7 @@ def leading_difference(seq: list[int], d: int, window: int = 3) -> AmaoResult:
             f"need at least {d + window} terms to take {d} differences "
             f"with a window of {window}; got {len(seq)}"
         )
-    diffs = [int(v) for v in seq]
+    diffs = [_exact_int(v, "a sequence term") for v in seq]
     for _ in range(d):
         diffs = [b - a for a, b in zip(diffs, diffs[1:])]
     value = diffs[-1]
@@ -162,8 +163,8 @@ def theorem_a_table(
             pair = tuple(MonomialIdeal(d, J.generators) for J in pair)
         try:
             res = amao(*pair, k_max=k_max, window=window)
-        except InconclusiveError:
-            rows.append(TheoremARow(m, None, None, None, "inconclusive"))
+        except InconclusiveError as exc:
+            rows.append(TheoremARow(m, None, None, None, "inconclusive", exc.tail))
             continue
         rows.append(
             TheoremARow(m, res.value, Fraction(res.value, m**d), res.stabilized_at, "ok")

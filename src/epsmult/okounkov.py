@@ -3,8 +3,8 @@
 For a graded family of monomial ideals, level i of the beta-truncated
 value semigroup collects the exponent vectors of monomials in the i-th
 ideal whose coordinate sum is at most beta*i.  The volume route needs
-only the sizes of those levels, so gamma_beta keeps counts alone, each
-read off the height grid of the i-th ideal.  Normalizing a count by n^d
+only the sizes of those levels: count_staircase_in_simplex(I_i, beta*i)
+reads each off the height grid of I_i.  Normalizing a count by n^d
 estimates the volume of the limit body; the epsilon multiplicity appears
 as d! times the volume difference between the saturated and plain power
 families.  A semigroup generated in level 1 also has an exact volume: its
@@ -20,7 +20,6 @@ from fractions import Fraction
 
 from .colength import _cell_corners
 from .errors import DimensionMismatchError, InconclusiveError, ZeroIdealError
-from .families import GradedFamilySpec
 from .ideals import _NEVER, MonomialIdeal, _exact_int
 from .semigroups import Semigroup
 
@@ -48,23 +47,6 @@ def count_staircase_in_simplex(ideal: MonomialIdeal, cap: int) -> int:
                 terms += [(m - w, -sign) for m, sign in terms if m >= w]
         total += sum(sign * math.comb(m + d, d) for m, sign in terms)
     return total
-
-
-def gamma_beta(fam: GradedFamilySpec, beta: int) -> Semigroup:
-    """The beta-truncated value semigroup of a graded monomial family.
-
-    Level i holds the exponent vectors of monomials in fam(i) with
-    coordinate sum at most beta*i.  Only the level counts are kept: the
-    semigroup materializes no level and counts level i, on demand, on the
-    height grid of fam(i).
-    """
-    beta = _exact_int(beta, "beta", 1)
-    if fam(1).is_zero:
-        raise ZeroIdealError("the family is zero at level 1")
-    return Semigroup(
-        fam.base.dim,
-        count_rule=lambda i: count_staircase_in_simplex(fam(i), beta * i),
-    )
 
 
 # -- exact hull volumes in dimensions 1..4 ---------------------------------
@@ -170,25 +152,25 @@ def epsilon_via_volumes(
 ) -> EpsilonViaVolumes:
     """Volume-difference estimate of the epsilon multiplicity.
 
-    Counts the beta-truncated value semigroups of the saturated-power and
-    plain-power families at level n_probe and normalizes the difference
-    by n_probe^d / d!.  Beta must already be in the stable regime for the
-    number to mean anything; beta_stability probes for that.
+    Level n = n_probe of the beta-truncated value semigroups of the
+    saturated-power and plain-power families: the staircase points of
+    sat(I^n) and of I^n with coordinate sum at most beta*n, counted on
+    their height grids.  Their difference is normalized by n^d / d!.  Beta
+    must already be in the stable regime for the number to mean anything;
+    beta_stability probes for that.
     """
-    n_probe = _require_volume_probe(ideal, n_probe)
-    count_sat = gamma_beta(GradedFamilySpec.saturated_powers(ideal), beta).count(n_probe)
-    count_pow = gamma_beta(GradedFamilySpec.powers(ideal), beta).count(n_probe)
-    d = ideal.dim
-    value = Fraction(math.factorial(d) * (count_sat - count_pow), n_probe**d)
-    return EpsilonViaVolumes(value, count_sat, count_pow)
-
-
-def _require_volume_probe(ideal: MonomialIdeal, n_probe: int) -> int:
+    beta = _exact_int(beta, "beta", 1)
     if ideal.is_zero or ideal.is_unit:
         raise ZeroIdealError(
             "the volume comparison needs an ideal that is neither zero nor the ring"
         )
-    return _exact_int(n_probe, "n_probe", 1)
+    n = _exact_int(n_probe, "n_probe", 1)
+    power = ideal.power(n)
+    count_sat = count_staircase_in_simplex(power.saturate(), beta * n)
+    count_pow = count_staircase_in_simplex(power, beta * n)
+    d = ideal.dim
+    value = Fraction(math.factorial(d) * (count_sat - count_pow), n**d)
+    return EpsilonViaVolumes(value, count_sat, count_pow)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,8 @@
 """Graded subsemigroups of N^(d+1) and their level counts.
 
 Points carry their grading in the last coordinate.  A semigroup is
-known from exactly one source: finitely many generators, explicitly
-given levels, or a counting rule supplied by the construction that
-built it.  A counting rule gives the size of every level but none of
-its points.
+known from exactly one source: finitely many generators or explicitly
+given levels.
 
 A generated semigroup answers each query from its generators alone, by
 one dynamic program over generator sums that keeps only a window of
@@ -21,7 +19,7 @@ import functools
 import math
 import operator
 import re
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -75,19 +73,17 @@ class Semigroup:
         *,
         generators: Iterable[Iterable[int]] | None = None,
         levels: Mapping[int, Iterable[Iterable[int]]] | None = None,
-        count_rule: Callable[[int], int] | None = None,
     ):
         dim = _exact_int(dim, "dim", 1)
         # with two sources, each query would read whichever it checks first
-        given = (generators is not None) + bool(levels) + (count_rule is not None)
+        given = (generators is not None) + bool(levels)
         if given != 1:
             how = "only one of " if given else ""
-            raise ValueError(f"a semigroup needs {how}generators, levels, or a rule")
+            raise ValueError(f"a semigroup needs {how}generators or levels")
         self.dim = dim
         self.generators: tuple[tuple[int, ...], ...] | None = None
         self._levels: dict[int, frozenset[tuple[int, ...]]] = {}  # only levels given as input
         self._counts: dict[int, int] = {}
-        self._count_rule = count_rule
         if generators is not None:
             pts = sorted({_as_point(p, dim + 1, "generator") for p in generators})
             for p in pts:
@@ -139,14 +135,11 @@ class Semigroup:
         if n in self._levels:
             return len(self._levels[n])
         if n not in self._counts:
-            if self.generators is not None:
-                self._count_generated(n)
-            elif self._count_rule is not None:
-                self._counts[n] = int(self._count_rule(n))
-            else:
+            if self.generators is None:
                 raise InsufficientDataError(
-                    f"level {n} is not materialized and no generating set or rule is known"
+                    f"level {n} is not materialized and no generating set is known"
                 )
+            self._count_generated(n)
         return self._counts[n]
 
     def level(self, n: int) -> frozenset[tuple[int, ...]]:

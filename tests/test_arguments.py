@@ -1,10 +1,12 @@
 """Every integer argument of the library is checked once, where it enters.
 
-Each count, bound, index, window, slope, dimension and exponent refuses a
-bool, a float and a string with TypeError, and a value below its bound
-with ValueError; both messages name the argument.
+Each count, bound, index, window, slope, dimension, exponent and
+sequence term refuses a bool, a float and a string with TypeError, and a
+value below its bound, where it has one, with ValueError; both messages
+name the argument.
 """
 
+import random
 import re
 
 import pytest
@@ -18,13 +20,14 @@ from epsmult import (
     beta_stability,
     check_cone_conditions,
     check_sat_power_containment,
+    corpus,
     epsilon_sequence,
     epsilon_via_volumes,
-    gamma_beta,
     hull_volume,
     k_fold_sum_count,
     leading_difference,
     length_sequence,
+    random_ideal,
     swanson_c_search,
     theorem_a_table,
 )
@@ -37,8 +40,10 @@ SATURATED = GradedFamilySpec.saturated_powers(X2_XY)
 SG = Semigroup.generated(1, [(0, 1), (1, 1)])
 SEQ = [1, 2, 3, 4, 5, 6]
 
-# (function, argument name in the message, least valid value, call with the value)
+# (function, argument name in the message, least valid value or None if
+# unbounded, call with the value)
 CASES = [
+    ("leading_difference", "a sequence term", None, lambda v: leading_difference([*SEQ, v], 1)),
     ("leading_difference", "d", 1, lambda v: leading_difference(SEQ, v)),
     ("leading_difference", "window", 1, lambda v: leading_difference(SEQ, 1, window=v)),
     ("amao", "k_max", 1, lambda v: amao(X2_XY, OUTER, k_max=v)),
@@ -50,7 +55,6 @@ CASES = [
     ("check_sat_power_containment", "i_max", 1, lambda v: check_sat_power_containment(X2_XY, v)),
     ("swanson_c_search", "c_max", 1, lambda v: swanson_c_search(X2_XY, c_max=v)),
     ("swanson_c_search", "mk_bound", 1, lambda v: swanson_c_search(X2_XY, mk_bound=v)),
-    ("gamma_beta", "beta", 1, lambda v: gamma_beta(POWERS, v)),
     ("epsilon_via_volumes", "beta", 1, lambda v: epsilon_via_volumes(X2_XY, v, 2)),
     ("epsilon_via_volumes", "n_probe", 1, lambda v: epsilon_via_volumes(X2_XY, 2, v)),
     ("beta_stability", "beta0", 1, lambda v: beta_stability(X2_XY, v, 2, 0)),
@@ -71,6 +75,14 @@ CASES = [
     ("MonomialIdeal.power", "a power", 0, lambda v: X2_XY.power(v)),
     ("GradedFamilySpec", "a family index", 0, lambda v: POWERS(v)),
     ("length_sequence", "n_max", 0, lambda v: length_sequence(POWERS, SATURATED, v)),
+    ("corpus", "size", 0, lambda v: corpus(1, v)),
+    # size 0: a bound is checked even when no ideal is drawn
+    ("corpus", "max_dim", 1, lambda v: corpus(1, 0, max_dim=v)),
+    ("corpus", "max_gens", 1, lambda v: corpus(1, 0, max_gens=v)),
+    ("corpus", "max_exp", 1, lambda v: corpus(1, 0, max_exp=v)),
+    ("random_ideal", "max_dim", 1, lambda v: random_ideal(random.Random(1), max_dim=v)),
+    ("random_ideal", "max_gens", 1, lambda v: random_ideal(random.Random(1), max_gens=v)),
+    ("random_ideal", "max_exp", 1, lambda v: random_ideal(random.Random(1), max_exp=v)),
 ]
 
 BELOW = object()  # stands for the least valid value minus one
@@ -82,20 +94,25 @@ BAD = [
 ]
 
 
-ARGUMENTS = pytest.mark.parametrize(
-    "name, low, call", [pytest.param(*case[1:], id=f"{case[0]}-{case[1]}") for case in CASES]
+@pytest.mark.parametrize(
+    "name, low, call, bad, error",
+    [
+        pytest.param(*case[1:], *bad.values, id=f"{case[0]}-{case[1]}-{bad.id}")
+        for case in CASES
+        for bad in BAD
+        if case[2] is not None or bad.values[0] is not BELOW
+    ],
 )
-
-
-@pytest.mark.parametrize("bad, error", BAD)
-@ARGUMENTS
 def test_integer_argument_is_checked(name, low, call, bad, error):
     value = low - 1 if bad is BELOW else bad
     with pytest.raises(error, match=rf"^{re.escape(name)} must be "):
         call(value)
 
 
-@ARGUMENTS
+@pytest.mark.parametrize(
+    "name, low, call",
+    [pytest.param(*case[1:], id=f"{case[0]}-{case[1]}") for case in CASES if case[2] is not None],
+)
 def test_least_valid_value_passes_the_check(name, low, call):
     try:
         call(low)

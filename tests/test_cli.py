@@ -261,6 +261,11 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert "2,inconclusive,,," in out
 
+    def test_inconclusive_table_names_each_stalled_row(self, capsys):
+        # stdout is the theorem_a_inconclusive golden
+        assert main(INCONCLUSIVE) == 2
+        assert capsys.readouterr().err == "inconclusive: m=1: last 3 d-th differences: 15, 16, 16\n"
+
     def test_inconclusive_amao_is_2(self, capsys, monkeypatch):
         def never_settles(*a, **k):
             raise InconclusiveError("differences kept drifting", tail=(11, 12, 12))
@@ -397,7 +402,7 @@ class TestNoRecomputation:
         assert len(products) <= nmax - 1
 
     def test_okounkov_volume_counts_each_level_once(self, capsys, monkeypatch):
-        # the volume difference at the probe level reads the sweep's counts
+        # the sweeps reuse the probe level's counts from the volume difference
         caps = []
         count = okounkov_mod.count_staircase_in_simplex
 
@@ -406,11 +411,32 @@ class TestNoRecomputation:
             return count(ideal, cap)
 
         monkeypatch.setattr(okounkov_mod, "count_staircase_in_simplex", counted)
+        monkeypatch.setattr(cli, "count_staircase_in_simplex", counted)
         nmax = 15
         assert main(["okounkov-volume", "-i", X2_XY, "--beta", "2", "--nmax", str(nmax)]) == 0
         assert "# epsilon_via_volumes" in capsys.readouterr().out
         # beta 2: level n is counted to 2n, once in each of the two families
         assert sorted(caps) == sorted(2 * n for n in range(1, nmax + 1) for _ in range(2))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["okounkov-volume", "-i", "x^0"],
+            ["okounkov-volume", "-i", X2_XY, "--nmax", "0"],
+            ["okounkov-volume", "-i", X2_XY, "--beta", "0"],
+        ],
+        ids=["unit-ideal", "nmax-0", "beta-0"],
+    )
+    def test_okounkov_volume_rejects_before_any_count(self, argv, capsys, monkeypatch):
+        def no_count(ideal, cap):
+            raise AssertionError("a level was counted before the input was checked")
+
+        monkeypatch.setattr(okounkov_mod, "count_staircase_in_simplex", no_count)
+        monkeypatch.setattr(cli, "count_staircase_in_simplex", no_count)
+        assert main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ")
 
     def test_okounkov_volume_builds_each_grid_once(self, capsys, monkeypatch):
         # x * (x^4, x^3*y, x*y^2, y^4): the chain crosses onto grid products,

@@ -21,7 +21,6 @@ from epsmult import (
     difference_max_degree,
     epsilon_sequence,
     epsilon_via_volumes,
-    gamma_beta,
     hull_volume,
     unit_ideal,
 )
@@ -100,13 +99,13 @@ class TestSimplexCounts:
 
 
 def gamma_level(fam, beta, i):
-    """Level i of gamma_beta(fam, beta), listed by the oracle.
+    """Level i of the beta-truncated value semigroup of fam, listed by the oracle.
 
-    gamma_beta keeps only the level sizes; the listed set must have the
-    size the semigroup counts.
+    The volume route keeps only the level sizes; the listed set must have
+    the size count_staircase_in_simplex gives.
     """
     points = enumerate_staircase_in_simplex(fam(i), beta * i)
-    assert gamma_beta(fam, beta).count(i) == len(points)
+    assert count_staircase_in_simplex(fam(i), beta * i) == len(points)
     return points
 
 
@@ -117,17 +116,15 @@ class TestGammaBeta:
 
     def test_counts_follow_the_closed_form(self):
         # level i of the beta=2 truncation of powers of (x) is a triangle
-        sg = gamma_beta(GradedFamilySpec.powers(PLANE_LINE), beta=2)
+        fam = GradedFamilySpec.powers(PLANE_LINE)
         for i in range(1, 7):
-            assert sg.count(i) == (i + 1) * (i + 2) // 2
+            assert count_staircase_in_simplex(fam(i), 2 * i) == (i + 1) * (i + 2) // 2
 
     def test_counts_need_no_materialized_level(self):
         # level 3 holds about 4.5 * 10^12 points: only a count can reach it
         beta = 10**6
-        sg = gamma_beta(GradedFamilySpec.powers(PLANE_LINE), beta=beta)
-        assert sg.materialized_levels() == []
-        assert sg.count(3) == math.comb(3 * (beta - 1) + 2, 2)
-        assert sg.materialized_levels() == []
+        fam = GradedFamilySpec.powers(PLANE_LINE)
+        assert count_staircase_in_simplex(fam(3), 3 * beta) == math.comb(3 * (beta - 1) + 2, 2)
 
     def test_saturated_family_levels(self):
         sat = GradedFamilySpec.saturated_powers(X2_XY)
@@ -137,14 +134,13 @@ class TestGammaBeta:
             assert gamma_level(sat, 2, i) == gamma_level(ref, 2, i)
 
     def test_beta_must_be_positive(self):
-        fam = GradedFamilySpec.powers(X2_XY)
+        # the volume route is the one caller that takes a slope
         with pytest.raises(ValueError, match="beta"):
-            gamma_beta(fam, beta=0)
+            epsilon_via_volumes(X2_XY, beta=0, n_probe=2)
 
     def test_zero_family_is_rejected(self):
-        fam = GradedFamilySpec.powers(MonomialIdeal(2, []))
-        with pytest.raises(ZeroIdealError, match="zero at level 1"):
-            gamma_beta(fam, beta=2)
+        with pytest.raises(ZeroIdealError, match="neither zero nor the ring"):
+            epsilon_via_volumes(MonomialIdeal(2, []), beta=2, n_probe=1)
 
 
 class TestGammaInclusionChain:
@@ -325,10 +321,11 @@ class TestDeltaVolume:
         assert sg.count(30) == 16
 
     def test_leveled_semigroup_has_no_exact_value(self):
-        sg = gamma_beta(GradedFamilySpec.saturated_powers(X2_XY), beta=2)
+        fam = GradedFamilySpec.saturated_powers(X2_XY)
+        levels = {i: gamma_level(fam, 2, i) for i in (1, 10)}
+        sg = Semigroup.from_levels(2, levels)
         assert _exact_volume(sg) is None
         assert sg.count(10) == 66
-        assert Fraction(sg.count(10), 10**2) == Fraction(66, 100)
 
 
 class TestEpsilonViaVolumes:

@@ -35,9 +35,8 @@ class TestConstruction:
         "sources",
         [
             {"generators": [(0, 1)], "levels": {1: [(0,)]}},
-            {"generators": [(0, 1)], "count_rule": lambda n: n + 1},
-            {"levels": {1: [(0,)]}, "count_rule": lambda n: 1},
-            {"generators": [], "levels": {1: [(0,)]}, "count_rule": lambda n: 1},
+            # an empty generator list is still a source
+            {"generators": [], "levels": {1: [(0,)]}},
         ],
     )
     def test_two_sources_rejected(self, sources):
@@ -158,13 +157,6 @@ class TestLevelsAndRules:
             sg.count(3)
         with pytest.raises(InsufficientDataError):
             sg.level(3)
-
-    def test_rules_back_unbounded_queries(self):
-        sg = Semigroup(1, count_rule=lambda n: n + 1)
-        assert sg.count(10) == 11
-        assert sg.materialized_levels() == []
-        with pytest.raises(InsufficientDataError, match="level 3"):
-            sg.level(3)  # a count rule gives sizes, not points
 
     def test_known_points_for_leveled(self):
         sg = Semigroup.from_levels(1, {1: [(0,), (2,)], 2: [(1,)]})
