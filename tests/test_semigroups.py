@@ -37,6 +37,10 @@ class TestConstruction:
             {"generators": [(0, 1)], "levels": {1: [(0,)]}},
             # an empty generator list is still a source
             {"generators": [], "levels": {1: [(0,)]}},
+            # levels the generators would themselves give are still a second source
+            {"generators": [(1, 1)], "levels": {1: [(1,)], 2: [(2,)]}},
+            # so is a level map that holds the origin alone
+            {"generators": [(0, 1)], "levels": {0: [(0,)]}},
         ],
     )
     def test_two_sources_rejected(self, sources):
