@@ -46,7 +46,7 @@ from .multiplicity import (
     swanson_c_search,
     theorem_a_table,
 )
-from .okounkov import _exact_volume, count_staircase_in_simplex, epsilon_via_volumes
+from .okounkov import count_staircase_in_simplex, epsilon_via_volumes
 from .semigroups import check_cone_conditions, semigroup_from_json_dict
 
 _NAMED_VARS = {"x": 0, "y": 1, "z": 2, "w": 3}
@@ -391,21 +391,14 @@ def _cmd_semigroup(args) -> int:
         raise IdealSyntaxError(str(exc), 1, 1) from exc
     _check_dim(sg.dim)
     _exact_int(args.nmax, "nmax", 1)
-    exact = _exact_volume(sg)
-    if sg.generators is not None:
-        sweep = range(1, args.nmax + 1)
-    else:
-        sweep = [i for i in sg.materialized_levels() if 1 <= i <= args.nmax]
+    exact = sg.exact_volume()
     lines = []
     payload: dict = {}
     if args.beta is not None:
         cones = check_cone_conditions(sg, args.beta)
         lines.append(f"# cone2={_cell(cones['cone2'])},cone3={_cell(cones['cone3'])}")
         payload["cone_conditions"] = cones
-    if sweep:
-        # a generated semigroup rasterizes every level up to the one asked
-        sg.count(max(sweep))
-    sweep_lines, payload["rows"] = _volume_sweep({n: sg.count(n) for n in sweep}, sg.dim, exact)
+    sweep_lines, payload["rows"] = _volume_sweep(sg.counts(args.nmax), sg.dim, exact)
     lines.extend(sweep_lines)
     if exact is not None:
         payload["exact"] = {

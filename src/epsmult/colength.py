@@ -15,24 +15,8 @@ integers, so results past 2^63 stay exact.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .errors import EpsmultError, InfiniteColengthError
-from .ideals import _NEVER, MonomialIdeal, _exact_int, _height_grids
-
-
-def _cell_corners(cuts, mask: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Per column axis, the lower corner and the width of each masked cell.
-
-    Both come as arrays of Python ints, in the order of grid[mask]; the
-    width is 0 where the cell is unbounded.
-    """
-    at = np.nonzero(mask) if mask.ndim else ()
-    lows = [c[i].astype(object) for c, i in zip(cuts, at)]
-    widths = [
-        (np.concatenate((c[1:], c[-1:])) - c)[i].astype(object) for c, i in zip(cuts, at)
-    ]
-    return lows, widths
+from .ideals import _NEVER, MonomialIdeal, _cell_corners, _exact_int, _height_grids
 
 
 def _difference_cells(inner: MonomialIdeal, outer: MonomialIdeal):

@@ -172,6 +172,20 @@ def _corners(cuts, heights: np.ndarray) -> np.ndarray:
     return rows[np.argsort(rows[:, 0], kind="stable")]
 
 
+def _cell_corners(cuts, mask: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per column axis, the lower corner and the width of each masked cell.
+
+    Both come as arrays of Python ints, in the order of grid[mask]; the
+    width is 0 where the cell is unbounded.
+    """
+    at = np.nonzero(mask) if mask.ndim else ()
+    lows = [c[i].astype(object) for c, i in zip(cuts, at)]
+    widths = [
+        (np.concatenate((c[1:], c[-1:])) - c)[i].astype(object) for c, i in zip(cuts, at)
+    ]
+    return lows, widths
+
+
 def _from_sorted_rows(dim: int, rows: np.ndarray) -> "MonomialIdeal":
     """The ideal generated by int64 rows already minimal and sorted."""
     ideal = _make(dim, tuple(map(tuple, rows.tolist())))

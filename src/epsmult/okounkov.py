@@ -7,8 +7,9 @@ only the sizes of those levels: count_staircase_in_simplex(I_i, beta*i)
 reads each off the height grid of I_i.  Normalizing a count by n^d
 estimates the volume of the limit body; the epsilon multiplicity appears
 as d! times the volume difference between the saturated and plain power
-families.  A semigroup generated in level 1 also has an exact volume: its
-level-1 points' convex hull, whose volume is exact in integers for d <= 4.
+families.  hull_volume gives the exact volume of a convex hull of integer
+points for d <= 4; Semigroup.exact_volume reads the limit body of a
+semigroup generated in level 1 through it.
 """
 
 from __future__ import annotations
@@ -18,10 +19,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .colength import _cell_corners
 from .errors import DimensionMismatchError, InconclusiveError, ZeroIdealError
-from .ideals import _NEVER, MonomialIdeal, _exact_int
-from .semigroups import Semigroup
+from .ideals import _NEVER, MonomialIdeal, _cell_corners, _exact_int
 
 
 def count_staircase_in_simplex(ideal: MonomialIdeal, cap: int) -> int:
@@ -34,6 +33,7 @@ def count_staircase_in_simplex(ideal: MonomialIdeal, cap: int) -> int:
     (-1)^|S| * C(N - sum of w_k over S + d, d), terms with a negative
     first argument being zero.
     """
+    cap = _exact_int(cap, "cap")  # no bound: a negative cap is the empty simplex
     d = ideal.dim
     cuts, heights = ideal._grid()
     cells = heights < _NEVER
@@ -122,18 +122,6 @@ def hull_volume(points, dim: int) -> Fraction | None:
         kept += (_facet([k, *r], pts, inside) for r, m in ridges.items() if m == 1)
         facets = kept
     return Fraction(sum(off - _dot(nv, pts[0]) for _, nv, off in facets), math.factorial(dim))
-
-
-def _exact_volume(sg: Semigroup) -> Fraction | None:
-    """The limit body's exact volume, or None when it is not reachable.
-
-    It is reachable iff the semigroup is generated in level 1: the body is
-    then the convex hull of the level-1 points, whose volume hull_volume
-    gives up to dimension 4 (and None beyond).
-    """
-    if sg.generators is None or any(g[-1] != 1 for g in sg.generators):
-        return None
-    return hull_volume([g[:-1] for g in sg.generators], sg.dim)
 
 
 @dataclass(frozen=True)

@@ -4,12 +4,13 @@ Points carry their grading in the last coordinate.  A semigroup is
 known from exactly one source: finitely many generators or explicitly
 given levels.
 
-A generated semigroup answers each query from its generators alone, by
-one dynamic program over generator sums that keeps only a window of
-levels alive.  `count` runs it on level sets rasterized into
-big-integer bitmasks, so million-point levels stay cheap, and keeps the
-counts; `level` runs it on point sets and keeps nothing.  Neither reads
-what the other computed.
+A Semigroup is immutable.  A generated one answers each query from its
+generators alone, by one dynamic program over generator sums that keeps
+only a window of levels alive.  `counts(n)` runs it once on level sets
+rasterized into big-integer bitmasks, so million-point levels stay cheap,
+and counts every level up to n; `level` runs it on point sets.  Neither
+reads what the other computed.  `exact_volume` reads the limit body's
+volume off the generators when they all lie in level 1.
 """
 
 from __future__ import annotations
@@ -19,12 +20,14 @@ import functools
 import math
 import operator
 import re
+from fractions import Fraction
 from typing import Iterable, Mapping
 
 import numpy as np
 
 from .errors import InsufficientDataError, SizeLimitError
 from .ideals import _exact_int
+from .okounkov import hull_volume
 
 # Refuse to rasterize level grids beyond this many cells (bits).
 _RASTER_CELL_CAP = 200_000_000
@@ -64,7 +67,7 @@ class Semigroup:
     """A graded subsemigroup of N^(d+1), queried level by level.
 
     S_n is the set of N^d points appearing at level n; S_0 is always the
-    origin alone.  Instances are immutable apart from the count cache.
+    origin alone.  Instances are immutable.
     """
 
     def __init__(
@@ -76,14 +79,12 @@ class Semigroup:
     ):
         dim = _exact_int(dim, "dim", 1)
         # with two sources, each query would read whichever it checks first
-        given = (generators is not None) + bool(levels)
-        if given != 1:
-            how = "only one of " if given else ""
+        sources = (generators is not None) + bool(levels)
+        if sources != 1:
+            how = "only one of " if sources else ""
             raise ValueError(f"a semigroup needs {how}generators or levels")
         self.dim = dim
         self.generators: tuple[tuple[int, ...], ...] | None = None
-        self._levels: dict[int, frozenset[tuple[int, ...]]] = {}  # only levels given as input
-        self._counts: dict[int, int] = {}
         if generators is not None:
             pts = sorted({_as_point(p, dim + 1, "generator") for p in generators})
             for p in pts:
@@ -92,55 +93,45 @@ class Semigroup:
                         f"generator {p} has level {p[-1]}; levels must be >= 1"
                     )
             self.generators = tuple(pts)
-        if levels:
-            for i, pts in levels.items():
-                i = _exact_int(i, "a level index", 0)
-                frozen = frozenset(_as_point(p, dim, f"level-{i} point") for p in pts)
-                if i == 0 and frozen != {(0,) * dim}:
-                    raise ValueError("level 0 must be exactly the origin")
-                self._levels[i] = frozen
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def generated(cls, dim: int, points: Iterable[Iterable[int]]) -> "Semigroup":
-        return cls(dim, generators=points)
-
-    @classmethod
-    def from_levels(
-        cls, dim: int, levels: Mapping[int, Iterable[Iterable[int]]]
-    ) -> "Semigroup":
-        return cls(dim, levels=levels)
-
-    # -- queries -----------------------------------------------------------
-
-    def materialized_levels(self) -> list[int]:
-        return sorted(self._levels)
+        given = {}  # only levels given as input
+        for i, pts in (levels or {}).items():
+            i = _exact_int(i, "a level index", 0)
+            given[i] = frozenset(_as_point(p, dim, f"level-{i} point") for p in pts)
+            if i == 0 and given[i] != {(0,) * dim}:
+                raise ValueError("level 0 must be exactly the origin")
+        self._levels = dict(sorted(given.items()))  # in level order, as counts lists them
 
     def known_points(self) -> list[tuple[int, ...]]:
         """All points (v, i) this semigroup is known to contain, level >= 1."""
         if self.generators is not None:
             return list(self.generators)
-        return [
-            (*v, i)
-            for i in self.materialized_levels()
-            if i >= 1
-            for v in sorted(self._levels[i])
-        ]
+        return [(*v, i) for i, pts in self._levels.items() if i >= 1 for v in sorted(pts)]
 
-    def count(self, n: int) -> int:
-        n = _exact_int(n, "a level", 0)
-        if n == 0:
-            return 1
-        if n in self._levels:
-            return len(self._levels[n])
-        if n not in self._counts:
-            if self.generators is None:
-                raise InsufficientDataError(
-                    f"level {n} is not materialized and no generating set is known"
-                )
-            self._count_generated(n)
-        return self._counts[n]
+    def counts(self, n_max: int) -> dict[int, int]:
+        """{level: size} for the known levels 1..n_max, in increasing order.
+
+        A generated semigroup counts every such level on one raster: a
+        level set is a bitmask over a fixed grid big enough for level
+        n_max, so moving it by a generator vector is a single shift.  A
+        levels-form semigroup gives its listed levels in that range.
+        """
+        n_max = _exact_int(n_max, "n_max", 1)
+        if self.generators is None:
+            return {i: len(pts) for i, pts in self._levels.items() if 1 <= i <= n_max}
+        dims = [
+            n_max * max((g[a] for g in self.generators), default=0) + 1
+            for a in range(self.dim)
+        ]
+        cells = math.prod(dims)
+        if cells > _RASTER_CELL_CAP:
+            raise SizeLimitError(
+                f"level grid needs {cells} cells, above the limit of "
+                f"{_RASTER_CELL_CAP}; count smaller levels"
+            )
+        strides = [math.prod(dims[a + 1 :]) for a in range(self.dim)]
+        shifts = [(g[-1], sum(map(operator.mul, g[:-1], strides))) for g in self.generators]
+        masks = _generator_sums(n_max, 1, operator.lshift, shifts)
+        return {j: mask.bit_count() for j, mask in enumerate(masks, 1)}
 
     def level(self, n: int) -> frozenset[tuple[int, ...]]:
         n = _exact_int(n, "a level", 0)
@@ -160,29 +151,16 @@ class Semigroup:
         )
         return frozenset(collections.deque(sums, maxlen=1).pop())
 
-    # -- generated-case machinery -------------------------------------
+    def exact_volume(self) -> Fraction | None:
+        """The limit body's exact volume, or None when it is not reachable.
 
-    def _count_generated(self, n: int) -> None:
-        """Record the counts of levels 1..n, read off rasterized level sets.
-
-        A level set is a bitmask over a fixed grid big enough for level n,
-        so moving it by a generator vector is a single shift.
+        It is reachable iff the semigroup is generated in level 1: the body
+        is then the convex hull of the level-1 points, whose volume
+        hull_volume gives up to dimension 4 (and None beyond).
         """
-        dims = [
-            n * max((g[a] for g in self.generators), default=0) + 1
-            for a in range(self.dim)
-        ]
-        cells = math.prod(dims)
-        if cells > _RASTER_CELL_CAP:
-            raise SizeLimitError(
-                f"level grid needs {cells} cells, above the limit of "
-                f"{_RASTER_CELL_CAP}; count smaller levels"
-            )
-        strides = [math.prod(dims[a + 1 :]) for a in range(self.dim)]
-        shifts = [(g[-1], sum(map(operator.mul, g[:-1], strides))) for g in self.generators]
-        masks = _generator_sums(n, 1, operator.lshift, shifts)
-        for j, mask in enumerate(masks, 1):
-            self._counts[j] = mask.bit_count()
+        if self.generators is None or any(g[-1] != 1 for g in self.generators):
+            return None
+        return hull_volume([g[:-1] for g in self.generators], self.dim)
 
 
 def k_fold_sum_count(sg: Semigroup, p: int, k: int) -> int:
@@ -272,7 +250,7 @@ def semigroup_from_json_dict(data: dict) -> Semigroup:
     if "generators" in data and "levels" in data:
         raise ValueError("semigroup JSON takes 'generators' or 'levels', not both")
     if data.get("generators") is not None:
-        return Semigroup.generated(data["dim"], data["generators"])
+        return Semigroup(data["dim"], generators=data["generators"])
     if data.get("levels"):
         levels = {}
         for key, points in dict(data["levels"]).items():
@@ -282,5 +260,5 @@ def semigroup_from_json_dict(data: dict) -> Semigroup:
             if int(key) in levels:
                 raise ValueError(f"level {int(key)} is given twice")
             levels[int(key)] = points
-        return Semigroup.from_levels(data["dim"], levels)
+        return Semigroup(data["dim"], levels=levels)
     raise ValueError("semigroup JSON needs 'generators' or 'levels'")

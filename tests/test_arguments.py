@@ -21,6 +21,7 @@ from epsmult import (
     check_cone_conditions,
     check_sat_power_containment,
     corpus,
+    count_staircase_in_simplex,
     epsilon_sequence,
     epsilon_via_volumes,
     hull_volume,
@@ -37,7 +38,7 @@ X2_XY = MonomialIdeal(2, [(2, 0), (1, 1)])
 OUTER = MonomialIdeal(2, [(1, 0)])
 POWERS = GradedFamilySpec.powers(X2_XY)
 SATURATED = GradedFamilySpec.saturated_powers(X2_XY)
-SG = Semigroup.generated(1, [(0, 1), (1, 1)])
+SG = Semigroup(1, generators=[(0, 1), (1, 1)])
 SEQ = [1, 2, 3, 4, 5, 6]
 
 # (function, argument name in the message, least valid value or None if
@@ -60,11 +61,13 @@ CASES = [
     ("beta_stability", "beta0", 1, lambda v: beta_stability(X2_XY, v, 2, 0)),
     ("beta_stability", "n_probe", 1, lambda v: beta_stability(X2_XY, 1, v, 0)),
     ("beta_stability", "max_doublings", 0, lambda v: beta_stability(X2_XY, 1, 2, 0, v)),
+    # no bound: a negative cap is the empty simplex
+    ("count_staircase_in_simplex", "cap", None, lambda v: count_staircase_in_simplex(OUTER, v)),
     ("hull_volume", "dim", 1, lambda v: hull_volume([(0,), (1,)], v)),
-    ("Semigroup", "dim", 1, lambda v: Semigroup.generated(v, [])),
-    ("Semigroup", "a level index", 0, lambda v: Semigroup.from_levels(1, {v: [(0,)]})),
-    ("Semigroup", "a generator coordinate", 0, lambda v: Semigroup.generated(1, [(v, 1)])),
-    ("Semigroup.count", "a level", 0, lambda v: SG.count(v)),
+    ("Semigroup", "dim", 1, lambda v: Semigroup(v, generators=[])),
+    ("Semigroup", "a level index", 0, lambda v: Semigroup(1, levels={v: [(0,)]})),
+    ("Semigroup", "a generator coordinate", 0, lambda v: Semigroup(1, generators=[(v, 1)])),
+    ("Semigroup.counts", "n_max", 1, lambda v: SG.counts(v)),
     ("Semigroup.level", "a level", 0, lambda v: SG.level(v)),
     ("k_fold_sum_count", "p", 1, lambda v: k_fold_sum_count(SG, v, 1)),
     ("k_fold_sum_count", "k", 1, lambda v: k_fold_sum_count(SG, 1, v)),

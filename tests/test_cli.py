@@ -383,13 +383,13 @@ class TestRepeatedCalls:
 class TestNoRecomputation:
     def test_semigroup_sweep_rasterizes_once(self, capsys, monkeypatch):
         calls = []
-        rasterize = Semigroup._count_generated
+        counts = Semigroup.counts
 
-        def counted(sg, n):
-            calls.append(n)
-            return rasterize(sg, n)
+        def counted(sg, n_max):
+            calls.append(n_max)
+            return counts(sg, n_max)
 
-        monkeypatch.setattr(Semigroup, "_count_generated", counted)
+        monkeypatch.setattr(Semigroup, "counts", counted)
         monkeypatch.chdir(GOLDEN)
         assert main(["semigroup", "-i", "simplex_semigroup.json", "--nmax", "30"]) == 0
         assert "30,496," in capsys.readouterr().out

@@ -24,7 +24,6 @@ from epsmult import (
     hull_volume,
     unit_ideal,
 )
-from epsmult.okounkov import _exact_volume
 
 from oracle_utils import (
     box_points,
@@ -298,34 +297,33 @@ class TestHullVolume:
             hull_volume([(0, 0), (1, 0, 0)], 2)
 
 
-class TestDeltaVolume:
+class TestExactVolume:
     """The exact limit-body volume against the count-based estimate."""
 
     def test_simplex_estimate_and_exact(self):
-        sg = Semigroup.generated(2, [(0, 0, 1), (1, 0, 1), (0, 1, 1)])
-        assert _exact_volume(sg) == Fraction(1, 2)
-        assert sg.count(100) == 5151
-        assert Fraction(sg.count(100), 100**2) == Fraction(5151, 10000)
+        sg = Semigroup(2, generators=[(0, 0, 1), (1, 0, 1), (0, 1, 1)])
+        assert sg.exact_volume() == Fraction(1, 2)
+        count = sg.counts(100)[100]
+        assert count == 5151
+        assert Fraction(count, 100**2) == Fraction(5151, 10000)
 
     def test_unit_square_generators(self):
-        sg = Semigroup.generated(
-            2, [(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)]
-        )
-        assert _exact_volume(sg) == 1
-        assert Fraction(sg.count(50), 50**2) == Fraction(51 * 51, 50 * 50)
+        sg = Semigroup(2, generators=[(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)])
+        assert sg.exact_volume() == 1
+        assert Fraction(sg.counts(50)[50], 50**2) == Fraction(51 * 51, 50 * 50)
 
     def test_higher_level_generator_blocks_the_exact_value(self):
-        sg = Semigroup.generated(1, [(1, 1), (3, 2)])
-        assert _exact_volume(sg) is None
+        sg = Semigroup(1, generators=[(1, 1), (3, 2)])
+        assert sg.exact_volume() is None
         # level 30 holds 30 + j for j = 0..15 copies of (3, 2)
-        assert sg.count(30) == 16
+        assert sg.counts(30)[30] == 16
 
     def test_leveled_semigroup_has_no_exact_value(self):
         fam = GradedFamilySpec.saturated_powers(X2_XY)
         levels = {i: gamma_level(fam, 2, i) for i in (1, 10)}
-        sg = Semigroup.from_levels(2, levels)
-        assert _exact_volume(sg) is None
-        assert sg.count(10) == 66
+        sg = Semigroup(2, levels=levels)
+        assert sg.exact_volume() is None
+        assert sg.counts(10)[10] == 66
 
 
 class TestEpsilonViaVolumes:

@@ -55,6 +55,22 @@ def test_no_import_of_a_missing_sibling_module():
     assert not found, f"imports of missing modules: {found}"
 
 
+def test_private_names_come_only_from_ideals():
+    # ideals owns what modules share privately (the height-grid format and
+    # _exact_int); every other underscore name stays in its own module
+    found = [
+        f"{path.name}:{node.lineno} imports {alias.name} from {node.module}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level == 1 or (node.module or "").startswith("epsmult"))
+        and (node.module or "").removeprefix("epsmult.") != "ideals"
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert not found, f"private names imported from outside ideals: {found}"
+
+
 def _memo_writes(tree):
     """Lines of every object.__setattr__ call: a write past a frozen dataclass."""
     for node in ast.walk(tree):
