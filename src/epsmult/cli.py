@@ -27,7 +27,6 @@ import json
 import os
 import re
 import sys
-from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from .corpus import corpus
@@ -70,12 +69,13 @@ def parse_ideal(text: str) -> MonomialIdeal:
         raise IdealSyntaxError("empty input", 1, 1)
     if stripped.startswith("{"):
         data = _parse_json(text)
+        # before the ideal is formed: its int64 rows take dim columns
+        if isinstance(data, dict) and isinstance(data.get("dim"), int):
+            _check_dim(data["dim"])
         try:
-            ideal = from_json_dict(data)
+            return from_json_dict(data)
         except (ValueError, TypeError, DimensionMismatchError) as exc:
             raise IdealSyntaxError(str(exc), 1, 1) from exc
-        _check_dim(ideal.dim)
-        return ideal
     return _parse_human(text)
 
 
@@ -211,10 +211,9 @@ def _variable_index(tok: str, scheme: str | None, line: int, col: int):
 
 
 def _decimal12(value: Fraction) -> str:
-    with localcontext() as ctx:
-        ctx.prec = 60
-        dec = Decimal(value.numerator) / Decimal(value.denominator)
-        return str(dec.quantize(Decimal("1.000000000000")))
+    # exact, rounded half to even; report values are never negative
+    q = round(value * 10**12)
+    return f"{q // 10**12}.{q % 10**12:012d}"
 
 
 def _cell(value) -> str:
@@ -455,18 +454,9 @@ def _cmd_lemmas(args) -> int:
 # -- argument plumbing -------------------------------------------------------
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse with usage failures mapped onto the parse-error exit code."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"error: {message}", file=sys.stderr)
-        raise SystemExit(4)
-
-
 @functools.cache
-def _build_parser() -> _Parser:
-    parser = _Parser(
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
         prog="epsmult",
         description="Exact multiplicity computations for monomial ideals.",
     )

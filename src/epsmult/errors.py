@@ -26,12 +26,12 @@ class InfiniteColengthError(EpsmultError):
 class SizeLimitError(EpsmultError):
     """An input is past a fixed bound of the int64 kernels.
 
-    Raised for a generator degree above ``ideals.DEGREE_LIMIT`` (in an
-    input or in a product), for a height grid with more than
-    ``ideals.MAX_GRID_CELLS`` cells (every staircase count and every
-    saturation reads one), for a semigroup level raster with more than
-    ``semigroups._RASTER_CELL_CAP`` cells, and for a k-fold sumset
-    coordinate past the int64 range.
+    Raised for a minimal generator of degree above ``ideals.DEGREE_LIMIT``
+    (in an input, or in any ideal an operation forms), for a height grid
+    with more than ``ideals.MAX_GRID_CELLS`` cells (every staircase count
+    and every saturation reads one), for a semigroup level raster with
+    more than ``semigroups._RASTER_CELL_CAP`` cells, and for a k-fold
+    sumset coordinate past the int64 range.
     """
 
 

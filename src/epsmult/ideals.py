@@ -1,39 +1,40 @@
 """Exact arithmetic for monomial ideals in a polynomial ring k[x_1..x_d].
 
 A monomial ideal is stored by its unique minimal generating set of
-exponent vectors (an antichain under the componentwise order).  Every
-constructor and every operation normalizes eagerly, so two ideals are
-equal as values exactly when they are equal as ideals.  The unit ideal
-is generated by the zero vector; the zero ideal has no generators.
+exponent vectors (an antichain under the componentwise order), sorted,
+both as tuples and as the rows of an int64 array, which the numpy paths
+read.  Every constructor and every operation normalizes eagerly, so two
+ideals are equal as values exactly when they are equal as ideals.  The
+unit ideal is generated by the zero vector; the zero ideal has none.
 
 All arithmetic is exact integer arithmetic, and exponents must be ints
-(or numpy integers).  Every nonzero ideal has a compressed height grid
-(see _height_grids), memoized on the instance by MonomialIdeal._grid;
-the saturation and the simplex counts of the okounkov module read it.
-A product of large ideals is a min-plus shift of the larger factor's
-grid.  It reads its generators off the new grid's corners, as the
-saturation does, and keeps the grid for the next link of a power chain.
-Small products take pairwise sums of generators and a pure-Python
-antichain filter.  The constructor, sum, intersection and colon
-minimalize raw vectors with the same filter, vectorized by numpy on
-larger inputs.  The numpy paths work in int64 and accept generators of
-degree at most DEGREE_LIMIT = 2^61; past it they raise SizeLimitError
-instead of wrapping.
+(or numpy integers).  Every ideal is formed in one place (_make, or the
+constructor for raw input), which refuses a minimal generator of degree
+above DEGREE_LIMIT = 2^61 with SizeLimitError, so that no int64 sum or
+maximum of two generators can wrap.  Every nonzero ideal has a
+compressed height grid (see _height_grids), memoized on the instance by
+MonomialIdeal._grid; the saturation and the simplex counts of the
+okounkov module read it.  A product of large ideals is a min-plus shift
+of the larger factor's grid.  It reads its generators off the new grid's
+corners, as the saturation does, and keeps the grid for the next link of
+a power chain.  Below 64 candidates a pure-Python antichain filter
+minimalizes; above, a vectorized one (_minimal_rows).
 
 Instances are immutable and hashable; operations return new ideals.
-Each instance memoizes what it derives: its int64 generator array, its
-height grid, its saturation and its chain of powers I^2, I^3, .. (see
-MonomialIdeal.power).  So every caller that asks one ideal for I^n or
-sat(I^n) reads the same objects, and a report builds each once.  No memo
-refers back to the ideal that holds it, so an ideal and all it derived
-are freed together by reference counting.  Operations are safe to call
-from multiple threads: a memo, or a member of a chain, is stored only
-once complete and under its own key, so a race between threads can
-repeat work but never store a wrong value.
+Each instance memoizes what it derives: its height grid, its saturation
+and its chain of powers I^2, I^3, .. (see MonomialIdeal.power).  So
+every caller that asks one ideal for I^n or sat(I^n) reads the same
+objects, and a report builds each once.  No memo refers back to the
+ideal that holds it, so an ideal and all it derived are freed together
+by reference counting.  Operations are safe to call from multiple
+threads: a memo, or a member of a chain, is stored only once complete
+and under its own key, so a race between threads can repeat work but
+never store a wrong value.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -50,9 +51,9 @@ Exponent = tuple[int, ...]
 _NUMPY_CUTOVER = 64
 _BLOCK = 512
 
-# Largest generator degree (coordinate sum) the int64 paths accept.  Below
-# it every coordinate, the sum or maximum of two exponent vectors, and every
-# row's coordinate sum stay at most 2^62, so no int64 arithmetic can wrap.
+# Largest degree (coordinate sum) of a minimal generator of any ideal.  So
+# every coordinate, the sum or maximum of two generators, and the degree
+# of either stay at most 2^62, and no int64 arithmetic on them can wrap.
 DEGREE_LIMIT = 1 << 61
 
 
@@ -92,26 +93,29 @@ def _minimal_python(cands: set[Exponent]) -> list[Exponent]:
     return out
 
 
-def _check_degree(degree: int) -> None:
-    if degree > DEGREE_LIMIT:
+def _check_degree(vectors) -> None:
+    """The degree rule, summed in Python ints: no vector past DEGREE_LIMIT."""
+    if max(map(sum, vectors), default=0) > DEGREE_LIMIT:
         raise SizeLimitError(
             f"a generator has degree above {DEGREE_LIMIT} (2^61), "
             "past the exact int64 range"
         )
 
 
-def _int64_rows(rows, dim: int) -> np.ndarray:
+def _int64_rows(vectors, dim: int) -> np.ndarray:
     """Exponent vectors as an (n, dim) int64 array, within DEGREE_LIMIT."""
-    _check_degree(max(map(sum, rows), default=0))
-    return np.asarray(rows, dtype=np.int64).reshape(len(rows), dim)
+    _check_degree(vectors)
+    return np.asarray(vectors, dtype=np.int64).reshape(len(vectors), dim)
 
 
 # Largest number of cells of one height grid (32 MiB as int64).
 MAX_GRID_CELLS = 1 << 22
 
-# Height of a column that never enters the ideal.  It lies above every
-# exponent the int64 paths accept, so it never equals a real height.
-_NEVER = 2 * DEGREE_LIMIT
+# Height of a column that never enters the ideal.  A finite height is a
+# first coordinate g_1 <= 2^61, or in a grid product a sum g_1 + h <= 2^62,
+# so _NEVER lies above it; and a product's g_1 + _NEVER <= 2^61 + 2^62 + 1
+# < 2^63 stays in int64.
+_NEVER = 2 * DEGREE_LIMIT + 1
 
 
 def _column_cuts(rows: np.ndarray) -> list[np.ndarray]:
@@ -131,7 +135,7 @@ def _height_grids(ideals) -> tuple[list[np.ndarray], list[np.ndarray]]:
     MAX_GRID_CELLS cells.
     """
     dim = ideals[0].dim
-    rows = [ideal._array() for ideal in ideals]
+    rows = [ideal._rows for ideal in ideals]
     cuts = _column_cuts(np.concatenate(rows))
     shape = tuple(len(c) for c in cuts)
     cells = math.prod(shape)
@@ -186,13 +190,6 @@ def _cell_corners(cuts, mask: np.ndarray) -> tuple[list[np.ndarray], list[np.nda
     return lows, widths
 
 
-def _from_sorted_rows(dim: int, rows: np.ndarray) -> "MonomialIdeal":
-    """The ideal generated by int64 rows already minimal and sorted."""
-    ideal = _make(dim, tuple(map(tuple, rows.tolist())))
-    object.__setattr__(ideal, "_np", rows)
-    return ideal
-
-
 def _saturation_on_grid(ideal: "MonomialIdeal") -> "MonomialIdeal":
     """The saturation of a nonzero ideal, read off its height grid.
 
@@ -204,7 +201,7 @@ def _saturation_on_grid(ideal: "MonomialIdeal") -> "MonomialIdeal":
     sat = np.maximum(height - height[finite].max(), 0)
     for axis in range(height.ndim):
         sat = np.maximum(sat, height.take([-1], axis=axis))
-    return _from_sorted_rows(ideal.dim, _corners(cuts, np.where(finite, sat, _NEVER)))
+    return _make(ideal.dim, rows=_corners(cuts, np.where(finite, sat, _NEVER)))
 
 
 def _shifted_heights(padded: np.ndarray, cuts, union, shifts: np.ndarray) -> np.ndarray:
@@ -232,8 +229,8 @@ def _union_cuts(big: "MonomialIdeal", small: "MonomialIdeal") -> list[np.ndarray
     small.  Read off the generators, so big's grid need not exist yet.
     """
     grid = getattr(big, "_heights", None)
-    cuts = grid[0] if grid is not None else _column_cuts(big._array())
-    shifts = small._array()
+    cuts = grid[0] if grid is not None else _column_cuts(big._rows)
+    shifts = small._rows
     return [
         np.unique(np.concatenate(([0], (c[None, :] + shifts[:, k + 1, None]).ravel())))
         for k, c in enumerate(cuts)
@@ -251,7 +248,7 @@ def _product_on_grid(big: "MonomialIdeal", small: "MonomialIdeal", union) -> "Mo
     MAX_GRID_CELLS cells; the shifts are gathered a chunk of generators at
     a time, with at most MAX_GRID_CELLS cells in a chunk.
     """
-    shifts = small._array()
+    shifts = small._rows
     cuts, heights = big._grid()
     shape = tuple(map(len, union))
     cells = math.prod(shape)
@@ -274,43 +271,44 @@ def _product_on_grid(big: "MonomialIdeal", small: "MonomialIdeal", union) -> "Mo
         keep[0] = True
         own[axis] = own[axis][keep]
         out = out.compress(keep, axis=axis)
-    ideal = _from_sorted_rows(big.dim, rows)
+    ideal = _make(big.dim, rows=rows)
     ideal._set_grid(own, out)
     return ideal
 
 
-def _minimal_numpy(cands: set[Exponent]) -> list[Exponent]:
-    rows = sorted(cands)
-    arr = _int64_rows(rows, len(rows[0]))
-    arr = arr[np.argsort(arr.sum(axis=1), kind="stable")]
-    kept = np.empty_like(arr)
-    n_kept = 0
-    for start in range(0, len(arr), _BLOCK):
-        block = arr[start : start + _BLOCK]
-        if n_kept:
-            dominated = (kept[None, :n_kept, :] <= block[:, None, :]).all(2).any(1)
-            block = block[~dominated]
+def _minimal_rows(rows: np.ndarray) -> np.ndarray:
+    """The minimal rows of an int64 array, distinct and sorted lexicographically.
+
+    Rows are compared a block at a time in order of degree, which must fit
+    in int64: a row can be dominated only by one of no larger degree.
+    """
+    rows = np.unique(rows, axis=0)
+    order = np.argsort(rows.sum(axis=1), kind="stable")
+    keep = np.zeros(len(rows), dtype=bool)
+    for start in range(0, len(rows), _BLOCK):
+        at = order[start : start + _BLOCK]
+        block = rows[at]
+        if start:
+            free = ~(rows[keep][None, :, :] <= block[:, None, :]).all(2).any(1)
+            at, block = at[free], block[free]
         # Survivors can still dominate each other within the block.  The
         # rows are distinct, so a row dominated by any other survivor is
         # dominated by a minimal one, and the diagonal is the only self-match.
         inner = (block[None, :, :] <= block[:, None, :]).all(2)
         np.fill_diagonal(inner, False)
-        block = block[~inner.any(1)]
-        kept[n_kept : n_kept + len(block)] = block
-        n_kept += len(block)
-    return list(map(tuple, kept[:n_kept].tolist()))
+        keep[at[~inner.any(1)]] = True
+    # the mask keeps the lexicographic order np.unique gave
+    return rows[keep]
 
 
 def minimal_vectors(vectors: Iterable[Exponent]) -> tuple[Exponent, ...]:
     """Minimal elements of a set of exponent vectors, sorted lexicographically."""
     cands = set(vectors)
-    if len(cands) <= 1:
-        return tuple(sorted(cands))
-    if len(cands) < _NUMPY_CUTOVER:
-        kept = _minimal_python(cands)
-    else:
-        kept = _minimal_numpy(cands)
-    return tuple(sorted(kept))
+    # a vector past DEGREE_LIMIT may not fit in int64; the Python filter takes it
+    if len(cands) < _NUMPY_CUTOVER or max(map(sum, cands)) > DEGREE_LIMIT:
+        return tuple(sorted(_minimal_python(cands)))
+    rows = np.array(list(cands), dtype=np.int64)
+    return tuple(map(tuple, _minimal_rows(rows).tolist()))
 
 
 @dataclass(frozen=True)
@@ -325,6 +323,7 @@ class MonomialIdeal:
         gens = minimal_vectors(_as_vector(g, dim) for g in generators)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "generators", gens)
+        object.__setattr__(self, "_rows", _int64_rows(gens, dim))
 
     # -- basic queries -------------------------------------------------
 
@@ -335,13 +334,6 @@ class MonomialIdeal:
     @property
     def is_unit(self) -> bool:
         return len(self.generators) == 1 and not any(self.generators[0])
-
-    def _array(self) -> np.ndarray:
-        arr = getattr(self, "_np", None)
-        if arr is None:
-            arr = _int64_rows(self.generators, self.dim)
-            object.__setattr__(self, "_np", arr)
-        return arr
 
     def _grid(self) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
         """(cuts, heights) of this ideal's own height grid, read-only.
@@ -366,7 +358,7 @@ class MonomialIdeal:
         """Componentwise maximum over the generators (zeros for the zero ideal)."""
         if self.is_zero:
             return (0,) * self.dim
-        return tuple(int(v) for v in self._array().max(axis=0))
+        return tuple(int(v) for v in self._rows.max(axis=0))
 
     def contains(self, vec: Iterable[int]) -> bool:
         """Membership of the monomial x^vec."""
@@ -393,12 +385,12 @@ class MonomialIdeal:
         """Ideal product I * J.
 
         Below _NUMPY_CUTOVER pairs of generators, the pairwise sums,
-        minimalized by the Python filter; this raises SizeLimitError when
-        a generator of the product has degree above DEGREE_LIMIT.  At or
-        above it, a min-plus shift of the larger factor's height grid (see
-        _product_on_grid), or the pairwise sums, minimalized by numpy,
-        when that grid would be too large; either raises SizeLimitError
-        when a pairwise sum has degree above DEGREE_LIMIT.
+        minimalized by the Python filter.  At or above it, a min-plus shift
+        of the larger factor's height grid (see _product_on_grid), or the
+        pairwise sums, minimalized by _minimal_rows, when that grid would
+        be too large.  Either way the product is refused with
+        SizeLimitError when one of its minimal generators has degree above
+        DEGREE_LIMIT; a larger pairwise sum that is not minimal is not.
         """
         self._check_same_dim(other)
         if self.is_zero or other.is_zero:
@@ -409,11 +401,7 @@ class MonomialIdeal:
         n_big, n_small = len(big.generators), len(small.generators)
         if n_big * n_small < _NUMPY_CUTOVER:
             sums = (tuple(map(operator.add, g, h)) for g in big for h in small)
-            ideal = _make(self.dim, minimal_vectors(sums))
-            _check_degree(max(map(sum, ideal.generators)))
-            return ideal
-        a, b = big._array(), small._array()
-        _check_degree(int(a.sum(axis=1).max() + b.sum(axis=1).max()))
+            return _make(self.dim, minimal_vectors(sums))
         # The grid path gathers one union grid per generator of small; the
         # numpy filter compares each of the n_big * n_small sums with the
         # generators kept, of which a product has about n_big or more.  So
@@ -423,7 +411,8 @@ class MonomialIdeal:
         union = _union_cuts(big, small)
         if math.prod(map(len, union)) <= min(MAX_GRID_CELLS, n_big * n_big):
             return _product_on_grid(big, small, union)
-        return _from_rows(self.dim, (a[:, None, :] + b[None, :, :]).reshape(-1, self.dim))
+        sums = big._rows[:, None, :] + small._rows[None, :, :]
+        return _make(self.dim, rows=_minimal_rows(sums.reshape(-1, self.dim)))
 
     def power(self, n: int) -> "MonomialIdeal":
         """I^n; I^0 is the unit ideal and I^1 is I.
@@ -454,27 +443,19 @@ class MonomialIdeal:
         self._check_same_dim(other)
         if self.is_zero or other.is_zero:
             return zero_ideal(self.dim)
-        a, b = self._array(), other._array()
-        maxes = np.maximum(a[:, None, :], b[None, :, :]).reshape(-1, self.dim)
-        return _from_rows(self.dim, maxes)
-
-    def _colon_single(self, g: Exponent) -> "MonomialIdeal":
-        if self.is_zero:
-            return zero_ideal(self.dim)
-        shifted = self._array() - _int64_rows([g], self.dim)
-        return _from_rows(self.dim, np.maximum(shifted, 0))
+        maxes = np.maximum(self._rows[:, None, :], other._rows[None, :, :])
+        return _make(self.dim, rows=_minimal_rows(maxes.reshape(-1, self.dim)))
 
     def colon(self, other: "MonomialIdeal") -> "MonomialIdeal":
-        """Colon ideal I : J.  J must be nonzero."""
+        """Colon ideal I : J, for J nonzero: the intersection of I : x^g over its generators g."""
         self._check_same_dim(other)
         if other.is_zero:
             raise ZeroIdealError("colon by the zero ideal is undefined")
-        result: MonomialIdeal | None = None
-        for g in other.generators:
-            part = self._colon_single(g)
-            result = part if result is None else result.intersect(part)
-        assert result is not None
-        return result
+        parts = (
+            _make(self.dim, rows=_minimal_rows(np.maximum(self._rows - g, 0)))
+            for g in other._rows
+        )
+        return functools.reduce(MonomialIdeal.intersect, parts)
 
     def saturate(self) -> "MonomialIdeal":
         """Saturation I : m^infinity with respect to m = (x_1, .., x_d).
@@ -511,17 +492,21 @@ class MonomialIdeal:
         return f"MonomialIdeal(dim={self.dim}, generators={list(self.generators)})"
 
 
-def _make(dim: int, sorted_minimal: tuple[Exponent, ...]) -> MonomialIdeal:
-    """Internal constructor for generator sets already minimal and sorted."""
+def _make(dim: int, gens=None, rows=None) -> MonomialIdeal:
+    """Form an ideal from its sorted minimal generators, as tuples or as int64 rows.
+
+    Derives the other form; raises SizeLimitError past DEGREE_LIMIT.
+    """
+    if rows is None:
+        rows = _int64_rows(gens, dim)
+    else:
+        gens = tuple(map(tuple, rows.tolist()))
+        _check_degree(gens)
     ideal = object.__new__(MonomialIdeal)
     object.__setattr__(ideal, "dim", dim)
-    object.__setattr__(ideal, "generators", sorted_minimal)
+    object.__setattr__(ideal, "generators", gens)
+    object.__setattr__(ideal, "_rows", rows)
     return ideal
-
-
-def _from_rows(dim: int, rows: np.ndarray) -> MonomialIdeal:
-    cands = set(map(tuple, rows.tolist()))
-    return _make(dim, minimal_vectors(cands))
 
 
 def zero_ideal(dim: int) -> MonomialIdeal:

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import pkgutil
+import re
 import shutil
 import subprocess
 import sys
@@ -151,6 +152,34 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == ""
         assert "exceeds the supported maximum 16" in err
+
+    def test_ideal_dimension_past_the_maximum_is_4(self, capsys):
+        # checked before the ideal is formed: no int64 array has 2^70 columns
+        data = json.dumps({"dim": 2**70, "generators": []})
+        assert main(["epsilon", "-i", data]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "exceeds the supported maximum 16" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # e_1 = 6 * 2^180, past 10^48
+            ["epsilon", "-i", "x^1152921504606846976, y^1152921504606846976, z^1152921504606846976"],
+            ["okounkov-volume", "-i", "x, y", "--beta", "1000000000000000000000000000000"],
+        ],
+    )
+    def test_huge_decimals_are_written_out(self, argv, capsys):
+        assert main([*argv, "--nmax", "1", *JSON]) == 0
+        decimals = re.findall(r'"[a-z_]*decimal": "([^"]*)"', capsys.readouterr().out)
+        assert decimals
+        assert all(re.fullmatch(r"[0-9]+\.[0-9]{12}", text) for text in decimals)
+        assert max(map(len, decimals)) >= 49 + 13  # at least 10^48
+
+    def test_zero_decimal_has_twelve_places(self, capsys):
+        assert main(["epsilon", "-i", "x^2, x*y, y*z, z*w", "--nmax", "3", *JSON]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert [row["decimal"] for row in rows] == ["0.000000000000"] * 2 + ["0.296296296296"]
 
     def test_generator_of_the_wrong_length_in_json_is_4(self, capsys):
         # a schema error inside one ideal, not two ideals in different rings
@@ -560,6 +589,10 @@ INCONCLUSIVE += ["--nmax", "2"]
 LEVELS = ["semigroup", "-i", '{"dim": 1, "levels": {"1": [[0],[1]], "3": [[2]]}}']
 LEVELS += ["--nmax", "4", "--beta", "2"]
 SIMPLEX = ["semigroup", "-i", "simplex_semigroup.json", "--nmax", "12", "--beta", "1"]
+# three and four variables; the theorem-a run reaches the grid product, the
+# small pairwise product and the int64 row filter
+X2Y_Y2Z_XZ2 = "x^2*y, y^2*z, x*z^2"
+THEOREM_A_3D = ["theorem-a", "-i", X2Y_Y2Z_XZ2, "--mmax", "3", "--kmax", "9", "--nmax", "6"]
 
 # (argv, golden file, exit code); every run starts in the golden directory
 GOLDEN_RUNS = [
@@ -579,6 +612,9 @@ GOLDEN_RUNS = [
     (["lemmas", "--seed", "5", "--nmax", "6", "--kmax", "3"], "lemmas_seed5.csv", 0),
     (LEMMAS_X2XY, "lemmas_x2xy_seed5.csv", 0),
     (LEMMAS_X2XY + JSON, "lemmas_x2xy_seed5.json", 0),
+    (["epsilon", "-i", X2Y_Y2Z_XZ2, "--nmax", "12"], "epsilon_x2y_y2z_xz2.csv", 0),
+    (["epsilon", "-i", "x^2, x*y, y*z, z*w", "--nmax", "10"], "epsilon_x2_xy_yz_zw.csv", 0),
+    (THEOREM_A_3D, "theorem_a_x2y_y2z_xz2.csv", 0),
 ]
 
 

@@ -23,8 +23,8 @@ from epsmult import (
     zero_ideal,
 )
 from epsmult.ideals import (
-    _minimal_numpy,
     _minimal_python,
+    _minimal_rows,
     minimal_vectors,
 )
 
@@ -110,6 +110,14 @@ class TestConstruction:
         vecs = minimal_vectors({(1, 2), (2, 2), (0, 5), (1, 3)})
         assert vecs == ((0, 5), (1, 2))
 
+    def test_degree_rule_reads_the_minimal_generators(self):
+        with pytest.raises(SizeLimitError, match="degree above"):
+            MonomialIdeal(1, [(2**70,)])
+        assert MonomialIdeal(1, [(1,), (2**70,)]) == MonomialIdeal(1, [(1,)])
+        # past the numpy cutover too: vectors past int64 take the Python filter
+        many = [(1, 2**70 + k) for k in range(70)]
+        assert MonomialIdeal(2, [(1, 0)] + many).generators == ((1, 0),)
+
 
 def _candidate_sets(rng):
     """Sets of 65-2000 vectors in dims 1-4, several spanning more than one block.
@@ -145,7 +153,9 @@ class TestMinimalization:
     def test_vectorized_path_matches_the_python_oracle(self):
         for cands in _candidate_sets(random.Random(97)):
             expected = sorted(_minimal_python(cands))
-            assert sorted(_minimal_numpy(cands)) == expected
+            # the rows come back sorted, with no sort of their own
+            rows = _minimal_rows(np.array(list(cands), dtype=np.int64))
+            assert list(map(tuple, rows.tolist())) == expected
             assert list(minimal_vectors(cands)) == expected
 
 
@@ -194,9 +204,15 @@ class TestArithmetic:
             MonomialIdeal(1, [(1,)]).power(-1)
 
     def test_power_past_the_degree_limit_raises(self):
-        # in int64 the square would wrap to the generator (-2^63, 0)
+        # the square has the minimal generator x^(2^62)
+        ideal = MonomialIdeal(2, [(2**61, 0), (1, 1)])
         with pytest.raises(SizeLimitError, match="degree above"):
-            MonomialIdeal(2, [(2**62, 0), (1, 1)]).power(2)
+            ideal.power(2)
+
+    def test_intersection_past_the_degree_limit_raises(self):
+        # lcm(x^(2^61), y) = x^(2^61) y
+        with pytest.raises(SizeLimitError, match="degree above"):
+            MonomialIdeal(2, [(2**61, 0)]).intersect(MonomialIdeal(2, [(0, 1)]))
 
     def test_intersect_example(self):
         a = MonomialIdeal(2, [(2, 0)])
@@ -373,6 +389,16 @@ class TestSaturation:
         # the columns beyond every cut stay unbounded: x^(a-1) * y^big is out
         assert not ideal.saturate().contains((a - 1, 1 << 60, 1 << 60))
 
+    def test_saturation_past_the_degree_limit_raises(self):
+        # sat(y^N z^(N-1), x^(N-1) z^N, x^N y^(N-1) z) has the generator
+        # (x y z)^(N-1), of degree 3N - 3 against at most 2N for the ideal
+        small = MonomialIdeal(3, [(0, 6, 5), (5, 0, 6), (6, 5, 1)])
+        assert (5, 5, 5) in small.saturate().generators
+        n = 1 << 60
+        big = MonomialIdeal(3, [(0, n, n - 1), (n - 1, 0, n), (n, n - 1, 1)])
+        with pytest.raises(SizeLimitError, match="degree above"):
+            big.saturate()
+
     def test_past_the_cell_limit_raises(self):
         # 2101 generators cut both column axes into 2101 cells: 4.4M > 2^22
         wide = MonomialIdeal(3, [(0, i, 2100 - i) for i in range(2101)])
@@ -472,6 +498,35 @@ class TestGridProduct:
         with pytest.raises(SizeLimitError, match="degree above"):
             a.product(MonomialIdeal(2, [(2, 0)]))
 
+    @pytest.mark.parametrize("n_pairs", [1, 64])
+    def test_square_past_the_degree_limit_raises(self, n_pairs):
+        # x^(2^61) * x^(2^61) is minimal in the square, on either side of the switch
+        a = MonomialIdeal(2, [(1 << 61, 0)]) if n_pairs == 1 else self._wide(1 << 61)
+        assert len(a.generators) ** 2 == n_pairs
+        with pytest.raises(SizeLimitError, match="degree above"):
+            a.product(a)
+
+    def test_degree_guard_above_the_switch_reads_the_minimal_generators(self):
+        # 8 x 8 pairs on the grid: the sum x^(2^60+1) y^(2^60+1) has degree
+        # 2^61 + 2, but x*y divides it
+        a = MonomialIdeal(2, [((1 << 60) + 1, 0)] + [(7 - i, i + 1) for i in range(7)])
+        b = MonomialIdeal(2, [(0, (1 << 60) + 1)] + [(i + 1, 7 - i) for i in range(7)])
+        assert len(a.generators) * len(b.generators) == ideals_mod._NUMPY_CUTOVER
+        got = a.product(b)
+        assert got.generators == product_by_sums(a, b)
+        assert max(map(sum, got.generators)) == (1 << 60) + 9
+        assert getattr(got, "_heights", None) is not None
+
+    def test_degree_guard_on_the_sums_reads_the_minimal_generators(self):
+        # 202 x 4 pairs past the grid's cell limit: the sum x^(2^60+1) w^(2^60+1)
+        # has degree 2^61 + 2, but x^8 w divides it
+        wide = [(0, i, 199 - i, i) for i in range(200)]
+        a = MonomialIdeal(4, [((1 << 60) + 1, 0, 0, 0), (7, 0, 0, 1)] + wide)
+        b = MonomialIdeal(4, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, (1 << 60) + 1)])
+        got = a.product(b)
+        assert got.generators == product_by_sums(a, b)
+        assert getattr(got, "_heights", None) is None
+
     def test_degree_guard_below_the_switch_reads_the_minimal_generators(self):
         # the sum x^(2^60+1) y^(2^60+1) has degree 2^61 + 2, but x*y divides it
         a = MonomialIdeal(2, [((1 << 60) + 1, 0), (0, 1)])
@@ -554,6 +609,17 @@ class TestGridProduct:
 def pairs():
     pool = corpus(13, 60)
     return [(a, b) for a, b in zip(pool[::2], pool[1::2]) if a.dim == b.dim]
+
+
+def test_every_ideal_carries_its_rows(pairs):
+    # the int64 rows every numpy path reads are the generators, from birth
+    for a, b in pairs:
+        formed = [a, b, a + b, a * b, a & b, a.colon(b), a.saturate(), a.power(3)]
+        for ideal in formed + [zero_ideal(a.dim), unit_ideal(a.dim)]:
+            rows = ideal._rows
+            assert rows.dtype == np.int64
+            assert rows.shape == (len(ideal.generators), ideal.dim)
+            assert list(map(tuple, rows.tolist())) == list(ideal.generators)
 
 
 class TestAgainstBruteForce:

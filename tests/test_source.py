@@ -1,6 +1,7 @@
 """Rules the package source must keep, checked on its syntax tree."""
 
 import ast
+import re
 from pathlib import Path
 
 import epsmult
@@ -123,3 +124,39 @@ def test_only_the_cli_writes_to_the_console():
     assert not found, f"console writes outside cli.py at {found}"
     cli = next(path for path in SOURCES if path.name == "cli.py")
     assert list(_console_writes(ast.parse(cli.read_text(encoding="utf-8"))))
+
+
+def _row_writers(tree):
+    """Names of the functions that write an attribute named _rows."""
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                writes = node.attr == "_rows"
+            elif isinstance(node, ast.Call) and len(node.args) > 1:
+                # setattr(x, "_rows", ..) or object.__setattr__(x, "_rows", ..)
+                writes = ast.unparse(node.func) in ("setattr", "object.__setattr__")
+                writes = writes and ast.unparse(node.args[1]) == "'_rows'"
+            else:
+                writes = False
+            if writes:
+                yield fn.name
+
+
+def test_ideals_are_formed_in_one_place():
+    # every ideal gets its int64 rows where it is formed, in the constructor
+    # or in ideals._make, so no second path can form one without them
+    writers = {
+        f"{path.stem}.{name}"
+        for path in SOURCES
+        for name in _row_writers(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert writers == {"ideals.__init__", "ideals._make"}
+    lazy = [
+        f"{path.name}:{number}"
+        for path in SOURCES
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
+        if re.search(r"\b_(array|np)\b", line)
+    ]
+    assert not lazy, f"a lazy generator array is back at {lazy}"
