@@ -26,7 +26,8 @@ class InfiniteColengthError(EpsmultError):
 class SizeLimitError(EpsmultError):
     """An input is past a fixed bound of the int64 kernels.
 
-    Raised for a minimal generator of degree above ``ideals.DEGREE_LIMIT``
+    Raised for a ring in more than ``ideals.DIM_LIMIT`` (64) variables, for
+    a minimal generator of degree above ``ideals.DEGREE_LIMIT``
     (in an input, or in any ideal an operation forms), for a height grid
     with more than ``ideals.MAX_GRID_CELLS`` cells (every staircase count
     and every saturation reads one), for a semigroup level raster with

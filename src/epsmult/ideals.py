@@ -11,13 +11,14 @@ All arithmetic is exact integer arithmetic, and exponents must be ints
 (or numpy integers).  Every ideal is formed in one place (_make, or the
 constructor for raw input), which refuses a minimal generator of degree
 above DEGREE_LIMIT = 2^61 with SizeLimitError, so that no int64 sum or
-maximum of two generators can wrap.  Every nonzero ideal has a
-compressed height grid (see _height_grids), memoized on the instance by
-MonomialIdeal._grid; the saturation and the simplex counts of the
-okounkov module read it.  A product of large ideals is a min-plus shift
-of the larger factor's grid.  It reads its generators off the new grid's
-corners, as the saturation does, and keeps the grid for the next link of
-a power chain.  Below 64 candidates a pure-Python antichain filter
+maximum of two generators can wrap.  The constructor also refuses a ring
+in more than DIM_LIMIT = 64 variables, past the axes of a numpy array.
+Every nonzero ideal has a compressed height grid (see _height_grids),
+memoized on the instance by MonomialIdeal._grid; the saturation and the
+simplex counts of the okounkov module read it.  A product of large ideals
+is a min-plus shift of the larger factor's grid.  It reads its generators
+off the new grid's corners, as the saturation does, and keeps the grid
+for the next link of a power chain.  Below 64 candidates a pure-Python antichain filter
 minimalizes; above, a vectorized one (_minimal_rows).
 
 Instances are immutable and hashable; operations return new ideals.
@@ -55,6 +56,10 @@ _BLOCK = 512
 # every coordinate, the sum or maximum of two generators, and the degree
 # of either stay at most 2^62, and no int64 arithmetic on them can wrap.
 DEGREE_LIMIT = 1 << 61
+
+# Most variables of a ring.  A numpy array has at most 64 axes, and a grid
+# product gathers an array with one axis per generator and column axis.
+DIM_LIMIT = 64
 
 
 def _exact_int(value, what: str, low: int | None = None) -> int:
@@ -222,16 +227,17 @@ def _shifted_heights(padded: np.ndarray, cuts, union, shifts: np.ndarray) -> np.
     return out
 
 
-def _union_cuts(big: "MonomialIdeal", small: "MonomialIdeal") -> list[np.ndarray]:
-    """The cuts of the grid _product_on_grid evaluates big * small on.
+def _union_cuts(big: "MonomialIdeal", small: "MonomialIdeal"):
+    """(big's cuts, the cuts of the grid _product_on_grid evaluates big * small on).
 
-    0, and big's cuts shifted by the column part g' of every generator of
-    small.  Read off the generators, so big's grid need not exist yet.
+    The latter are 0, and big's cuts shifted by the column part g' of every
+    generator of small.  Read off the generators, so big's grid need not
+    exist yet.
     """
     grid = getattr(big, "_heights", None)
     cuts = grid[0] if grid is not None else _column_cuts(big._rows)
     shifts = small._rows
-    return [
+    return cuts, [
         np.unique(np.concatenate(([0], (c[None, :] + shifts[:, k + 1, None]).ravel())))
         for k, c in enumerate(cuts)
     ]
@@ -244,9 +250,10 @@ def _product_on_grid(big: "MonomialIdeal", small: "MonomialIdeal", union) -> "Mo
     generators g = (g_1, g') of small with g' <= y, where h is big's
     height.  h changes only at big's cuts, so this does too only at 0 and
     at big's cuts shifted by each g': union must be these cuts, as
-    _union_cuts returns them.  The caller keeps the union grid within
-    MAX_GRID_CELLS cells; the shifts are gathered a chunk of generators at
-    a time, with at most MAX_GRID_CELLS cells in a chunk.
+    _union_cuts returns them.  The caller keeps the union grid, and big's
+    grid padded by one cell per axis, within MAX_GRID_CELLS cells; the
+    shifts are gathered a chunk of generators at a time, with at most
+    MAX_GRID_CELLS cells in a chunk.
     """
     shifts = small._rows
     cuts, heights = big._grid()
@@ -320,6 +327,11 @@ class MonomialIdeal:
 
     def __init__(self, dim: int, generators: Iterable[Iterable[int]] = ()):
         dim = _exact_int(dim, "dim", 1)
+        if dim > DIM_LIMIT:
+            raise SizeLimitError(
+                f"a ring in {dim} variables is past the limit of {DIM_LIMIT}, "
+                "the most axes a numpy array has"
+            )
         gens = minimal_vectors(_as_vector(g, dim) for g in generators)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "generators", gens)
@@ -407,9 +419,13 @@ class MonomialIdeal:
         # generators kept, of which a product has about n_big or more.  So
         # the grid path is taken while the union grid has at most n_big^2
         # cells.  Powers, whose exponents coincide, stay far below that;
-        # generic ideals with large exponents pass it.
-        union = _union_cuts(big, small)
-        if math.prod(map(len, union)) <= min(MAX_GRID_CELLS, n_big * n_big):
+        # generic ideals with large exponents pass it.  The path also pads
+        # big's grid by one cell per axis, which must fit MAX_GRID_CELLS too:
+        # an axis with no cut but 0 doubles it.
+        cuts, union = _union_cuts(big, small)
+        cells = math.prod(map(len, union))
+        padded = math.prod(len(c) + 1 for c in cuts)
+        if cells <= n_big * n_big and max(cells, padded) <= MAX_GRID_CELLS:
             return _product_on_grid(big, small, union)
         sums = big._rows[:, None, :] + small._rows[None, :, :]
         return _make(self.dim, rows=_minimal_rows(sums.reshape(-1, self.dim)))

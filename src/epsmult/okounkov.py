@@ -19,6 +19,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import DimensionMismatchError, InconclusiveError, ZeroIdealError
 from .ideals import _NEVER, MonomialIdeal, _cell_corners, _exact_int
 
@@ -31,22 +33,25 @@ def count_staircase_in_simplex(ideal: MonomialIdeal, cap: int) -> int:
     and t + |u| <= N = cap - h - |c|.  Inclusion-exclusion over the
     bounded widths counts them as the sum over sets S of those axes of
     (-1)^|S| * C(N - sum of w_k over S + d, d), terms with a negative
-    first argument being zero.
+    first argument being zero.  Each term is one expression over all
+    cells, in object arrays of Python ints, so every count is exact:
+    d! * C(m + d, d) is the product of the d arrays m + 1, .., m + d over
+    the cells with m >= 0, and the signed sum is divided by d! once.
     """
     cap = _exact_int(cap, "cap")  # no bound: a negative cap is the empty simplex
     d = ideal.dim
     cuts, heights = ideal._grid()
     cells = heights < _NEVER
     lows, widths = _cell_corners(cuts, cells)
-    budget = cap - heights[cells].astype(object) - sum(lows)
+    terms = [(cap - heights[cells].astype(object) - sum(lows), 1)]
+    for w in widths:
+        # width 0: unbounded along this axis, nothing to exclude (m = -1 drops it)
+        terms += [(np.where(w > 0, m - w, -1), -sign) for m, sign in terms]
     total = 0
-    for n, *ws in zip(budget.tolist(), *(w.tolist() for w in widths)):
-        terms = [(n, 1)] if n >= 0 else []
-        for w in ws:
-            if w:  # width 0: unbounded along this axis, nothing to exclude
-                terms += [(m - w, -sign) for m, sign in terms if m >= w]
-        total += sum(sign * math.comb(m + d, d) for m, sign in terms)
-    return total
+    for m, sign in terms:
+        m = m[m >= 0]
+        total += sign * int(math.prod(m + i for i in range(1, d + 1)).sum())
+    return total // math.factorial(d)
 
 
 # -- exact hull volumes in dimensions 1..4 ---------------------------------

@@ -8,9 +8,11 @@ A Semigroup is immutable.  A generated one answers each query from its
 generators alone, by one dynamic program over generator sums that keeps
 only a window of levels alive.  `counts(n)` runs it once on level sets
 rasterized into big-integer bitmasks, so million-point levels stay cheap,
-and counts every level up to n; `level` runs it on point sets.  Neither
-reads what the other computed.  `exact_volume` reads the limit body's
-volume off the generators when they all lie in level 1.
+and counts every level up to n; a run of generators with consecutive last
+coordinates moves a mask by a few doubling shifts.  `level` runs the same
+program on point sets.  Neither reads what the other computed.
+`exact_volume` reads the limit body's volume off the generators when they
+all lie in level 1.
 """
 
 from __future__ import annotations
@@ -47,8 +49,8 @@ def _as_point(p, length: int, what: str) -> tuple[int, ...]:
 def _generator_sums(n: int, origin, move, steps):
     """Yield levels 1..n of a generated semigroup, each from the levels below it.
 
-    steps holds one (level, vector) pair per generator.  Level j is the
-    union over them of move(level j - level, vector), starting from
+    steps holds (level, v) pairs, a generator vector or several.  Level j
+    is the union over them of move(level j - level, v), starting from
     level 0 = origin.  Only the last max-level levels are kept alive.
     """
     window = max((lvl for lvl, _ in steps), default=1)
@@ -61,6 +63,21 @@ def _generator_sums(n: int, origin, move, steps):
         alive[j] = level
         alive.pop(j - window, None)
         yield level
+
+
+def _move_by_runs(mask: int, step) -> int:
+    """mask moved by runs of consecutive shifts: step = (length, first shifts).
+
+    Doubling shift-ORs spread the mask over one run's length, shared by
+    every run in the step; one shift per run then places it.
+    """
+    length, starts = step
+    width = 1
+    while width < length:  # mask holds its shifts by 0..width-1
+        more = min(width, length - width)
+        mask |= mask << more
+        width += more
+    return functools.reduce(operator.or_, (mask << s for s in starts))
 
 
 class Semigroup:
@@ -112,7 +129,11 @@ class Semigroup:
 
         A generated semigroup counts every such level on one raster: a
         level set is a bitmask over a fixed grid big enough for level
-        n_max, so moving it by a generator vector is a single shift.  A
+        n_max, so moving it by a generator vector is a single shift.  The
+        last axis has stride 1, so the generators of one level fall into
+        runs of consecutive shifts, and a run of length L moves a mask by
+        ceil(log2 L) doubling shift-ORs, shared by every run of that level
+        and length, and one shift to its start (see _move_by_runs).  A
         levels-form semigroup gives its listed levels in that range.
         """
         n_max = _exact_int(n_max, "n_max", 1)
@@ -129,8 +150,17 @@ class Semigroup:
                 f"{_RASTER_CELL_CAP}; count smaller levels"
             )
         strides = [math.prod(dims[a + 1 :]) for a in range(self.dim)]
-        shifts = [(g[-1], sum(map(operator.mul, g[:-1], strides))) for g in self.generators]
-        masks = _generator_sums(n_max, 1, operator.lshift, shifts)
+        shifts = sorted(
+            (g[-1], sum(map(operator.mul, g[:-1], strides))) for g in self.generators
+        )
+        runs = collections.defaultdict(list)  # (level, length) -> first shift of each run
+        start = 0
+        for k, (lvl, s) in enumerate(shifts, 1):
+            if k == len(shifts) or shifts[k] != (lvl, s + 1):  # a run ends at s
+                runs[lvl, k - start].append(shifts[start][1])
+                start = k
+        steps = [(lvl, (length, starts)) for (lvl, length), starts in runs.items()]
+        masks = _generator_sums(n_max, 1, _move_by_runs, steps)
         return {j: mask.bit_count() for j, mask in enumerate(masks, 1)}
 
     def level(self, n: int) -> frozenset[tuple[int, ...]]:

@@ -12,9 +12,11 @@ import pytest
 from epsmult import ideals as ideals_mod
 from epsmult import (
     DimensionMismatchError,
+    InfiniteColengthError,
     MonomialIdeal,
     SizeLimitError,
     ZeroIdealError,
+    colength,
     corpus,
     from_json_dict,
     maximal_ideal,
@@ -109,6 +111,29 @@ class TestConstruction:
     def test_minimal_vectors_antichain(self):
         vecs = minimal_vectors({(1, 2), (2, 2), (0, 5), (1, 3)})
         assert vecs == ((0, 5), (1, 2))
+
+    @pytest.mark.parametrize(
+        "dim, gens",
+        [(65, []), (70, [(1,) * 70]), (2**62, [])],
+        ids=["65", "70", "2^62"],
+    )
+    def test_ring_past_the_dimension_limit_raises(self, dim, gens):
+        # numpy's ValueError ("maximum supported dimension", "array is too
+        # big") would surface at the first array of the ring
+        with pytest.raises(SizeLimitError, match="variables is past the limit of 64"):
+            MonomialIdeal(dim, gens)
+        with pytest.raises(SizeLimitError, match="variables"):
+            from_json_dict({"dim": dim, "generators": gens})
+
+    def test_largest_ring_saturates_and_measures(self):
+        # (x^2, xy) among 64 variables is saturated: x_3^k * x lies outside it
+        d = ideals_mod.DIM_LIMIT
+        pad = (0,) * (d - 2)
+        ideal = MonomialIdeal(d, [(2, 0) + pad, (1, 1) + pad])
+        assert ideal.saturate() == ideal
+        assert colength(ideal, ideal) == 0
+        with pytest.raises(InfiniteColengthError):
+            colength(ideal * ideal, ideal)
 
     def test_degree_rule_reads_the_minimal_generators(self):
         with pytest.raises(SizeLimitError, match="degree above"):
@@ -430,7 +455,7 @@ def _same_grid(got, want) -> bool:
 
 def _on_grid(big, small):
     """big * small on the grid, whatever the size switch in product says."""
-    return ideals_mod._product_on_grid(big, small, ideals_mod._union_cuts(big, small))
+    return ideals_mod._product_on_grid(big, small, ideals_mod._union_cuts(big, small)[1])
 
 
 class TestGridProduct:
@@ -571,13 +596,30 @@ class TestGridProduct:
     def test_large_grids_take_the_pairwise_sums(self, big, small):
         n_big = len(big.generators)
         assert n_big * len(small.generators) >= ideals_mod._NUMPY_CUTOVER
-        cells = math.prod(map(len, ideals_mod._union_cuts(big, small)))
+        cells = math.prod(map(len, ideals_mod._union_cuts(big, small)[1]))
         assert cells > min(ideals_mod.MAX_GRID_CELLS, n_big * n_big)
         got = big.product(small)
         assert got.generators == product_by_sums(big, small)
         # neither the factor nor the product got a grid
         assert getattr(big, "_heights", None) is None
         assert getattr(got, "_heights", None) is None
+
+    def test_padded_grid_past_the_cell_limit_takes_the_pairwise_sums(self, monkeypatch):
+        # 9 generators in x1, x2 among 64 variables: the union grid has 17
+        # cells, but the grid path pads the factor's grid to 10 * 2^62 cells
+        pad = (0,) * 62
+        ideal = MonomialIdeal(64, [(i, 8 - i) + pad for i in range(9)])
+        cuts, union = ideals_mod._union_cuts(ideal, ideal)
+        assert math.prod(map(len, union)) == 17
+        assert math.prod(len(c) + 1 for c in cuts) == 10 * 2**62
+
+        def no_grid(*args):
+            raise AssertionError("the grid path was taken")
+
+        monkeypatch.setattr(ideals_mod, "_product_on_grid", no_grid)
+        square = ideal * ideal
+        assert square.generators == product_by_sums(ideal, ideal)
+        assert square.generators == tuple((i, 16 - i) + pad for i in range(17))
 
     def test_powers_take_the_grid(self):
         # x^2, xy, yz, zw and x^3, y^2 z, x z^2, y^3

@@ -84,6 +84,35 @@ class TestSimplexCounts:
             assert count_staircase_in_simplex(ideal, cap) == len(got)
             assert got == simplex_points(ideal.generators, ideal.dim, cap)
 
+    def test_count_matches_enumeration_around_generator_degrees(self):
+        # caps below, at and above each generator's degree, where cells turn
+        # from empty to partly filled; unbounded cells are in every grid
+        ideals = corpus(72, 60, max_dim=4, max_exp=4)
+        assert {ideal.dim for ideal in ideals} == {1, 2, 3, 4}
+        for ideal in ideals:
+            degrees = {sum(g) for g in ideal.generators}
+            caps = {-5, -1} | {c + e for c in degrees for e in (-1, 0, 1)}
+            for cap in sorted(caps | {max(degrees) + 3}):
+                want = len(enumerate_staircase_in_simplex(ideal, cap))
+                assert count_staircase_in_simplex(ideal, cap) == want, (ideal, cap)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_principal_count_past_int64(self, d):
+        # (a) with |a| = 2^61 and cap 2^62 + 5: the points of the simplex
+        # |e| <= cap with e >= a, C(cap - |a| + d, d) of them, past 2^63
+        a = (1 << 60, 1 << 60) if d == 2 else (1 << 60, 1 << 59, 1 << 59) + (0,) * (d - 3)
+        cap = (1 << 62) + 5
+        want = math.comb(cap - sum(a) + d, d)
+        assert want > 1 << 63
+        assert count_staircase_in_simplex(MonomialIdeal(d, [a]), cap) == want
+
+    def test_bounded_cell_count_past_int64(self):
+        # (x^p, y^q): a cell of width q at height p, and one unbounded cell
+        p, q, cap = (1 << 60) + 3, (1 << 60) - 7, (1 << 62) + 1
+        ideal = MonomialIdeal(2, [(p, 0), (0, q)])
+        want = math.comb(cap - p + 2, 2) + math.comb(cap - q + 2, 2) - math.comb(cap - p - q + 2, 2)
+        assert count_staircase_in_simplex(ideal, cap) == want
+
     def test_enumerated_points_satisfy_both_constraints(self):
         pts = enumerate_staircase_in_simplex(X2_XY, 7)
         assert all(sum(p) <= 7 for p in pts)

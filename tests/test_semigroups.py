@@ -147,6 +147,75 @@ class TestCounting:
             sg.counts(500)
 
 
+def _run_raster_cases(seed: int, count: int):
+    """Seeded generator sets in d = 1-4, cycling through four shapes.
+
+    random: last coordinates with gaps and repeats, levels 1-3; sparse:
+    last coordinates two apart, so every run is a single point; long: one
+    run of 8-17 consecutive last coordinates; mixed: the same run of last
+    coordinates at several levels and heads.
+    """
+    rng = random.Random(seed)
+    for i in range(count):
+        d, shape = 1 + i // 4 % 4, i % 4
+
+        def head():
+            return tuple(rng.randint(0, 3) for _ in range(d - 1))
+
+        if shape == 0:
+            gens = [
+                head() + (rng.randint(0, 6), rng.randint(1, 3))
+                for _ in range(rng.randint(1, 8))
+            ]
+        elif shape == 1:
+            gens = [
+                head() + (2 * rng.randint(0, 4), rng.randint(1, 3))
+                for _ in range(rng.randint(1, 6))
+            ]
+        elif shape == 2:
+            start, length = rng.randint(0, 3), rng.randint(8, 17)
+            h, lvl = head(), rng.randint(1, 2)
+            gens = [h + (start + t, lvl) for t in range(length)]
+            gens += [head() + (rng.randint(0, 5), rng.randint(1, 3)) for _ in range(2)]
+        else:
+            lasts = range(rng.randint(0, 2), rng.randint(3, 5))
+            gens = [
+                h + (t, lvl)
+                for h, lvl in sorted({(head(), rng.randint(1, 3)) for _ in range(3)})
+                for t in lasts
+            ]
+        yield d, gens
+
+
+class TestRunRaster:
+    """counts(n) moves a level mask by runs of consecutive last coordinates."""
+
+    def test_counts_match_the_multiset_oracle_and_level(self):
+        cases = list(_run_raster_cases(1717, 320))
+        assert {d for d, _ in cases} == {1, 2, 3, 4}
+        assert sum(max(g[-1] for g in gens) > 1 for _, gens in cases) > 100
+        for d, gens in cases:
+            sg = Semigroup(d, generators=gens)
+            n_max = 4 if d < 3 else 3
+            counts = sg.counts(n_max)
+            for n in range(1, n_max + 1):
+                expected = brute_level(gens, d, n)
+                assert sg.level(n) == expected, (gens, n)
+                assert counts[n] == len(expected), (gens, n)
+
+    @pytest.mark.parametrize("length", [1, 2, 3, 7, 8, 9, 16, 17, 31])
+    def test_one_run_is_a_simplex_in_one_variable(self, length):
+        # sums of n points of {0, .., L-1} fill 0..n(L-1): n(L-1) + 1 points
+        sg = Semigroup(1, generators=[(t, 1) for t in range(length)])
+        assert sg.counts(30) == {n: n * (length - 1) + 1 for n in range(1, 31)}
+
+    def test_box_moves_by_one_run_per_head(self):
+        # the box [0,1] x [0,2] x [0,3] of level-1 points is 6 runs of length 4
+        box = [(a, b, c, 1) for a in range(2) for b in range(3) for c in range(4)]
+        counts = Semigroup(3, generators=box).counts(20)
+        assert counts == {n: (n + 1) * (2 * n + 1) * (3 * n + 1) for n in range(1, 21)}
+
+
 class TestLevelsAndRules:
     def test_from_levels(self):
         sg = Semigroup(2, levels={1: [(0, 0), (1, 1)], 2: [(0, 0)]})
