@@ -12,14 +12,14 @@ All arithmetic is exact integer arithmetic, and exponents must be ints
 constructor for raw input), which refuses a minimal generator of degree
 above DEGREE_LIMIT = 2^61 with SizeLimitError, so that no int64 sum or
 maximum of two generators can wrap.  The constructor also refuses a ring
-in more than DIM_LIMIT = 64 variables, past the axes of a numpy array.
+in more than DIM_LIMIT = 64 variables, past the axes of a numpy 2 array.
 Every nonzero ideal has a compressed height grid (see _height_grids),
 memoized on the instance by MonomialIdeal._grid; the saturation and the
 simplex counts of the okounkov module read it.  A product of large ideals
 is a min-plus shift of the larger factor's grid.  It reads its generators
 off the new grid's corners, as the saturation does, and keeps the grid
-for the next link of a power chain.  Below 64 candidates a pure-Python antichain filter
-minimalizes; above, a vectorized one (_minimal_rows).
+for the next link of a power chain.  Below 64 candidates a pure-Python
+antichain filter minimalizes; above, a vectorized one (_minimal_rows).
 
 Instances are immutable and hashable; operations return new ideals.
 Each instance memoizes what it derives: its height grid, its saturation
@@ -57,8 +57,9 @@ _BLOCK = 512
 # of either stay at most 2^62, and no int64 arithmetic on them can wrap.
 DEGREE_LIMIT = 1 << 61
 
-# Most variables of a ring.  A numpy array has at most 64 axes, and a grid
-# product gathers an array with one axis per generator and column axis.
+# Most variables of a ring.  A grid product gathers an array with one axis
+# per generator and column axis, and a numpy 2 array has at most 64 axes
+# (numpy 1 had 32, hence numpy>=2 in pyproject.toml).
 DIM_LIMIT = 64
 
 
@@ -227,17 +228,16 @@ def _shifted_heights(padded: np.ndarray, cuts, union, shifts: np.ndarray) -> np.
     return out
 
 
-def _union_cuts(big: "MonomialIdeal", small: "MonomialIdeal"):
-    """(big's cuts, the cuts of the grid _product_on_grid evaluates big * small on).
+def _union_cuts(big: "MonomialIdeal", small: "MonomialIdeal") -> list[np.ndarray]:
+    """The cuts of the grid _product_on_grid evaluates big * small on.
 
-    The latter are 0, and big's cuts shifted by the column part g' of every
-    generator of small.  Read off the generators, so big's grid need not
-    exist yet.
+    0, and big's cuts shifted by the column part g' of every generator of
+    small.  Read off the generators, so big's grid need not exist yet.
     """
     grid = getattr(big, "_heights", None)
     cuts = grid[0] if grid is not None else _column_cuts(big._rows)
     shifts = small._rows
-    return cuts, [
+    return [
         np.unique(np.concatenate(([0], (c[None, :] + shifts[:, k + 1, None]).ravel())))
         for k, c in enumerate(cuts)
     ]
@@ -250,10 +250,11 @@ def _product_on_grid(big: "MonomialIdeal", small: "MonomialIdeal", union) -> "Mo
     generators g = (g_1, g') of small with g' <= y, where h is big's
     height.  h changes only at big's cuts, so this does too only at 0 and
     at big's cuts shifted by each g': union must be these cuts, as
-    _union_cuts returns them.  The caller keeps the union grid, and big's
-    grid padded by one cell per axis, within MAX_GRID_CELLS cells; the
-    shifts are gathered a chunk of generators at a time, with at most
-    MAX_GRID_CELLS cells in a chunk.
+    _union_cuts returns them.  The caller keeps the union grid padded by
+    one cell per axis within MAX_GRID_CELLS cells, and so big's padded
+    grid, which has no more cuts on any axis; the shifts are gathered a
+    chunk of generators at a time, with at most MAX_GRID_CELLS cells in a
+    chunk.
     """
     shifts = small._rows
     cuts, heights = big._grid()
@@ -420,12 +421,12 @@ class MonomialIdeal:
         # the grid path is taken while the union grid has at most n_big^2
         # cells.  Powers, whose exponents coincide, stay far below that;
         # generic ideals with large exponents pass it.  The path also pads
-        # big's grid by one cell per axis, which must fit MAX_GRID_CELLS too:
-        # an axis with no cut but 0 doubles it.
-        cuts, union = _union_cuts(big, small)
-        cells = math.prod(map(len, union))
-        padded = math.prod(len(c) + 1 for c in cuts)
-        if cells <= n_big * n_big and max(cells, padded) <= MAX_GRID_CELLS:
+        # big's grid by one cell per axis, and each union axis has at least
+        # as many cuts as big's: the padded union grid must fit
+        # MAX_GRID_CELLS, as an axis with no cut but 0 doubles it.
+        union = _union_cuts(big, small)
+        padded = math.prod(len(u) + 1 for u in union)
+        if math.prod(map(len, union)) <= n_big * n_big and padded <= MAX_GRID_CELLS:
             return _product_on_grid(big, small, union)
         sums = big._rows[:, None, :] + small._rows[None, :, :]
         return _make(self.dim, rows=_minimal_rows(sums.reshape(-1, self.dim)))

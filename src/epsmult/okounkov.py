@@ -14,6 +14,7 @@ semigroup generated in level 1 through it.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -33,25 +34,30 @@ def count_staircase_in_simplex(ideal: MonomialIdeal, cap: int) -> int:
     and t + |u| <= N = cap - h - |c|.  Inclusion-exclusion over the
     bounded widths counts them as the sum over sets S of those axes of
     (-1)^|S| * C(N - sum of w_k over S + d, d), terms with a negative
-    first argument being zero.  Each term is one expression over all
-    cells, in object arrays of Python ints, so every count is exact:
-    d! * C(m + d, d) is the product of the d arrays m + 1, .., m + d over
-    the cells with m >= 0, and the signed sum is divided by d! once.
+    first argument being zero.  The sets S are walked depth first, each
+    with the cells where its m is >= 0 in an object array of Python ints,
+    so every count is exact and no term is formed for a cell it cannot
+    count: a set's cells are a subset of its parent's, and at most d sets
+    are alive at once.
     """
     cap = _exact_int(cap, "cap")  # no bound: a negative cap is the empty simplex
     d = ideal.dim
     cuts, heights = ideal._grid()
     cells = heights < _NEVER
     lows, widths = _cell_corners(cuts, cells)
-    terms = [(cap - heights[cells].astype(object) - sum(lows), 1)]
-    for w in widths:
-        # width 0: unbounded along this axis, nothing to exclude (m = -1 drops it)
-        terms += [(np.where(w > 0, m - w, -1), -sign) for m, sign in terms]
+    budget = cap - heights[cells].astype(object) - sum(lows)
+    at = np.flatnonzero(budget >= 0)
     total = 0
-    for m, sign in terms:
-        m = m[m >= 0]
-        total += sign * int(math.prod(m + i for i in range(1, d + 1)).sum())
-    return total // math.factorial(d)
+    sets = [(0, budget[at], at, 1)]  # (first axis S may still take, m, cells, sign)
+    while sets:
+        first, m, at, sign = sets.pop()
+        total += sign * sum(map(math.comb, (m + d).tolist(), itertools.repeat(d)))
+        for k in range(first, len(widths)):
+            w = widths[k][at]
+            keep = (w > 0) & (m >= w)  # width 0: unbounded, nothing to exclude
+            if keep.any():
+                sets.append((k + 1, m[keep] - w[keep], at[keep], -sign))
+    return total
 
 
 # -- exact hull volumes in dimensions 1..4 ---------------------------------

@@ -455,7 +455,7 @@ def _same_grid(got, want) -> bool:
 
 def _on_grid(big, small):
     """big * small on the grid, whatever the size switch in product says."""
-    return ideals_mod._product_on_grid(big, small, ideals_mod._union_cuts(big, small)[1])
+    return ideals_mod._product_on_grid(big, small, ideals_mod._union_cuts(big, small))
 
 
 class TestGridProduct:
@@ -596,7 +596,7 @@ class TestGridProduct:
     def test_large_grids_take_the_pairwise_sums(self, big, small):
         n_big = len(big.generators)
         assert n_big * len(small.generators) >= ideals_mod._NUMPY_CUTOVER
-        cells = math.prod(map(len, ideals_mod._union_cuts(big, small)[1]))
+        cells = math.prod(map(len, ideals_mod._union_cuts(big, small)))
         assert cells > min(ideals_mod.MAX_GRID_CELLS, n_big * n_big)
         got = big.product(small)
         assert got.generators == product_by_sums(big, small)
@@ -606,12 +606,12 @@ class TestGridProduct:
 
     def test_padded_grid_past_the_cell_limit_takes_the_pairwise_sums(self, monkeypatch):
         # 9 generators in x1, x2 among 64 variables: the union grid has 17
-        # cells, but the grid path pads the factor's grid to 10 * 2^62 cells
+        # cells, but padded by one cell per axis it has 18 * 2^62
         pad = (0,) * 62
         ideal = MonomialIdeal(64, [(i, 8 - i) + pad for i in range(9)])
-        cuts, union = ideals_mod._union_cuts(ideal, ideal)
+        union = ideals_mod._union_cuts(ideal, ideal)
         assert math.prod(map(len, union)) == 17
-        assert math.prod(len(c) + 1 for c in cuts) == 10 * 2**62
+        assert math.prod(len(u) + 1 for u in union) == 18 * 2**62
 
         def no_grid(*args):
             raise AssertionError("the grid path was taken")

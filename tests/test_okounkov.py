@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,7 @@ from epsmult import (
     epsilon_sequence,
     epsilon_via_volumes,
     hull_volume,
+    maximal_ideal,
     unit_ideal,
 )
 
@@ -112,6 +114,25 @@ class TestSimplexCounts:
         ideal = MonomialIdeal(2, [(p, 0), (0, q)])
         want = math.comb(cap - p + 2, 2) + math.comb(cap - q + 2, 2) - math.comb(cap - p - q + 2, 2)
         assert count_staircase_in_simplex(ideal, cap) == want
+
+    def test_maximal_ideal_in_many_variables_stays_small(self):
+        # (x_1, .., x_d) holds every point but 0: C(4 + d, d) - 1 in the
+        # simplex.  Its grid has 2^(d-1) cells and 2^(d-1) sets of axes, but
+        # at cap 4 a cell keeps a set only while its budget lasts, so the
+        # count allocates about what the grid's corners and widths take.
+        # d = 12 goes first: a count that formed every set for every cell
+        # would fail there (2^22 slots) before asking 2^30 of d = 16.
+        for d in (12, 16):
+            ideal = maximal_ideal(d)
+            ideal._grid()
+            tracemalloc.start()
+            try:
+                assert count_staircase_in_simplex(ideal, 4) == math.comb(4 + d, d) - 1
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            cells = 2 ** (d - 1)
+            assert peak < 4 * (d - 1) * cells * 8 + (4 << 20), d
 
     def test_enumerated_points_satisfy_both_constraints(self):
         pts = enumerate_staircase_in_simplex(X2_XY, 7)
