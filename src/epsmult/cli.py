@@ -247,8 +247,11 @@ def _emit(args, lines: list[str], payload: dict) -> None:
 
 def _load_text(arg: str) -> str:
     if os.path.exists(arg):
-        with open(arg, "r", encoding="utf-8") as fh:
-            return fh.read()
+        try:
+            with open(arg, "r", encoding="utf-8") as fh:
+                return fh.read()
+        except (OSError, UnicodeDecodeError) as exc:  # a directory, unreadable, not UTF-8
+            raise IdealSyntaxError(f"cannot read {arg}: {exc}", 1, 1) from exc
     if arg.endswith(".json") or os.sep in arg:
         raise IdealSyntaxError(f"no such file: {arg}", 1, 1)
     return arg

@@ -30,9 +30,9 @@ class SizeLimitError(EpsmultError):
     a minimal generator of degree above ``ideals.DEGREE_LIMIT``
     (in an input, or in any ideal an operation forms), for a height grid
     with more than ``ideals.MAX_GRID_CELLS`` cells (every staircase count
-    and every saturation reads one), for a semigroup level raster with
-    more than ``semigroups._RASTER_CELL_CAP`` cells, and for a k-fold
-    sumset coordinate past the int64 range.
+    and every saturation reads one), and for a semigroup level raster with
+    more than ``semigroups._RASTER_CELL_CAP`` cells (a k-fold sumset is
+    counted on one).
     """
 
 

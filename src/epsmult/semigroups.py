@@ -12,7 +12,8 @@ and counts every level up to n; a run of generators with consecutive last
 coordinates moves a mask by a few doubling shifts.  `level` runs the same
 program on point sets.  Neither reads what the other computed.
 `exact_volume` reads the limit body's volume off the generators when they
-all lie in level 1.
+all lie in level 1.  A k-fold sumset of a level is level k of the
+semigroup that level generates, counted on the same raster.
 """
 
 from __future__ import annotations
@@ -25,18 +26,12 @@ import re
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-import numpy as np
-
 from .errors import InsufficientDataError, SizeLimitError
 from .ideals import _exact_int
 from .okounkov import hull_volume
 
 # Refuse to rasterize level grids beyond this many cells (bits).
 _RASTER_CELL_CAP = 200_000_000
-
-# Every k-fold sumset key lies below the product of the radices, so a
-# product up to 2^63 keeps every key formed inside int64.
-_KEY_LIMIT = 1 << 63
 
 
 def _as_point(p, length: int, what: str) -> tuple[int, ...]:
@@ -194,37 +189,23 @@ class Semigroup:
 
 
 def k_fold_sum_count(sg: Semigroup, p: int, k: int) -> int:
-    """Size of the k-fold sumset of level p, by iterated sums with dedup.
+    """Size of the k-fold sumset kA of A = level p.
 
-    Each point is one mixed-radix int64 key with radix k*max+1 on every
-    axis, so no coordinate of a k-fold sum carries into the next and the
-    sum of two keys is the key of the sum.  Where the product of the
-    radices passes 2^63 the points stay int64 rows instead.  Raises
-    SizeLimitError when a coordinate of a k-fold sum passes the int64 range.
+    kA is level k of the semigroup that A x {1} generates (Khovanskii), so
+    counts reads it off its raster, under its cell cap and SizeLimitError.
+    Each axis first goes onto the points' own lattice: less its minimum,
+    over the gcd of the differences.  That map is injective and commutes
+    with sums, so |kA| is unchanged.
     """
     p, k = _exact_int(p, "p", 1), _exact_int(k, "k", 1)
     base = sg.level(p)
     if k == 1 or not base:
         return len(base)
-    top = [k * max(v[a] for v in base) for a in range(sg.dim)]
-    if max(top) >= 1 << 63:
-        raise SizeLimitError(
-            f"the {k}-fold sums of level {p} reach coordinate {max(top)}, "
-            "past the int64 range"
-        )
-    points = np.array(list(base), dtype=np.int64)
-    radices = [t + 1 for t in top]
-    if math.prod(radices) <= _KEY_LIMIT:
-        strides = [math.prod(radices[a + 1 :]) for a in range(sg.dim)]
-        points = points @ np.array(strides, dtype=np.int64)
-        dedup = np.unique
-    else:
-        dedup = functools.partial(np.unique, axis=0)
-    acc = points
-    for _ in range(k - 1):
-        sums = acc[:, None] + points[None, :]
-        acc = dedup(sums.reshape(-1, *points.shape[1:]))
-    return int(acc.shape[0])
+    axes = list(zip(*base))
+    lows = [min(axis) for axis in axes]
+    steps = [math.gcd(*(x - low for x in axis)) or 1 for axis, low in zip(axes, lows)]
+    level_one = [(*((x - low) // step for x, low, step in zip(v, lows, steps)), 1) for v in base]
+    return Semigroup(sg.dim, generators=level_one).counts(k)[k]
 
 
 def _lattice_spans_everything(points: list[tuple[int, ...]], width: int) -> bool:

@@ -137,6 +137,16 @@ class TestExitCodes:
         assert main(["epsilon", "-i", "missing/ideal.json"]) == 4
         assert "no such file" in capsys.readouterr().err
 
+    def test_directory_as_ideal_file_is_4(self, tmp_path, capsys):
+        assert main(["epsilon", "-i", str(tmp_path)]) == 4
+        assert "cannot read" in capsys.readouterr().err
+
+    def test_ideal_file_not_in_utf8_is_4(self, tmp_path, capsys):
+        path = tmp_path / "ideal.json"
+        path.write_bytes(b'{"dim": 1, "generators": [[1]]} \xff')
+        assert main(["semigroup", "-i", str(path)]) == 4
+        assert "cannot read" in capsys.readouterr().err
+
     def test_containment_violation_is_3(self, capsys):
         assert main(["amao", "--inner", "x", "--outer", "x^2"]) == 3
         assert "inner not contained in outer" in capsys.readouterr().err

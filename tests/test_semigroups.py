@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -240,6 +241,7 @@ class TestKFoldSums:
         for p in (1, 2, 3):
             for k in (1, 2, 5):
                 assert k_fold_sum_count(SIMPLEX, p, k) == (k * p + 1) * (k * p + 2) // 2
+        assert k_fold_sum_count(SIMPLEX, 10, 30) == math.comb(302, 2) == 45_451
 
     def test_matches_brute_force(self):
         sg = Semigroup(2, generators=[(0, 2, 1), (1, 0, 1), (3, 1, 2)])
@@ -258,6 +260,31 @@ class TestKFoldSums:
             p, k = rng.randint(1, 3), rng.randint(1, 6)
             expected = len(brute_k_fold_sums(sg.level(p), k))
             assert k_fold_sum_count(sg, p, k) == expected, (gens, p, k)
+
+    def test_matches_brute_force_on_moved_and_stretched_levels(self):
+        # a level translated far off the origin and stretched per axis: each
+        # axis must go back onto the points' own lattice before the raster
+        rng = random.Random(89)
+        for _ in range(240):
+            d = rng.randint(1, 3)
+            shape = [
+                tuple(rng.randint(0, 4) for _ in range(d)) for _ in range(rng.randint(1, 5))
+            ]
+            offset = [rng.choice((0, 7, 2**40 + rng.randint(0, 99))) for _ in range(d)]
+            stretch = [rng.choice((1, 2, 3, 10**6)) for _ in range(d)]
+            level = {tuple(o + s * x for x, o, s in zip(v, offset, stretch)) for v in shape}
+            sg = Semigroup(d, levels={1: level})
+            k = rng.randint(1, 5)
+            expected = len(brute_k_fold_sums(level, k))
+            assert k_fold_sum_count(sg, 1, k) == expected, (level, k)
+
+    def test_level_sparse_on_its_own_lattice_is_refused_as_counts_refuses(self):
+        # the gcd of every axis is 1, so the raster for k = 15 keeps 15001^2 cells
+        gens = [(0, 0, 1), (1000, 1, 1), (1, 1000, 1)]
+        with pytest.raises(SizeLimitError, match="needs 225030001 cells"):
+            k_fold_sum_count(Semigroup(2, generators=gens), 1, 15)
+        with pytest.raises(SizeLimitError, match="needs 225030001 cells"):
+            Semigroup(2, generators=gens).counts(15)
 
     def test_keys_near_the_int64_limit_stay_exact(self):
         sg = Semigroup(1, generators=[(0, 1), (2**60, 1)])
@@ -279,11 +306,10 @@ class TestKFoldSums:
         sg = Semigroup(1, generators=[(0, 1), (2**70, 1)])
         assert k_fold_sum_count(sg, 1, 1) == 2
 
-    def test_keys_past_the_int64_limit_raise(self):
-        # int64 keys would wrap and merge two of the five sums
+    def test_keys_past_the_int64_limit_count_exactly(self):
+        # 4 * 2^62 is past int64; on the level's own lattice the points are 0, 1
         sg = Semigroup(1, generators=[(0, 1), (2**62, 1)])
-        with pytest.raises(SizeLimitError):
-            k_fold_sum_count(sg, 1, 4)
+        assert k_fold_sum_count(sg, 1, 4) == 5
 
     def test_empty_level(self):
         sg = Semigroup(1, generators=[(1, 2)])

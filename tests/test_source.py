@@ -24,6 +24,14 @@ def test_no_unbounded_loop():
     assert not found, f"unbounded loop at {found}"
 
 
+def test_sources_parse_as_python_3_10():
+    # requires-python is >=3.10, so no newer syntax (except*, type X = ..,
+    # def f[T]) may reach the package or its tests
+    tests = sorted(Path(__file__).parent.glob("*.py"))
+    for path in SOURCES + tests:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+
+
 def test_every_export_resolves():
     missing = [name for name in epsmult.__all__ if not hasattr(epsmult, name)]
     assert not missing, f"__all__ names {missing}, which the package lacks"
