@@ -6,7 +6,12 @@ semigroups, and convex-hull volumes, with a CLI for deterministic
 reports.
 """
 
-from .colength import colength, difference_max_degree, is_finite_colength
+from .colength import (
+    colength,
+    difference_max_degree,
+    is_finite_colength,
+    length_sequence,
+)
 from .corpus import corpus, random_ideal
 from .errors import (
     DimensionMismatchError,
@@ -91,6 +96,7 @@ __all__ = [
     "is_finite_colength",
     "k_fold_sum_count",
     "leading_difference",
+    "length_sequence",
     "maximal_ideal",
     "random_ideal",
     "semigroup_from_json_dict",

@@ -16,7 +16,7 @@ integers, so results past 2^63 stay exact.
 from __future__ import annotations
 
 from .errors import EpsmultError, InfiniteColengthError
-from .ideals import _NEVER, MonomialIdeal, _cell_corners, _height_grids
+from .ideals import _NEVER, MonomialIdeal, _cell_corners, _exact_int, _height_grids
 
 
 def _difference_cells(inner: MonomialIdeal, outer: MonomialIdeal):
@@ -80,3 +80,18 @@ def difference_max_degree(inner: MonomialIdeal, outer: MonomialIdeal) -> int | N
         degree = degree + low + width - 1
     return int(degree.max()) if len(degree) else None
 
+
+def length_sequence(
+    family_inner, family_outer, n_max: int
+) -> list[int]:
+    """[length(family_outer(n) / family_inner(n)) for n = 1..n_max], exactly.
+
+    Errors from a single index are re-raised with that index attached.
+    """
+    out: list[int] = []
+    for n in range(1, _exact_int(n_max, "n_max", 0) + 1):
+        try:
+            out.append(colength(family_inner(n), family_outer(n)))
+        except EpsmultError as exc:
+            raise type(exc)(f"{exc} (at family index n={n})") from exc
+    return out

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .colength import colength, difference_max_degree
+from .colength import colength, difference_max_degree, length_sequence
 from .errors import EpsmultError, InconclusiveError, InsufficientDataError, ZeroIdealError
 from .families import GradedFamilySpec
 from .ideals import MonomialIdeal, _exact_int
@@ -115,12 +115,9 @@ def amao(
     inner._check_same_dim(outer)
     if not inner.is_subideal_of(outer):
         raise EpsmultError("inner not contained in outer")
-    seq = []
-    for k in range(1, k_max + 1):
-        try:
-            seq.append(colength(inner.power(k), outer.power(k)))
-        except EpsmultError as exc:
-            raise type(exc)(f"{exc} (at family index n={k})") from exc
+    fam_in = GradedFamilySpec.powers(inner)
+    fam_out = GradedFamilySpec.powers(outer)
+    seq = length_sequence(fam_in, fam_out, k_max)
     return leading_difference(seq, inner.dim, window=window)
 
 

@@ -27,6 +27,7 @@ from epsmult import (
     hull_volume,
     k_fold_sum_count,
     leading_difference,
+    length_sequence,
     random_ideal,
     swanson_c_search,
     theorem_a_table,
@@ -36,6 +37,7 @@ from epsmult.cli import main
 X2_XY = MonomialIdeal(2, [(2, 0), (1, 1)])
 OUTER = MonomialIdeal(2, [(1, 0)])
 POWERS = GradedFamilySpec.powers(X2_XY)
+SATURATED = GradedFamilySpec.saturated_powers(X2_XY)
 SG = Semigroup(1, generators=[(0, 1), (1, 1)])
 SEQ = [1, 2, 3, 4, 5, 6]
 
@@ -75,6 +77,7 @@ CASES = [
     ("MonomialIdeal.contains", "an exponent", 0, lambda v: X2_XY.contains((v, 1))),
     ("MonomialIdeal.power", "a power", 0, lambda v: X2_XY.power(v)),
     ("GradedFamilySpec", "a family index", 0, lambda v: POWERS(v)),
+    ("length_sequence", "n_max", 0, lambda v: length_sequence(POWERS, SATURATED, v)),
     ("corpus", "size", 0, lambda v: corpus(1, v)),
     # size 0: a bound is checked even when no ideal is drawn
     ("corpus", "max_dim", 1, lambda v: corpus(1, 0, max_dim=v)),

@@ -4,16 +4,16 @@ import random
 import pytest
 
 from epsmult import (
-    AmaoResult,
     EpsmultError,
+    GradedFamilySpec,
     InfiniteColengthError,
     MonomialIdeal,
     SizeLimitError,
-    amao,
     colength,
     corpus,
     difference_max_degree,
     is_finite_colength,
+    length_sequence,
     unit_ideal,
     zero_ideal,
 )
@@ -189,21 +189,21 @@ def test_diagonal_max_degree_closed_form():
 
 
 class TestLengthSequence:
-    # amao reads k -> length(outer^k / inner^k) off the ideals' chains of powers
-
     def test_triangular_numbers(self):
-        # sat(I^k) = (x)^k, so the lengths are k(k+1)/2: second differences all 1
-        res = amao(X2_XY, MonomialIdeal(2, [(1, 0)]), k_max=6)
-        assert res == AmaoResult(value=1, stabilized_at=1, window=4)
+        powers = GradedFamilySpec.powers(X2_XY)
+        sat_powers = GradedFamilySpec.saturated_powers(X2_XY)
+        lengths = length_sequence(powers, sat_powers, 6)
+        assert lengths == [n * (n + 1) // 2 for n in range(1, 7)]
 
     def test_error_carries_family_index(self):
-        inner = MonomialIdeal(2, [(1, 1)])
-        outer = MonomialIdeal(2, [(1, 0)])
+        inner = GradedFamilySpec.powers(MonomialIdeal(2, [(1, 1)]))
+        outer = GradedFamilySpec.powers(MonomialIdeal(2, [(1, 0)]))
         with pytest.raises(InfiniteColengthError, match="at family index n=1"):
-            amao(inner, outer, k_max=3)
+            length_sequence(inner, outer, 3)
 
-    @pytest.mark.parametrize("k_max", [3.7, True])
-    def test_length_must_be_an_integer(self, k_max):
-        # int() would read 3.7 as 3
-        with pytest.raises(TypeError, match="k_max must be an integer"):
-            amao(X2_XY, MonomialIdeal(2, [(1, 0)]), k_max=k_max)
+    @pytest.mark.parametrize("n_max", [3.7, True])
+    def test_length_must_be_an_integer(self, n_max):
+        # int() would read 3.7 as 3, and amao's k_max passes through here
+        powers = GradedFamilySpec.powers(X2_XY)
+        with pytest.raises(TypeError, match="n_max must be an integer"):
+            length_sequence(powers, GradedFamilySpec.saturated_powers(X2_XY), n_max)
