@@ -2,12 +2,13 @@
 
 The length of (J/I) as a module over the local ring at the origin is the
 number of monomials lying in J but not in I.  Every count here reads one
-height grid, built by ideals._height_grids.  Over each column of the last
-d-1 coordinates, a staircase is a height: the least first coordinate at
-which the column enters the ideal.  The height changes only at generator
-coordinates, so cutting each column axis at 0 and at every generator
-coordinate of the ideals involved gives a compressed grid with one height
-per cell and ideal; the last cell of each axis is unbounded.  Containment,
+height grid.  Over each column of the last d-1 coordinates, a staircase is
+a height: the least first coordinate at which the column enters the ideal.
+The height changes only at generator coordinates, so cutting each column
+axis at 0 and at every generator coordinate of the ideals involved gives a
+compressed grid with one height per cell and ideal; the last cell of each
+axis is unbounded.  For I and its memoized saturation that is I's own
+grid; any other pair gets a fresh one from ideals._height_grids.  Containment,
 finiteness, the length and the deepest degree of the difference are array
 expressions over those cells, and the final sums are taken in Python
 integers, so results past 2^63 stay exact.
@@ -16,7 +17,9 @@ integers, so results past 2^63 stay exact.
 from __future__ import annotations
 
 from .errors import EpsmultError, InfiniteColengthError
-from .ideals import _NEVER, MonomialIdeal, _cell_corners, _exact_int, _height_grids
+from .ideals import (
+    _NEVER, MonomialIdeal, _cell_corners, _exact_int, _height_grids, _saturation_heights,
+)
 
 
 def _difference_cells(inner: MonomialIdeal, outer: MonomialIdeal):
@@ -29,7 +32,11 @@ def _difference_cells(inner: MonomialIdeal, outer: MonomialIdeal):
     enters outer but never inner, or an unbounded cell is nonempty.
     """
     inner._check_same_dim(outer)
-    cuts, (h_in, h_out) = _height_grids((inner, outer))
+    if outer is getattr(inner, "_sat", None):
+        cuts, h_in = inner._grid()
+        h_out = _saturation_heights(h_in)
+    else:
+        cuts, (h_in, h_out) = _height_grids((inner, outer))
     if bool((h_in < h_out).any()):
         raise EpsmultError("inner not contained in outer")
     mask = h_in > h_out

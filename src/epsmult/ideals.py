@@ -14,12 +14,12 @@ above DEGREE_LIMIT = 2^61 with SizeLimitError, so that no int64 sum or
 maximum of two generators can wrap.  The constructor also refuses a ring
 in more than DIM_LIMIT = 64 variables, past the axes of a numpy 2 array.
 Every nonzero ideal has a compressed height grid (see _height_grids),
-memoized on the instance by MonomialIdeal._grid; the saturation and the
-simplex counts of the okounkov module read it.  A product of large ideals
-is a min-plus shift of the larger factor's grid.  It reads its generators
-off the new grid's corners, as the saturation does, and keeps the grid
-for the next link of a power chain.  Below 64 candidates a pure-Python
-antichain filter minimalizes; above, a vectorized one (_minimal_rows).
+memoized on the instance by MonomialIdeal._grid; the saturation, the
+length of sat(I)/I and okounkov's simplex counts read it.  A product of
+large ideals is a min-plus shift of the larger factor's grid, trimmed to
+its own grid and kept for the next link of a power chain.  Below 64
+candidates, or past DEGREE_LIMIT, a bitset filter on Python ints
+minimalizes; above, a vectorized one (_minimal_rows).
 
 Instances are immutable and hashable; operations return new ideals.
 Each instance memoizes what it derives: its height grid, its saturation
@@ -92,11 +92,25 @@ def _dominates(small: Exponent, big: Exponent) -> bool:
 
 
 def _minimal_python(cands: set[Exponent]) -> list[Exponent]:
-    out: list[Exponent] = []
-    for c in sorted(cands, key=lambda t: (sum(t), t)):
-        if not any(_dominates(g, c) for g in out):
-            out.append(c)
-    return out
+    """The minimal vectors of a set: one sort per axis, exact at any size.
+
+    Each candidate ANDs, over the axes, the bitset of the candidates no
+    larger on that axis.  The candidates are distinct, so one is minimal
+    when that leaves its own bit alone.
+    """
+    vecs = list(cands)
+    bits = [1 << i for i in range(len(vecs))]
+    masks = [-1] * len(vecs)
+    for column in zip(*vecs):
+        below: dict[int, int] = {}
+        for c, bit in zip(column, bits):
+            below[c] = below.get(c, 0) | bit
+        seen = 0
+        for c in sorted(below):
+            seen |= below[c]
+            below[c] = seen
+        masks = [m & below[c] for m, c in zip(masks, column)]
+    return [v for v, m, bit in zip(vecs, masks, bits) if m == bit]
 
 
 def _check_degree(vectors) -> None:
@@ -196,18 +210,22 @@ def _cell_corners(cuts, mask: np.ndarray) -> tuple[list[np.ndarray], list[np.nda
     return lows, widths
 
 
-def _saturation_on_grid(ideal: "MonomialIdeal") -> "MonomialIdeal":
-    """The saturation of a nonzero ideal, read off its height grid.
+def _saturation_heights(height: np.ndarray) -> np.ndarray:
+    """The saturation's heights on a nonzero ideal's grid (see MonomialIdeal.saturate).
 
-    The largest finite height is the largest first coordinate of a
-    generator, T_1 in MonomialIdeal.saturate.
+    The largest finite height is T_1, the largest first coordinate of a generator.
     """
-    cuts, height = ideal._grid()
     finite = height < _NEVER
     sat = np.maximum(height - height[finite].max(), 0)
     for axis in range(height.ndim):
         sat = np.maximum(sat, height.take([-1], axis=axis))
-    return _make(ideal.dim, rows=_corners(cuts, np.where(finite, sat, _NEVER)))
+    return np.where(finite, sat, _NEVER)
+
+
+def _saturation_on_grid(ideal: "MonomialIdeal") -> "MonomialIdeal":
+    """The saturation of a nonzero ideal, read off its height grid."""
+    cuts, height = ideal._grid()
+    return _make(ideal.dim, rows=_corners(cuts, _saturation_heights(height)))
 
 
 def _shifted_heights(padded: np.ndarray, cuts, union, shifts: np.ndarray) -> np.ndarray:
@@ -269,17 +287,16 @@ def _product_on_grid(big: "MonomialIdeal", small: "MonomialIdeal", union) -> "Mo
         np.minimum(out, part.min(axis=0), out=out)
     # g_1 + _NEVER still marks a column that never enters
     np.minimum(out, _NEVER, out=out)
-    rows = _corners(union, out)
-    # The heights change only at 0 and at generator coordinates.  Keeping
-    # just those cuts leaves the product's own grid, as _height_grids would
-    # build it, which the product keeps.
+    # A cut holds a generator coordinate iff the heights change across it (a
+    # lower cell walks back along the other axes to a corner).  Keeping 0 and
+    # those cuts leaves the product's own grid, which the product keeps.
     own = list(union)
     for axis in range(out.ndim):
-        keep = np.isin(own[axis], rows[:, axis + 1])
-        keep[0] = True
+        others = tuple(a for a in range(out.ndim) if a != axis)
+        keep = np.concatenate(([True], (np.diff(out, axis=axis) != 0).any(axis=others)))
         own[axis] = own[axis][keep]
         out = out.compress(keep, axis=axis)
-    ideal = _make(big.dim, rows=rows)
+    ideal = _make(big.dim, rows=_corners(own, out))
     ideal._set_grid(own, out)
     return ideal
 

@@ -12,7 +12,8 @@ staircase points in a simplex, the oracle of the simplex count; the
 literal truncation statement, the oracle of the truncation search; and
 the K-polynomial length, which reads generator lists only and so checks
 `colength` at exponents no box can hold.  The slicing hull volume, in
-dimensions 1 to 4, is the oracle of `okounkov.hull_volume`.
+dimensions 1 to 4, is the oracle of `okounkov.hull_volume`, and the
+quadratic `brute_minimal` that of the package's antichain filters.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from itertools import combinations, product as iproduct
 
 import numpy as np
 
-from epsmult.ideals import _minimal_python, maximal_ideal
+from epsmult.ideals import maximal_ideal
 
 Vec = tuple[int, ...]
 
@@ -67,14 +68,28 @@ def brute_product(gens_a, gens_b, dim: int) -> frozenset:
     return frozenset(out)
 
 
+def brute_minimal(cands) -> list[Vec]:
+    """The minimal vectors of a set, sorted: each checked against those kept.
+
+    Visited in order of degree, a vector can be dominated only by one
+    visited before it.  Quadratic, and exact in Python integers at any
+    size: the oracle of the package's antichain filters.
+    """
+    out: list[Vec] = []
+    for c in sorted(set(cands), key=lambda t: (sum(t), t)):
+        if not any(all(x <= y for x, y in zip(g, c)) for g in out):
+            out.append(c)
+    return sorted(out)
+
+
 def product_by_sums(a, b):
-    """Generators of a * b: the pairwise sums, minimalized by the Python filter.
+    """Generators of a * b: the pairwise sums, minimalized by `brute_minimal`.
 
     The generator-list product, the oracle of the grid product of
     `MonomialIdeal.product`.  Exact in Python integers at any size.
     """
     sums = {tuple(x + y for x, y in zip(g, h)) for g in a.generators for h in b.generators}
-    return tuple(sorted(_minimal_python(sums)))
+    return tuple(brute_minimal(sums))
 
 
 def brute_intersect(gens_a, gens_b, dim: int) -> frozenset:

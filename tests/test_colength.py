@@ -1,3 +1,4 @@
+import importlib
 import math
 import random
 
@@ -12,6 +13,7 @@ from epsmult import (
     colength,
     corpus,
     difference_max_degree,
+    epsilon_sequence,
     is_finite_colength,
     length_sequence,
     unit_ideal,
@@ -134,6 +136,60 @@ def test_mixed_pairs_match_brute_force_including_infinite():
                 colength(inner, outer)
         else:
             assert colength(inner, outer) == want
+
+
+def _saturation_pairs():
+    """(P, sat P) on corpus powers in d = 1-4, principal, non-m-primary and 1-variable ideals."""
+    bases = corpus(24, 60, max_dim=4, max_gens=4, max_exp=3) + [
+        MonomialIdeal(3, [(1, 1, 1)]),
+        MonomialIdeal(2, [(2, 3)]),
+        MonomialIdeal(4, [(0, 1, 2, 1)]),
+        MonomialIdeal(3, [(1, 1, 0), (1, 0, 1)]),
+        MonomialIdeal(1, [(4,)]),
+        MonomialIdeal(1, [(1,)]),
+    ]
+    for base in bases:
+        for n in (1, 2) if base.dim == 4 else (1, 2, 3):
+            P = base.power(n)
+            yield P, P.saturate()
+
+
+class TestSaturationOnTheInnerGrid:
+    """Against sat(P) itself, the counts read P's own grid; any other outer ideal, a fresh one."""
+
+    def test_matches_a_memo_free_copy_and_brute_force(self):
+        dims = set()
+        for P, S in _saturation_pairs():
+            assert S is P._sat
+            dims.add(P.dim)
+            got = colength(P, S), difference_max_degree(P, S)
+            copy = MonomialIdeal(P.dim, S.generators)
+            assert got == (colength(P, copy), difference_max_degree(P, copy)), P
+            gens = (P.generators, S.generators, P.dim)
+            assert got == (brute_colength(*gens), brute_difference_max_degree(*gens)), P
+        assert dims == {1, 2, 3, 4}
+
+    def test_epsilon_sequence_builds_no_two_ideal_grid(self, monkeypatch):
+        colength_mod = importlib.import_module("epsmult.colength")
+        ideals_mod = importlib.import_module("epsmult.ideals")
+        sizes = []
+        height_grids = ideals_mod._height_grids
+
+        def recorded(ideals):
+            sizes.append(len(ideals))
+            return height_grids(ideals)
+
+        monkeypatch.setattr(ideals_mod, "_height_grids", recorded)
+        monkeypatch.setattr(colength_mod, "_height_grids", recorded)
+        I = MonomialIdeal(3, [(2, 1, 0), (0, 2, 1), (1, 0, 2)])
+        lengths = epsilon_sequence(I, 8).lengths
+        # the small powers' own grids are built; no count builds one of two ideals
+        assert sizes and set(sizes) == {1}
+        monkeypatch.undo()
+        assert list(lengths) == [
+            colength(I.power(n), MonomialIdeal(3, I.power(n).saturate().generators))
+            for n in range(1, 9)
+        ]
 
 
 class TestDifferenceMaxDegree:

@@ -25,6 +25,7 @@ from epsmult import (
     zero_ideal,
 )
 from epsmult.ideals import (
+    DEGREE_LIMIT,
     _minimal_python,
     _minimal_rows,
     minimal_vectors,
@@ -33,6 +34,7 @@ from epsmult.ideals import (
 from oracle_utils import (
     brute_colon,
     brute_intersect,
+    brute_minimal,
     brute_product,
     brute_saturate,
     contains_many,
@@ -174,10 +176,46 @@ def _candidate_sets(rng):
             yield cands
 
 
+def _tied_sets(rng, offset: int):
+    """Sets of 0-63 vectors in dims 1-4, offset + 0..3 on every coordinate.
+
+    Four values per axis make ties on every axis of most sets in dims 2-4.
+    """
+    for dim in range(1, 5):
+        for size in range(64):
+            yield {tuple(offset + rng.randint(0, 3) for _ in range(dim)) for _ in range(size)}
+
+
 class TestMinimalization:
+    @pytest.mark.parametrize("offset", [0, 1 << 64])
+    def test_bitset_filter_matches_the_quadratic_oracle(self, offset):
+        tied = 0
+        for cands in _tied_sets(random.Random(98), offset):
+            assert sorted(_minimal_python(cands)) == brute_minimal(cands)
+            axes = zip(*cands)
+            tied += len(cands) > 1 and all(len(set(a)) < len(cands) for a in axes)
+        # distinct vectors in one variable never tie; in two to four, most sets do
+        assert tied >= 150
+
+    def test_past_the_degree_limit_the_bitset_filter_takes_many(self, monkeypatch):
+        def no_rows(rows):
+            raise AssertionError("vectors past DEGREE_LIMIT reached the int64 filter")
+
+        monkeypatch.setattr(ideals_mod, "_minimal_rows", no_rows)
+        rng = random.Random(99)
+        for dim in range(1, 5):
+            for draws in (200, 600):
+                # each coordinate small or just past DEGREE_LIMIT
+                cands = {
+                    tuple(rng.randint(0, 99) + DEGREE_LIMIT * rng.randint(0, 1) for _ in range(dim))
+                    for _ in range(draws)
+                }
+                assert len(cands) > 64 and max(map(sum, cands)) > DEGREE_LIMIT
+                assert list(minimal_vectors(cands)) == brute_minimal(cands)
+
     def test_vectorized_path_matches_the_python_oracle(self):
         for cands in _candidate_sets(random.Random(97)):
-            expected = sorted(_minimal_python(cands))
+            expected = brute_minimal(cands)
             # the rows come back sorted, with no sort of their own
             rows = _minimal_rows(np.array(list(cands), dtype=np.int64))
             assert list(map(tuple, rows.tolist())) == expected
@@ -453,6 +491,12 @@ def _same_grid(got, want) -> bool:
     )
 
 
+def _fresh_grid(ideal):
+    """(cuts, heights) of ideal as _height_grids builds them, memo aside."""
+    cuts, (heights,) = ideals_mod._height_grids((ideal,))
+    return cuts, heights
+
+
 def _on_grid(big, small):
     """big * small on the grid, whatever the size switch in product says."""
     return ideals_mod._product_on_grid(big, small, ideals_mod._union_cuts(big, small))
@@ -493,6 +537,32 @@ class TestGridProduct:
                 power = base.power(n)
                 fresh = ideals_mod._make(power.dim, power.generators)
                 assert _same_grid(power._grid(), fresh._grid())
+
+    def test_kept_grid_on_degenerate_axes(self):
+        # column axes cut at 0 alone (factors free of z, or of y and z), a
+        # single column axis, and no column axis at all
+        def ideal(*gens):
+            return MonomialIdeal(len(gens[0]), gens)
+
+        prime = ideal((1, 0, 0), (0, 1, 0))
+        cases = [
+            (prime.power(6), prime),
+            (ideal((3, 0, 0), (2, 1, 0), (0, 4, 0)), ideal((1, 1, 0), (0, 2, 0))),
+            (ideal((2, 0, 0, 1), (0, 0, 0, 3)), ideal((1, 0, 0, 1), (4, 0, 0, 0))),
+            (ideal((4, 0), (1, 2), (0, 5)), ideal((1, 1), (2, 0))),
+            (ideal((3, 0)), ideal((1, 0))),
+            (ideal((3,)), ideal((2,))),
+            (ideal((0,)), ideal((2,))),
+        ]
+        for a, b in cases:
+            for big, small in ((a, b), (b, a)):
+                got = _on_grid(big, small)
+                assert got.generators == product_by_sums(big, small)
+                assert _same_grid(got._grid(), _fresh_grid(got))
+        # the prime's chain crosses onto grid products, as in criterion 3
+        power = prime.power(40)
+        assert len(power.generators) * 2 >= ideals_mod._NUMPY_CUTOVER
+        assert _same_grid(power._grid(), _fresh_grid(power))
 
     @staticmethod
     def _wide(lead: int) -> MonomialIdeal:
