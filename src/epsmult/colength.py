@@ -7,11 +7,12 @@ a height: the least first coordinate at which the column enters the ideal.
 The height changes only at generator coordinates, so cutting each column
 axis at 0 and at every generator coordinate of the ideals involved gives a
 compressed grid with one height per cell and ideal; the last cell of each
-axis is unbounded.  For I and its memoized saturation that is I's own
-grid; any other pair gets a fresh one from ideals._height_grids.  Containment,
-finiteness, the length and the deepest degree of the difference are array
-expressions over those cells, and the final sums are taken in Python
-integers, so results past 2^63 stay exact.
+axis is unbounded.  For I and its saturation that is I's own grid, where
+the containment and finiteness checks hold by construction and are
+skipped; any other pair gets a fresh one from ideals._height_grids.
+Containment, finiteness, the length and the deepest degree of the
+difference are array expressions over those cells, and the final sums
+are taken in Python integers, so results past 2^63 stay exact.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .ideals import (
 )
 
 
-def _difference_cells(inner: MonomialIdeal, outer: MonomialIdeal):
+def _difference_cells(inner: MonomialIdeal, outer: MonomialIdeal | None):
     """The cells where outer/inner is nonempty, as exact arrays.
 
     Returns (lows, widths, h_in, h_out): each column of such a cell holds
@@ -30,22 +31,26 @@ def _difference_cells(inner: MonomialIdeal, outer: MonomialIdeal):
     least h_out.  Raises EpsmultError unless inner <= outer, and
     InfiniteColengthError when the difference is infinite: some column
     enters outer but never inner, or an unbounded cell is nonempty.
+    Outer None stands for sat(inner), inner nonzero, as inner's memoized
+    saturation does: its heights on inner's grid never exceed h, equal h on
+    every last cell and are _NEVER wherever h is, so no check is run.
     """
-    inner._check_same_dim(outer)
-    if outer is getattr(inner, "_sat", None):
+    if outer is None or outer is getattr(inner, "_sat", None):
         cuts, h_in = inner._grid()
         h_out = _saturation_heights(h_in)
+        mask = h_in > h_out
     else:
+        inner._check_same_dim(outer)
         cuts, (h_in, h_out) = _height_grids((inner, outer))
-    if bool((h_in < h_out).any()):
-        raise EpsmultError("inner not contained in outer")
-    mask = h_in > h_out
-    if bool(((h_in == _NEVER) & mask).any()) or any(
-        bool(mask.take(-1, axis=axis).any()) for axis in range(mask.ndim)
-    ):
-        raise InfiniteColengthError(
-            "outer/inner has infinite length (outer exceeds the saturation of inner)"
-        )
+        if bool((h_in < h_out).any()):
+            raise EpsmultError("inner not contained in outer")
+        mask = h_in > h_out
+        if bool(((h_in == _NEVER) & mask).any()) or any(
+            bool(mask.take(-1, axis=axis).any()) for axis in range(mask.ndim)
+        ):
+            raise InfiniteColengthError(
+                "outer/inner has infinite length (outer exceeds the saturation of inner)"
+            )
     lows, widths = _cell_corners(cuts, mask)
     return lows, widths, h_in[mask].astype(object), h_out[mask].astype(object)
 
@@ -63,13 +68,22 @@ def is_finite_colength(inner: MonomialIdeal, outer: MonomialIdeal) -> bool:
     return True
 
 
-def colength(inner: MonomialIdeal, outer: MonomialIdeal) -> int:
-    """Exact length of outer/inner; raises InfiniteColengthError when infinite."""
+def _length(inner: MonomialIdeal, outer: MonomialIdeal | None) -> int:
     _, widths, h_in, h_out = _difference_cells(inner, outer)
     count = h_in - h_out
     for width in widths:
         count = count * width
     return int(count.sum())
+
+
+def colength(inner: MonomialIdeal, outer: MonomialIdeal) -> int:
+    """Exact length of outer/inner; raises InfiniteColengthError when infinite."""
+    return _length(inner, outer)
+
+
+def saturation_length(ideal: MonomialIdeal) -> int:
+    """Exact length of sat(I)/I, off I's own grid: no saturation ideal is formed."""
+    return _length(ideal, None) if not ideal.is_zero else 0
 
 
 def difference_max_degree(inner: MonomialIdeal, outer: MonomialIdeal) -> int | None:

@@ -2,17 +2,18 @@
 
 A monomial ideal is stored by its unique minimal generating set of
 exponent vectors (an antichain under the componentwise order), sorted,
-both as tuples and as the rows of an int64 array, which the numpy paths
-read.  Every constructor and every operation normalizes eagerly, so two
-ideals are equal as values exactly when they are equal as ideals.  The
-unit ideal is generated by the zero vector; the zero ideal has none.
+as int64 rows; .generators builds their tuples on first read.  Every
+constructor and every operation normalizes eagerly, so two ideals are
+equal (and hash equal) exactly when their row bytes are.  The unit ideal
+is generated by the zero vector; the zero ideal has none.
 
 All arithmetic is exact integer arithmetic, and exponents must be ints
 (or numpy integers).  Every ideal is formed in one place (_make, or the
 constructor for raw input), which refuses a minimal generator of degree
 above DEGREE_LIMIT = 2^61 with SizeLimitError, so that no int64 sum or
-maximum of two generators can wrap.  The constructor also refuses a ring
-in more than DIM_LIMIT = 64 variables, past the axes of a numpy 2 array.
+maximum of two generators can wrap; rows with no coordinate above
+DEGREE_LIMIT // d pass it unread.  The constructor also refuses a ring in
+more than DIM_LIMIT = 64 variables, past the axes of a numpy 2 array.
 Every nonzero ideal has a compressed height grid (see _height_grids),
 memoized on the instance by MonomialIdeal._grid; the saturation, the
 length of sat(I)/I and okounkov's simplex counts read it.  A product of
@@ -22,8 +23,8 @@ candidates, or past DEGREE_LIMIT, a bitset filter on Python ints
 minimalizes; above, a vectorized one (_minimal_rows).
 
 Instances are immutable and hashable; operations return new ideals.
-Each instance memoizes what it derives: its height grid, its saturation
-and its chain of powers I^2, I^3, .. (see MonomialIdeal.power).  So
+Each instance memoizes what it derives: its generator tuples, height
+grid, saturation and chain of powers I^2, I^3, .. (see .power).  So
 every caller that asks one ideal for I^n or sat(I^n) reads the same
 objects, and a report builds each once.  No memo refers back to the
 ideal that holds it, so an ideal and all it derived are freed together
@@ -336,12 +337,11 @@ def minimal_vectors(vectors: Iterable[Exponent]) -> tuple[Exponent, ...]:
     return tuple(map(tuple, _minimal_rows(rows).tolist()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MonomialIdeal:
     """A monomial ideal, normalized to its minimal sorted generating set."""
 
     dim: int
-    generators: tuple[Exponent, ...]
 
     def __init__(self, dim: int, generators: Iterable[Iterable[int]] = ()):
         dim = _exact_int(dim, "dim", 1)
@@ -352,18 +352,34 @@ class MonomialIdeal:
             )
         gens = minimal_vectors(_as_vector(g, dim) for g in generators)
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "generators", gens)
+        object.__setattr__(self, "_gens", gens)
         object.__setattr__(self, "_rows", _int64_rows(gens, dim))
 
     # -- basic queries -------------------------------------------------
 
     @property
+    def generators(self) -> tuple[Exponent, ...]:
+        gens = self._gens
+        if gens is None:
+            gens = tuple(map(tuple, self._rows.tolist()))
+            object.__setattr__(self, "_gens", gens)
+        return gens
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, MonomialIdeal):
+            return NotImplemented
+        return self.dim == other.dim and self._rows.tobytes() == other._rows.tobytes()
+
+    def __hash__(self) -> int:
+        return hash((self.dim, self._rows.tobytes()))
+
+    @property
     def is_zero(self) -> bool:
-        return not self.generators
+        return not len(self._rows)
 
     @property
     def is_unit(self) -> bool:
-        return len(self.generators) == 1 and not any(self.generators[0])
+        return len(self._rows) == 1 and not any(self.generators[0])
 
     def _grid(self) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
         """(cuts, heights) of this ideal's own height grid, read-only.
@@ -426,9 +442,9 @@ class MonomialIdeal:
         if self.is_zero or other.is_zero:
             return zero_ideal(self.dim)
         big, small = self, other
-        if len(big.generators) < len(small.generators):
+        if len(big._rows) < len(small._rows):
             big, small = small, big
-        n_big, n_small = len(big.generators), len(small.generators)
+        n_big, n_small = len(big._rows), len(small._rows)
         if n_big * n_small < _NUMPY_CUTOVER:
             sums = (tuple(map(operator.add, g, h)) for g in big for h in small)
             return _make(self.dim, minimal_vectors(sums))
@@ -529,16 +545,17 @@ class MonomialIdeal:
 def _make(dim: int, gens=None, rows=None) -> MonomialIdeal:
     """Form an ideal from its sorted minimal generators, as tuples or as int64 rows.
 
-    Derives the other form; raises SizeLimitError past DEGREE_LIMIT.
+    Derives rows from tuples; tuples wait for .generators.  Raises
+    SizeLimitError past DEGREE_LIMIT.
     """
     if rows is None:
         rows = _int64_rows(gens, dim)
-    else:
-        gens = tuple(map(tuple, rows.tolist()))
-        _check_degree(gens)
+    elif len(rows) and rows.max() > DEGREE_LIMIT // dim:
+        # below that bound no row's degree can pass the limit
+        _check_degree(rows.tolist())
     ideal = object.__new__(MonomialIdeal)
     object.__setattr__(ideal, "dim", dim)
-    object.__setattr__(ideal, "generators", gens)
+    object.__setattr__(ideal, "_gens", gens)
     object.__setattr__(ideal, "_rows", rows)
     return ideal
 

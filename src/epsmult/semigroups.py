@@ -61,18 +61,19 @@ def _generator_sums(n: int, origin, move, steps):
 
 
 def _move_by_runs(mask: int, step) -> int:
-    """mask moved by runs of consecutive shifts: step = (length, first shifts).
+    """mask moved by runs of consecutive shifts: step = ((length, first shifts), ..).
 
-    Doubling shift-ORs spread the mask over one run's length, shared by
-    every run in the step; one shift per run then places it.
+    One chain of doubling shift-ORs spreads the mask over each length in
+    increasing order; one shift per run then places it.
     """
-    length, starts = step
-    width = 1
-    while width < length:  # mask holds its shifts by 0..width-1
-        more = min(width, length - width)
-        mask |= mask << more
-        width += more
-    return functools.reduce(operator.or_, (mask << s for s in starts))
+    moved, width = 0, 1
+    for length, starts in step:
+        while width < length:  # mask holds its shifts by 0..width-1
+            more = min(width, length - width)
+            mask |= mask << more
+            width += more
+        moved = functools.reduce(operator.or_, (mask << s for s in starts), moved)
+    return moved
 
 
 class Semigroup:
@@ -126,9 +127,9 @@ class Semigroup:
         level set is a bitmask over a fixed grid big enough for level
         n_max, so moving it by a generator vector is a single shift.  The
         last axis has stride 1, so the generators of one level fall into
-        runs of consecutive shifts, and a run of length L moves a mask by
-        ceil(log2 L) doubling shift-ORs, shared by every run of that level
-        and length, and one shift to its start (see _move_by_runs).  A
+        runs of consecutive shifts.  One chain of doubling shift-ORs per
+        level spreads a mask over each of its run lengths in turn, and one
+        shift moves it to a run's start (see _move_by_runs).  A
         levels-form semigroup gives its listed levels in that range.
         """
         n_max = _exact_int(n_max, "n_max", 1)
@@ -148,13 +149,13 @@ class Semigroup:
         shifts = sorted(
             (g[-1], sum(map(operator.mul, g[:-1], strides))) for g in self.generators
         )
-        runs = collections.defaultdict(list)  # (level, length) -> first shift of each run
+        runs = collections.defaultdict(dict)  # level -> {length: first shift of each run}
         start = 0
         for k, (lvl, s) in enumerate(shifts, 1):
             if k == len(shifts) or shifts[k] != (lvl, s + 1):  # a run ends at s
-                runs[lvl, k - start].append(shifts[start][1])
+                runs[lvl].setdefault(k - start, []).append(shifts[start][1])
                 start = k
-        steps = [(lvl, (length, starts)) for (lvl, length), starts in runs.items()]
+        steps = [(lvl, sorted(lengths.items())) for lvl, lengths in runs.items()]
         masks = _generator_sums(n_max, 1, _move_by_runs, steps)
         return {j: mask.bit_count() for j, mask in enumerate(masks, 1)}
 

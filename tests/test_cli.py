@@ -624,6 +624,9 @@ GOLDEN_RUNS = [
     (LEMMAS_X2XY + JSON, "lemmas_x2xy_seed5.json", 0),
     (["epsilon", "-i", X2Y_Y2Z_XZ2, "--nmax", "12"], "epsilon_x2y_y2z_xz2.csv", 0),
     (["epsilon", "-i", "x^2, x*y, y*z, z*w", "--nmax", "10"], "epsilon_x2_xy_yz_zw.csv", 0),
+    # past brute force: the length kernel on grids of a few thousand cells
+    (["epsilon", "-i", "x^2, x*y, y*z, z*w", "--nmax", "40"], "epsilon_x2_xy_yz_zw_n40.csv", 0),
+    (["epsilon", "-i", "y*z^3, x*y^4*z^2, x^4*z^3", "--nmax", "40"], "epsilon_yz3_xy4z2_x4z3_n40.csv", 0),
     (THEOREM_A_3D, "theorem_a_x2y_y2z_xz2.csv", 0),
 ]
 

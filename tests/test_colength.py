@@ -16,6 +16,7 @@ from epsmult import (
     epsilon_sequence,
     is_finite_colength,
     length_sequence,
+    saturation_length,
     unit_ideal,
     zero_ideal,
 )
@@ -190,6 +191,48 @@ class TestSaturationOnTheInnerGrid:
             colength(I.power(n), MonomialIdeal(3, I.power(n).saturate().generators))
             for n in range(1, 9)
         ]
+
+
+class TestSaturationLength:
+    """saturation_length(P) reads P's grid alone and forms no saturation ideal."""
+
+    def test_matches_the_two_ideal_grid_and_brute_force(self):
+        dims = set()
+        for P, S in _saturation_pairs():
+            dims.add(P.dim)
+            fresh = colength(P, MonomialIdeal(P.dim, S.generators))
+            assert saturation_length(P) == fresh == brute_colength(P.generators, S.generators, P.dim)
+        assert dims == {1, 2, 3, 4}
+
+    @pytest.mark.parametrize(
+        "dim,gens",
+        [
+            (4, [(2, 0, 0, 0), (1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1)]),
+            (3, [(0, 1, 3), (1, 4, 2), (4, 0, 3)]),
+        ],
+    )
+    def test_matches_the_two_ideal_grid_past_brute_force(self, dim, gens):
+        I = MonomialIdeal(dim, gens)
+        for n in range(1, 41):
+            P = I.power(n)
+            assert saturation_length(P) == colength(P, MonomialIdeal(dim, P.saturate().generators)), n
+
+    def test_zero_and_unit_ideals_have_length_zero(self):
+        assert saturation_length(zero_ideal(3)) == saturation_length(unit_ideal(3)) == 0
+
+    def test_epsilon_sequence_forms_no_saturation(self, monkeypatch):
+        ideals_mod = importlib.import_module("epsmult.ideals")
+        calls = []
+        on_grid = ideals_mod._saturation_on_grid
+
+        def recorded(ideal):
+            calls.append(ideal)
+            return on_grid(ideal)
+
+        monkeypatch.setattr(ideals_mod, "_saturation_on_grid", recorded)
+        I = MonomialIdeal(3, [(2, 1, 0), (0, 2, 1), (1, 0, 2)])
+        assert len(epsilon_sequence(I, 8).lengths) == 8
+        assert calls == []
 
 
 class TestDifferenceMaxDegree:

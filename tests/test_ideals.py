@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 import math
@@ -715,6 +716,76 @@ class TestGridProduct:
                 assert not arr.flags.writeable
                 with pytest.raises(ValueError):
                     arr[...] = 0
+
+
+class TestLazyGenerators:
+    """Generator tuples are built from the rows on first read; the rows are the value."""
+
+    BASE = MonomialIdeal(4, [(2, 0, 0, 0), (1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1)])
+    X2_XY = MonomialIdeal(2, [(2, 0), (1, 1)])
+
+    def _three_routes(self, monkeypatch):
+        """x^2, xy, yz, zw to the 6th: on the grid, from tuples, and by pairwise sums."""
+        fifth = self.BASE.power(5)
+        grid = fifth.product(self.BASE)
+        assert getattr(grid, "_heights", None) is not None
+        tuples = MonomialIdeal(4, product_by_sums(fifth, self.BASE))
+        monkeypatch.setattr(ideals_mod, "MAX_GRID_CELLS", 0)
+        sums = MonomialIdeal(4, fifth.generators) * MonomialIdeal(4, self.BASE.generators)
+        monkeypatch.undo()
+        assert getattr(sums, "_heights", None) is None
+        return grid, tuples, sums
+
+    @pytest.mark.parametrize("name", ["dim", "generators", "_rows"])
+    def test_instances_stay_frozen(self, name):
+        small = self.X2_XY
+        for ideal in (small, small * small, self.BASE.power(6), self.BASE.power(6).saturate()):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(ideal, name, getattr(ideal, name))
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(ideal, name)
+
+    def test_every_route_is_one_value(self, monkeypatch):
+        grid, tuples, sums = self._three_routes(monkeypatch)
+        # comparing and hashing read the rows, not the tuples
+        assert getattr(grid, "_gens", None) is None
+        assert grid == tuples == sums
+        assert hash(grid) == hash(tuples) == hash(sums)
+        assert len({grid, tuples, sums}) == 1
+        assert getattr(grid, "_gens", None) is None
+        assert grid != self.BASE.power(5) and grid != grid.generators
+
+    def test_generators_are_tuples_of_python_ints(self, monkeypatch):
+        big = MonomialIdeal(2, [(np.int64(i), np.int64(70 - i)) for i in range(70)])
+        grid, _, sums = self._three_routes(monkeypatch)
+        a, b = self.X2_XY, MonomialIdeal(2, [(0, 3), (2, 1)])
+        routes = {
+            "constructor": MonomialIdeal(2, [(np.int64(2), 0), (1, 1)]),
+            "Python filter": a * b,
+            "_minimal_rows": big,
+            "grid product": grid,
+            "pairwise sums": sums,
+            "saturation": grid.saturate(),
+            "intersect": a & b,
+            "colon": a.colon(b),
+            "sum": a + b,
+        }
+        for route, ideal in routes.items():
+            assert ideal.generators, route
+            for g in ideal.generators:
+                assert type(g) is tuple and all(type(c) is int for c in g), route
+            assert ideal.generators is ideal.generators
+
+    def test_degree_rule_boundary_on_the_rows_path(self):
+        # a coordinate past DEGREE_LIMIT // 2 sends the rows to the exact check
+        y5 = MonomialIdeal(2, [(0, 5)])
+        edge = MonomialIdeal(2, [(DEGREE_LIMIT - 5, 0)]) & y5
+        assert edge.generators == ((DEGREE_LIMIT - 5, 5),)
+        assert MonomialIdeal(2, [(DEGREE_LIMIT - 5, 0)]) * y5 == edge
+        with pytest.raises(SizeLimitError, match="degree above"):
+            MonomialIdeal(2, [(DEGREE_LIMIT - 4, 0)]) & y5
+        with pytest.raises(SizeLimitError, match="degree above"):
+            ideals_mod._make(2, rows=np.array([[DEGREE_LIMIT - 4, 5]], dtype=np.int64))
 
 
 @pytest.fixture(scope="module")

@@ -210,6 +210,17 @@ class TestRunRaster:
         sg = Semigroup(1, generators=[(t, 1) for t in range(length)])
         assert sg.counts(30) == {n: n * (length - 1) + 1 for n in range(1, 31)}
 
+    def test_several_run_lengths_share_one_chain_per_level(self):
+        # columns of 5, 5, 4, 2 and 1 points give runs of lengths 5, 4, 2
+        # and 1 in level 1; level 2 adds runs of 3 and 1
+        cols = [5, 5, 4, 2, 1]
+        gens = [(x, y, 1) for x, c in enumerate(cols) for y in range(c)]
+        gens += [(0, 7, 2), (0, 8, 2), (0, 9, 2), (6, 0, 2)]
+        sg = Semigroup(2, generators=gens)
+        counts = sg.counts(6)
+        assert counts == {n: len(sg.level(n)) for n in range(1, 7)}
+        assert counts[1] == sum(cols)
+
     def test_box_moves_by_one_run_per_head(self):
         # the box [0,1] x [0,2] x [0,3] of level-1 points is 6 runs of length 4
         box = [(a, b, c, 1) for a in range(2) for b in range(3) for c in range(4)]
