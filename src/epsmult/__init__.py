@@ -11,7 +11,6 @@ from .colength import (
     difference_max_degree,
     is_finite_colength,
     length_sequence,
-    saturation_length,
 )
 from .corpus import corpus, random_ideal
 from .errors import (
@@ -100,7 +99,6 @@ __all__ = [
     "length_sequence",
     "maximal_ideal",
     "random_ideal",
-    "saturation_length",
     "semigroup_from_json_dict",
     "swanson_c_search",
     "theorem_a_table",

@@ -68,22 +68,19 @@ def is_finite_colength(inner: MonomialIdeal, outer: MonomialIdeal) -> bool:
     return True
 
 
-def _length(inner: MonomialIdeal, outer: MonomialIdeal | None) -> int:
+def colength(inner: MonomialIdeal, outer: MonomialIdeal | None) -> int:
+    """Exact length of outer/inner; raises InfiniteColengthError when infinite.
+
+    Outer None stands for sat(inner), read off inner's own grid without
+    forming the saturation ideal.
+    """
+    if outer is None and inner.is_zero:
+        return 0
     _, widths, h_in, h_out = _difference_cells(inner, outer)
     count = h_in - h_out
     for width in widths:
         count = count * width
     return int(count.sum())
-
-
-def colength(inner: MonomialIdeal, outer: MonomialIdeal) -> int:
-    """Exact length of outer/inner; raises InfiniteColengthError when infinite."""
-    return _length(inner, outer)
-
-
-def saturation_length(ideal: MonomialIdeal) -> int:
-    """Exact length of sat(I)/I, off I's own grid: no saturation ideal is formed."""
-    return _length(ideal, None) if not ideal.is_zero else 0
 
 
 def difference_max_degree(inner: MonomialIdeal, outer: MonomialIdeal) -> int | None:

@@ -359,11 +359,9 @@ class MonomialIdeal:
 
     @property
     def generators(self) -> tuple[Exponent, ...]:
-        gens = self._gens
-        if gens is None:
-            gens = tuple(map(tuple, self._rows.tolist()))
-            object.__setattr__(self, "_gens", gens)
-        return gens
+        if self._gens is None:
+            object.__setattr__(self, "_gens", tuple(map(tuple, self._rows.tolist())))
+        return self._gens
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MonomialIdeal):
@@ -379,7 +377,7 @@ class MonomialIdeal:
 
     @property
     def is_unit(self) -> bool:
-        return len(self._rows) == 1 and not any(self.generators[0])
+        return len(self._rows) == 1 and not self._rows.any()
 
     def _grid(self) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
         """(cuts, heights) of this ideal's own height grid, read-only.
@@ -570,10 +568,7 @@ def unit_ideal(dim: int) -> MonomialIdeal:
 
 def maximal_ideal(dim: int) -> MonomialIdeal:
     """The irrelevant maximal ideal m = (x_1, .., x_d)."""
-    gens = []
-    for j in range(dim):
-        gens.append(tuple(1 if i == j else 0 for i in range(dim)))
-    return MonomialIdeal(dim, gens)
+    return MonomialIdeal(dim, (tuple(int(i == j) for i in range(dim)) for j in range(dim)))
 
 
 # -- serialization ------------------------------------------------------

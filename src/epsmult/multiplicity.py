@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .colength import difference_max_degree, length_sequence, saturation_length
+from .colength import colength, difference_max_degree, length_sequence
 from .errors import EpsmultError, InconclusiveError, InsufficientDataError, ZeroIdealError
 from .families import GradedFamilySpec
 from .ideals import MonomialIdeal, _exact_int
@@ -129,7 +129,7 @@ def epsilon_sequence(ideal: MonomialIdeal, n_max: int) -> EpsilonEstimate:
     d = ideal.dim
     fact = math.factorial(d)
     powers = GradedFamilySpec.powers(ideal)
-    lengths = tuple(saturation_length(powers(n)) for n in range(1, n_max + 1))
+    lengths = tuple(colength(powers(n), None) for n in range(1, n_max + 1))
     values = tuple(Fraction(fact * ln, n**d) for n, ln in enumerate(lengths, 1))
     return EpsilonEstimate(values, lengths)
 
