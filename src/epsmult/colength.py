@@ -7,26 +7,39 @@ a height: the least first coordinate at which the column enters the ideal.
 The height changes only at generator coordinates, so cutting each column
 axis at 0 and at every generator coordinate of the ideals involved gives a
 compressed grid with one height per cell and ideal; the last cell of each
-axis is unbounded.  For I and its saturation that is I's own grid, where
-the containment and finiteness checks hold by construction and are
-skipped; any other pair gets a fresh one from ideals._height_grids.
+axis is unbounded.  An equal pair (the same ideal, or two with equal
+generators, as a saturated ideal and its saturation are) has an empty
+difference and reads no grid.  I and a saturation that differs from it
+are counted on I's own grid, where the containment and finiteness checks
+hold by construction and are skipped; any other pair gets a fresh grid
+from ideals._height_grids.
 Containment, finiteness, the length and the deepest degree of the
-difference are array expressions over those cells, and the final sums
-are taken in Python integers, so results past 2^63 stay exact.
+difference are array expressions over those cells.  A length contracts
+the depths with each axis's cell widths in int64 while the largest depth
+times the product of the axes' last cuts, which bounds every partial sum,
+stays below _INT64_BOUND = 2^63, and in Python integers past it; the
+deepest degree is taken in Python integers.  So every result is exact.
 """
 
 from __future__ import annotations
+
+import math
+
+import numpy as np
 
 from .errors import EpsmultError, InfiniteColengthError
 from .ideals import (
     _NEVER, MonomialIdeal, _cell_corners, _exact_int, _height_grids, _saturation_heights,
 )
 
+# A length is summed in int64 below this bound on its partial sums.
+_INT64_BOUND = 1 << 63
+
 
 def _difference_cells(inner: MonomialIdeal, outer: MonomialIdeal | None):
-    """The cells where outer/inner is nonempty, as exact arrays.
+    """The cells where outer/inner is nonempty, or None when outer equals inner.
 
-    Returns (lows, widths, h_in, h_out): each column of such a cell holds
+    Returns (cuts, mask, h_in, h_out): each column of a cell in mask holds
     the h_in - h_out monomials of outer/inner whose first coordinate is at
     least h_out.  Raises EpsmultError unless inner <= outer, and
     InfiniteColengthError when the difference is infinite: some column
@@ -35,24 +48,24 @@ def _difference_cells(inner: MonomialIdeal, outer: MonomialIdeal | None):
     saturation does: its heights on inner's grid never exceed h, equal h on
     every last cell and are _NEVER wherever h is, so no check is run.
     """
+    if outer is inner or outer == inner:
+        return None
     if outer is None or outer is getattr(inner, "_sat", None):
         cuts, h_in = inner._grid()
         h_out = _saturation_heights(h_in)
-        mask = h_in > h_out
-    else:
-        inner._check_same_dim(outer)
-        cuts, (h_in, h_out) = _height_grids((inner, outer))
-        if bool((h_in < h_out).any()):
-            raise EpsmultError("inner not contained in outer")
-        mask = h_in > h_out
-        if bool(((h_in == _NEVER) & mask).any()) or any(
-            bool(mask.take(-1, axis=axis).any()) for axis in range(mask.ndim)
-        ):
-            raise InfiniteColengthError(
-                "outer/inner has infinite length (outer exceeds the saturation of inner)"
-            )
-    lows, widths = _cell_corners(cuts, mask)
-    return lows, widths, h_in[mask].astype(object), h_out[mask].astype(object)
+        return cuts, h_in > h_out, h_in, h_out
+    inner._check_same_dim(outer)
+    cuts, (h_in, h_out) = _height_grids((inner, outer))
+    if bool((h_in < h_out).any()):
+        raise EpsmultError("inner not contained in outer")
+    mask = h_in > h_out
+    if bool(((h_in == _NEVER) & mask).any()) or any(
+        bool(mask.take(-1, axis=axis).any()) for axis in range(mask.ndim)
+    ):
+        raise InfiniteColengthError(
+            "outer/inner has infinite length (outer exceeds the saturation of inner)"
+        )
+    return cuts, mask, h_in, h_out
 
 
 def is_finite_colength(inner: MonomialIdeal, outer: MonomialIdeal) -> bool:
@@ -76,11 +89,20 @@ def colength(inner: MonomialIdeal, outer: MonomialIdeal | None) -> int:
     """
     if outer is None and inner.is_zero:
         return 0
-    _, widths, h_in, h_out = _difference_cells(inner, outer)
+    cells = _difference_cells(inner, outer)
+    if cells is None:
+        return 0
+    cuts, _, h_in, h_out = cells
+    # h_in >= h_out on every cell, with equality off the difference
     count = h_in - h_out
-    for width in widths:
-        count = count * width
-    return int(count.sum())
+    # width 0 for the unbounded last cell, which a finite difference leaves empty
+    widths = [np.append(np.diff(c), 0) for c in cuts]
+    if int(count.max()) * math.prod(int(c[-1]) for c in cuts) >= _INT64_BOUND:
+        count = count.astype(object)
+        widths = [w.astype(object) for w in widths]
+    for width in reversed(widths):
+        count = count @ width
+    return int(count)
 
 
 def difference_max_degree(inner: MonomialIdeal, outer: MonomialIdeal) -> int | None:
@@ -92,8 +114,12 @@ def difference_max_degree(inner: MonomialIdeal, outer: MonomialIdeal) -> int | N
     ideal agree.  In each cell the deepest point sits at the upper corner,
     one step below the inner height.
     """
-    lows, widths, h_in, _ = _difference_cells(inner, outer)
-    degree = h_in - 1
+    cells = _difference_cells(inner, outer)
+    if cells is None:
+        return None
+    cuts, mask, h_in, _ = cells
+    lows, widths = _cell_corners(cuts, mask)
+    degree = h_in[mask].astype(object) - 1
     for low, width in zip(lows, widths):
         degree = degree + low + width - 1
     return int(degree.max()) if len(degree) else None

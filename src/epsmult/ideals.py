@@ -26,9 +26,11 @@ Instances are immutable and hashable; operations return new ideals.
 Each instance memoizes what it derives: its generator tuples, height
 grid, saturation and chain of powers I^2, I^3, .. (see .power).  So
 every caller that asks one ideal for I^n or sat(I^n) reads the same
-objects, and a report builds each once.  No memo refers back to the
-ideal that holds it, so an ideal and all it derived are freed together
-by reference counting.  Operations are safe to call from multiple
+objects, and a report builds each once.  A saturated ideal is its own
+saturation, so the chain of sat(I) is I's own.  No memo refers back to
+the ideal that holds it (a saturated ideal's memo is a sentinel, not
+itself), so an ideal and all it derived are freed together by reference
+counting.  Operations are safe to call from multiple
 threads: a memo, or a member of a chain, is stored only once complete
 and under its own key, so a race between threads can repeat work but
 never store a wrong value.
@@ -129,6 +131,9 @@ def _int64_rows(vectors, dim: int) -> np.ndarray:
     return np.asarray(vectors, dtype=np.int64).reshape(len(vectors), dim)
 
 
+# The memo of a saturated ideal's saturation (see MonomialIdeal.saturate).
+_SATURATED = object()
+
 # Largest number of cells of one height grid (32 MiB as int64).
 MAX_GRID_CELLS = 1 << 22
 
@@ -224,9 +229,15 @@ def _saturation_heights(height: np.ndarray) -> np.ndarray:
 
 
 def _saturation_on_grid(ideal: "MonomialIdeal") -> "MonomialIdeal":
-    """The saturation of a nonzero ideal, read off its height grid."""
+    """The saturation of a nonzero ideal, read off its height grid.
+
+    Returns ideal itself when the saturation's corners are its own rows.
+    """
     cuts, height = ideal._grid()
-    return _make(ideal.dim, rows=_corners(cuts, _saturation_heights(height)))
+    rows = _corners(cuts, _saturation_heights(height))
+    if np.array_equal(rows, ideal._rows):
+        return ideal
+    return _make(ideal.dim, rows=rows)
 
 
 def _shifted_heights(padded: np.ndarray, cuts, union, shifts: np.ndarray) -> np.ndarray:
@@ -514,15 +525,18 @@ class MonomialIdeal:
         T_1, and multiplying by x_j^(T_j), j > 1, moves a column into the
         unbounded last cell of axis j.  So the saturation has height
         max(h - T_1, 0, h with any one axis at its last cell) on every cell
-        where h is finite.  Memoized on the instance.
+        where h is finite.  A saturated ideal is its own saturation, so
+        every chain and count over sat(I) reads I's own memos.  Memoized on
+        the instance; a saturated ideal records _SATURATED there, not
+        itself, so that no ideal is reachable from itself.
         """
         if self.is_zero or self.is_unit:
             return self
         sat = getattr(self, "_sat", None)
         if sat is None:
             sat = _saturation_on_grid(self)
-            object.__setattr__(self, "_sat", sat)
-        return sat
+            object.__setattr__(self, "_sat", _SATURATED if sat is self else sat)
+        return self if sat is _SATURATED else sat
 
     def is_subideal_of(self, other: "MonomialIdeal") -> bool:
         """Containment I <= J: each generator of I is a multiple of one of J."""

@@ -153,11 +153,14 @@ def theorem_a_table(
     powers = GradedFamilySpec.powers(ideal)
     rows: list[TheoremARow] = []
     for m in range(1, m_max + 1):
-        pair = (powers(m), powers(m).saturate())
+        inner = powers(m)
+        outer = inner.saturate()
         if m > 1:  # memo-free copies, so the chains amao builds die with the row
-            pair = tuple(MonomialIdeal(d, J.generators) for J in pair)
+            saturated = outer is inner
+            inner = MonomialIdeal(d, inner.generators)
+            outer = inner if saturated else MonomialIdeal(d, outer.generators)
         try:
-            res = amao(*pair, k_max=k_max, window=window)
+            res = amao(inner, outer, k_max=k_max, window=window)
         except InconclusiveError as exc:
             rows.append(TheoremARow(m, None, None, None, "inconclusive", exc.tail))
             continue

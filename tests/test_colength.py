@@ -2,6 +2,7 @@ import importlib
 import math
 import random
 
+import numpy as np
 import pytest
 
 from epsmult import (
@@ -16,10 +17,12 @@ from epsmult import (
     epsilon_sequence,
     is_finite_colength,
     length_sequence,
+    maximal_ideal,
     unit_ideal,
     zero_ideal,
 )
 
+from epsmult.ideals import _height_grids
 from oracle_utils import brute_colength, brute_difference_max_degree, kpoly_length
 
 
@@ -160,7 +163,7 @@ class TestSaturationOnTheInnerGrid:
     def test_matches_a_memo_free_copy_and_brute_force(self):
         dims = set()
         for P, S in _saturation_pairs():
-            assert S is P._sat
+            assert S is P.saturate()
             dims.add(P.dim)
             got = colength(P, S), difference_max_degree(P, S)
             copy = MonomialIdeal(P.dim, S.generators)
@@ -232,6 +235,91 @@ class TestSaturationLength:
         I = MonomialIdeal(3, [(2, 1, 0), (0, 2, 1), (1, 0, 2)])
         assert len(epsilon_sequence(I, 8).lengths) == 8
         assert calls == []
+
+
+def _equal_pairs():
+    """(I, I) and (I, an equal copy), fresh, on corpus ideals in d = 1-4, zero and unit."""
+    for I in corpus(26, 40, max_dim=4) + [zero_ideal(2), unit_ideal(3)]:
+        yield I, I
+        yield MonomialIdeal(I.dim, I.generators), MonomialIdeal(I.dim, I.generators)
+
+
+class TestEqualPairs:
+    """An ideal against itself, or an equal one, has an empty difference and reads no grid."""
+
+    def test_no_height_grid_is_built(self, monkeypatch):
+        colength_mod = importlib.import_module("epsmult.colength")
+        ideals_mod = importlib.import_module("epsmult.ideals")
+        calls = []
+        height_grids = ideals_mod._height_grids
+
+        def recorded(ideals):
+            calls.append(ideals)
+            return height_grids(ideals)
+
+        monkeypatch.setattr(ideals_mod, "_height_grids", recorded)
+        monkeypatch.setattr(colength_mod, "_height_grids", recorded)
+        for inner, outer in _equal_pairs():
+            got = colength(inner, outer), difference_max_degree(inner, outer)
+            assert got == (0, None) and is_finite_colength(inner, outer), inner
+        assert calls == []
+
+    def test_match_the_two_ideal_grid_and_brute_force(self):
+        for inner, outer in _equal_pairs():
+            _, (h_in, h_out) = _height_grids((inner, outer))
+            # the two-ideal grid has no cell where the heights differ
+            assert np.array_equal(h_in, h_out), inner
+            if not inner.is_zero:
+                gens = (inner.generators, outer.generators, inner.dim)
+                assert (brute_colength(*gens), brute_difference_max_degree(*gens)) == (0, None)
+
+
+class TestInt64Count:
+    """Lengths sum in int64 below the bound on their partial sums and exactly past it."""
+
+    @pytest.fixture
+    def object_count(self, monkeypatch):
+        """colength with every count in object arrays of Python ints."""
+        colength_mod = importlib.import_module("epsmult.colength")
+
+        def count(inner, outer):
+            with monkeypatch.context() as patch:
+                patch.setattr(colength_mod, "_INT64_BOUND", 0)
+                return colength(inner, outer)
+
+        return count
+
+    @pytest.mark.parametrize("b", [(1 << 23) - 1, 1 << 23, (1 << 23) + 1])
+    def test_two_variables_at_the_bound(self, b, object_count):
+        # depth 2^40 over a last cut of b: 2^40 * b against 2^63
+        a = 1 << 40
+        inner = MonomialIdeal(2, [(a, 0), (0, b)])
+        outer = maximal_ideal(2)
+        assert colength(inner, outer) == object_count(inner, outer) == a * b - 1
+        assert kpoly_length(inner, outer) == a * b - 1
+
+    @pytest.mark.parametrize("c", [(1 << 11) - 1, 1 << 11, (1 << 11) + 1])
+    def test_three_variables_at_the_bound(self, c, object_count):
+        # depth a over last cuts b and c: a * b * c passes 2^63 from c = 2^11
+        a, b = (1 << 40) + 3, 1 << 12
+        inner = MonomialIdeal(3, [(a, 0, 0), (0, b, 0), (0, 0, c), (a - 5, 7, 9)])
+        outer = MonomialIdeal(3, [(1, 0, 0), (0, 1, 1), (0, 3, 0), (0, 0, 2)])
+        want = kpoly_length(inner, outer)
+        assert (want < 1 << 63) == (c <= 1 << 11)
+        assert colength(inner, outer) == object_count(inner, outer) == want
+
+    def test_small_pairs_match_the_object_count_and_brute_force(self, object_count):
+        pairs = list(_saturation_pairs())[::3]
+        for a, b in zip(corpus(27, 30, max_dim=4), corpus(28, 30, max_dim=4)):
+            if a.dim == b.dim:
+                pairs.append((a.product(b), a.sum(b)))
+        finite = 0
+        for inner, outer in pairs:
+            want = brute_colength(inner.generators, outer.generators, inner.dim)
+            if want is not None:
+                assert colength(inner, outer) == object_count(inner, outer) == want, inner
+                finite += 1
+        assert finite > 40
 
 
 class TestDifferenceMaxDegree:

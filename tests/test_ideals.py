@@ -21,6 +21,7 @@ from epsmult import (
     corpus,
     from_json_dict,
     maximal_ideal,
+    theorem_a_table,
     to_json_dict,
     unit_ideal,
     zero_ideal,
@@ -342,16 +343,22 @@ class TestPowerChain:
         assert I.power(np.int64(3)) == I * I * I
 
     def test_dropped_ideal_is_freed_without_the_collector(self):
+        # a saturated ideal's saturation memo must not be the ideal itself
         was_enabled = gc.isenabled()
         gc.disable()
         try:
-            I = MonomialIdeal(3, [(2, 1, 0), (0, 1, 3), (1, 1, 1)])
-            ref = weakref.ref(I)
-            I.power(6)
-            I.saturate()
-            I._grid()
-            del I
-            assert ref() is None
+            for gens, saturated in (
+                ([(2, 1, 0), (0, 1, 3), (1, 1, 1)], True),
+                ([(2, 1, 0), (0, 2, 1), (1, 0, 2)], False),
+            ):
+                I = MonomialIdeal(3, gens)
+                ref = weakref.ref(I)
+                I.power(6)
+                assert (I.saturate() is I) == saturated
+                I._grid()
+                theorem_a_table(I, m_max=2, k_max=6)
+                del I
+                assert ref() is None, gens
         finally:
             if was_enabled:
                 gc.enable()
@@ -371,6 +378,23 @@ class TestPowerChain:
                 assert all(I.power(n) == want[n] for n in range(2, 25))
         finally:
             sys.setswitchinterval(interval)
+
+
+def _lemma_pool():
+    """The 168 ideals of the lemmas_corpus benchmark workload, drawn from its seed."""
+    rng = random.Random(20240412)
+    pool = []
+    for dim in (1, 2, 3):
+        for count in range(1, 6 if dim < 3 else 5):
+            for scale in range(1, 7):
+                for _ in range(2):
+                    gens = []
+                    while len(gens) < count:
+                        v = tuple(rng.randint(0, scale) for _ in range(dim))
+                        if any(v):
+                            gens.append(v)
+                    pool.append((dim, gens))
+    return pool
 
 
 class TestSaturation:
@@ -481,6 +505,19 @@ class TestSaturation:
         I = MonomialIdeal(2, [(2, 0), (1, 1)]).power(3)
         assert I.saturate() is I.saturate()
         assert calls == [I]
+        # a saturated ideal's memo holds no reference to the ideal, yet is read
+        J = MonomialIdeal(3, [(2, 1, 0), (0, 1, 3), (1, 1, 1)])
+        assert J.saturate() is J.saturate() is J
+        assert calls == [I, J]
+
+    def test_a_saturated_ideal_is_its_own_saturation(self):
+        pool = corpus(84, 300, max_dim=4) + [MonomialIdeal(d, g) for d, g in _lemma_pool()]
+        saturated = 0
+        for I in pool:
+            S = I.saturate()
+            assert (S is I) == (MonomialIdeal(I.dim, S.generators) == I), I
+            saturated += S is I
+        assert 100 < saturated < len(pool) - 100
 
 
 def _same_grid(got, want) -> bool:

@@ -1,4 +1,7 @@
+import json
+import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +26,7 @@ from epsmult import ideals as ideals_mod
 from epsmult import multiplicity as mult_mod
 from oracle_utils import swanson_truncation_agrees
 
+GOLDEN = Path(__file__).parent / "golden"
 X2_XY = MonomialIdeal(2, [(2, 0), (1, 1)])
 M2_SQUARED = MonomialIdeal(2, [(1, 0), (0, 1)]).power(2)
 PRIME_3D = MonomialIdeal(3, [(1, 0, 0), (0, 1, 0)])
@@ -130,6 +134,20 @@ class TestEpsilonSequence:
         with pytest.raises(ValueError):
             epsilon_sequence(X2_XY, 0)
 
+    def test_quasi_polynomial_fit_predicts_far_lengths(self):
+        # ℓ_n of (x^2, xy, yz, zw) is a quasi-polynomial of period 3: a
+        # degree-4 polynomial per residue class, fitted exactly to its last
+        # five members n <= 30, must give every ℓ_n for n = 31..80
+        ideal = MonomialIdeal(4, [(2, 0, 0, 0), (1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1)])
+        lengths = epsilon_sequence(ideal, 80).lengths
+        for n in range(31, 81):
+            fit = [k for k in range(1, 31) if k % 3 == n % 3][-5:]
+            predicted = sum(
+                Fraction(lengths[k - 1]) * math.prod(Fraction(n - j, k - j) for j in fit if j != k)
+                for k in fit
+            )
+            assert predicted == lengths[n - 1], n
+
 
 class TestTheoremATable:
     def test_worked_example(self):
@@ -173,12 +191,32 @@ class TestTheoremATable:
 
     def test_epsilon_appendix_reads_the_table_s_chain(self, products):
         # the theorem-a report of the benchmark: I^2..I^10 for the table's
-        # amao at m = 1 already hold the appendix's I^2..I^4
+        # amao at m = 1 already hold the appendix's I^2..I^4, and I is
+        # saturated, so both sides of that amao read the one chain
         ideal = MonomialIdeal(3, [(2, 1, 0), (0, 3, 1), (1, 0, 4), (1, 1, 1)])
+        assert ideal.saturate() is ideal
         theorem_a_table(ideal, m_max=1, k_max=10)
-        assert len(products) == 18
+        assert len(products) == 9
         epsilon_sequence(ideal, 4)
-        assert len(products) == 18
+        assert len(products) == 9
+
+    def test_saturated_ideals_give_the_recorded_reports(self):
+        # theorem_a_table, swanson_c_search and check_sat_power_containment
+        # as recorded before a saturated ideal became its own saturation, on
+        # the saturated ideals of the lemma pool and corpus(7, 48, max_dim=4)
+        recorded = json.loads((GOLDEN / "saturated_lemma_reports.json").read_text())
+        assert len(recorded) == 111
+        for entry in recorded:
+            ideal = MonomialIdeal(entry["dim"], entry["generators"])
+            assert ideal.saturate() is ideal
+            rows = theorem_a_table(ideal, m_max=3, k_max=8)
+            assert [
+                [r.m, r.a_value, r.stabilized_at, r.status, list(r.tail)] for r in rows
+            ] == entry["theorem_a"], ideal
+            search = swanson_c_search(ideal, c_max=8, mk_bound=6)
+            assert [search.c, [c for _, _, c in search.per_pair]] == entry["swanson"], ideal
+            check = check_sat_power_containment(ideal, 4)
+            assert [check.ok, check.first_failure] == entry["containment"], ideal
 
     def test_rows_past_the_first_leave_no_chain_behind(self):
         # row m reads (I^m)^k for k <= k_max; held on I^m, those chains
