@@ -11,8 +11,10 @@ axis is unbounded.  An equal pair (the same ideal, or two with equal
 generators, as a saturated ideal and its saturation are) has an empty
 difference and reads no grid.  I and a saturation that differs from it
 are counted on I's own grid, where the containment and finiteness checks
-hold by construction and are skipped; any other pair gets a fresh grid
-from ideals._height_grids.
+hold by construction and are skipped; so are colength(I, None) and
+difference_max_degree(I, None), which read sat(I) there without forming
+the saturation ideal.  Any other pair gets a fresh grid from
+ideals._height_grids.
 Containment, finiteness, the length and the deepest degree of the
 difference are array expressions over those cells.  A length contracts
 the depths with each axis's cell widths in int64 while the largest depth
@@ -44,11 +46,12 @@ def _difference_cells(inner: MonomialIdeal, outer: MonomialIdeal | None):
     least h_out.  Raises EpsmultError unless inner <= outer, and
     InfiniteColengthError when the difference is infinite: some column
     enters outer but never inner, or an unbounded cell is nonempty.
-    Outer None stands for sat(inner), inner nonzero, as inner's memoized
-    saturation does: its heights on inner's grid never exceed h, equal h on
-    every last cell and are _NEVER wherever h is, so no check is run.
+    Outer None stands for sat(inner), as inner's memoized saturation does:
+    its heights on inner's grid never exceed h, equal h on every last cell
+    and are _NEVER wherever h is, so no check is run.  The zero ideal is
+    its own saturation.
     """
-    if outer is inner or outer == inner:
+    if outer is inner or outer == inner or (outer is None and inner.is_zero):
         return None
     if outer is None or outer is getattr(inner, "_sat", None):
         cuts, h_in = inner._grid()
@@ -87,8 +90,6 @@ def colength(inner: MonomialIdeal, outer: MonomialIdeal | None) -> int:
     Outer None stands for sat(inner), read off inner's own grid without
     forming the saturation ideal.
     """
-    if outer is None and inner.is_zero:
-        return 0
     cells = _difference_cells(inner, outer)
     if cells is None:
         return 0
@@ -105,11 +106,12 @@ def colength(inner: MonomialIdeal, outer: MonomialIdeal | None) -> int:
     return int(count)
 
 
-def difference_max_degree(inner: MonomialIdeal, outer: MonomialIdeal) -> int | None:
+def difference_max_degree(inner: MonomialIdeal, outer: MonomialIdeal | None) -> int | None:
     """Largest total degree of a monomial in outer but not in inner.
 
     Returns None when the difference is empty (the ideals coincide) and
-    raises InfiniteColengthError when it is infinite.  This is the degree
+    raises InfiniteColengthError when it is infinite.  Outer None stands
+    for sat(inner), as in colength.  This is the degree
     past which truncations of the two ideals by powers of the maximal
     ideal agree.  In each cell the deepest point sits at the upper corner,
     one step below the inner height.

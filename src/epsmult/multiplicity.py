@@ -109,15 +109,19 @@ def amao(
     """Normalized leading coefficient of k -> length(outer^k / inner^k).
 
     Requires inner inside outer with finite colength; the result is a
-    nonnegative integer once the d-th differences stabilize.
+    nonnegative integer once the d-th differences stabilize.  An equal
+    pair has outer^k = inner^k, so every length is 0 and no power is formed.
     """
     k_max, window = _exact_int(k_max, "k_max", 1), _exact_int(window, "window", 1)
     inner._check_same_dim(outer)
-    if not inner.is_subideal_of(outer):
+    if outer is inner or outer == inner:
+        seq = [0] * k_max
+    elif not inner.is_subideal_of(outer):
         raise EpsmultError("inner not contained in outer")
-    fam_in = GradedFamilySpec.powers(inner)
-    fam_out = GradedFamilySpec.powers(outer)
-    seq = length_sequence(fam_in, fam_out, k_max)
+    else:
+        fam_in = GradedFamilySpec.powers(inner)
+        fam_out = GradedFamilySpec.powers(outer)
+        seq = length_sequence(fam_in, fam_out, k_max)
     return leading_difference(seq, inner.dim, window=window)
 
 
@@ -155,10 +159,10 @@ def theorem_a_table(
     for m in range(1, m_max + 1):
         inner = powers(m)
         outer = inner.saturate()
-        if m > 1:  # memo-free copies, so the chains amao builds die with the row
-            saturated = outer is inner
-            inner = MonomialIdeal(d, inner.generators)
-            outer = inner if saturated else MonomialIdeal(d, outer.generators)
+        if m > 1 and outer is not inner:
+            # memo-free copies, so the chains amao builds die with the row;
+            # a saturated I^m is an equal pair, for which amao builds none
+            inner, outer = MonomialIdeal(d, inner.generators), MonomialIdeal(d, outer.generators)
         try:
             res = amao(inner, outer, k_max=k_max, window=window)
         except InconclusiveError as exc:
@@ -193,6 +197,7 @@ def swanson_c_search(
     floor(D/(m*k)) + 1 with D the largest degree in the difference; the
     grid answer is the max over pairs, or None if it exceeds c_max.  This
     falsifies or corroborates on a grid --- it proves nothing beyond it.
+    Over a saturated I^m, sat(I^m)^k is I^(mk), so no chain is built on I^m.
     """
     if ideal.is_zero or ideal.is_unit:
         raise ZeroIdealError("the truncation search needs an ideal that is neither zero nor the ring")
@@ -201,10 +206,17 @@ def swanson_c_search(
     per_pair: list[tuple[int, int, int]] = []
     worst = 1
     for m in range(1, mk_bound + 1):
-        sat_powers = GradedFamilySpec.powers(powers(m).saturate())
-        for k in range(1, mk_bound // m + 1):
+        base = powers(m)
+        k_top = mk_bound // m
+        sat = base.saturate() if k_top > 1 else None
+        for k in range(1, k_top + 1):
             small = powers(m * k)
-            big = sat_powers(k)
+            if sat is None:  # the one pair (m, 1): sat(I^m) read off I^m's grid, not formed
+                big = None
+            elif sat is base:  # sat(I^m)^k = I^(mk), an equal pair
+                big = small
+            else:
+                big = sat.power(k)
             deepest = difference_max_degree(small, big)
             c_pair = 1 if deepest is None else deepest // (m * k) + 1
             per_pair.append((m, k, c_pair))

@@ -14,17 +14,19 @@ the K-polynomial length, which reads generator lists only and so checks
 `colength` at exponents no box can hold.  The slicing hull volume, in
 dimensions 1 to 4, is the oracle of `okounkov.hull_volume`, and the
 quadratic `brute_minimal` that of the package's antichain filters.
+`lemma_pool` draws the 168 ideals of the lemmas_corpus benchmark workload.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 from itertools import combinations, product as iproduct
 
 import numpy as np
 
-from epsmult.ideals import maximal_ideal
+from epsmult.ideals import MonomialIdeal, maximal_ideal
 
 Vec = tuple[int, ...]
 
@@ -305,6 +307,23 @@ def enumerate_staircase_in_simplex(ideal, cap: int) -> frozenset:
 
     rec(0, (), cap, list(ideal.generators))
     return frozenset(out)
+
+
+def lemma_pool() -> list:
+    """The 168 ideals of the lemmas_corpus benchmark workload, drawn from its seed."""
+    rng = random.Random(20240412)
+    pool = []
+    for dim in (1, 2, 3):
+        for count in range(1, 6 if dim < 3 else 5):
+            for scale in range(1, 7):
+                for _ in range(2):
+                    gens = []
+                    while len(gens) < count:
+                        v = tuple(rng.randint(0, scale) for _ in range(dim))
+                        if any(v):
+                            gens.append(v)
+                    pool.append(MonomialIdeal(dim, gens))
+    return pool
 
 
 def swanson_truncation_agrees(ideal, m: int, k: int, c: int) -> bool:

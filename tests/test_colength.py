@@ -222,6 +222,22 @@ class TestSaturationLength:
     def test_zero_and_unit_ideals_have_length_zero(self):
         assert colength(zero_ideal(3), None) == colength(unit_ideal(3), None) == 0
 
+    def test_deepest_degree_matches_the_saturation_and_brute_force(self):
+        dims = set()
+        for P, S in _saturation_pairs():
+            dims.add(P.dim)
+            fresh = difference_max_degree(P, MonomialIdeal(P.dim, S.generators))
+            brute = brute_difference_max_degree(P.generators, S.generators, P.dim)
+            assert difference_max_degree(P, None) == difference_max_degree(P, S) == fresh == brute, P
+        assert dims == {1, 2, 3, 4}
+
+    def test_deepest_degree_is_none_for_zero_and_saturated_ideals(self):
+        assert difference_max_degree(zero_ideal(3), None) is None
+        assert difference_max_degree(unit_ideal(3), None) is None
+        for P, S in _saturation_pairs():
+            # a fresh copy holds no saturation memo
+            assert difference_max_degree(MonomialIdeal(S.dim, S.generators), None) is None, S
+
     def test_epsilon_sequence_forms_no_saturation(self, monkeypatch):
         ideals_mod = importlib.import_module("epsmult.ideals")
         calls = []

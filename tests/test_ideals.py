@@ -40,6 +40,7 @@ from oracle_utils import (
     brute_product,
     brute_saturate,
     contains_many,
+    lemma_pool,
     product_by_sums,
     saturate_by_colon_iteration,
     staircase_in_box,
@@ -380,23 +381,6 @@ class TestPowerChain:
             sys.setswitchinterval(interval)
 
 
-def _lemma_pool():
-    """The 168 ideals of the lemmas_corpus benchmark workload, drawn from its seed."""
-    rng = random.Random(20240412)
-    pool = []
-    for dim in (1, 2, 3):
-        for count in range(1, 6 if dim < 3 else 5):
-            for scale in range(1, 7):
-                for _ in range(2):
-                    gens = []
-                    while len(gens) < count:
-                        v = tuple(rng.randint(0, scale) for _ in range(dim))
-                        if any(v):
-                            gens.append(v)
-                    pool.append((dim, gens))
-    return pool
-
-
 class TestSaturation:
     def test_worked_example(self):
         I = MonomialIdeal(2, [(2, 0), (1, 1)])
@@ -511,7 +495,7 @@ class TestSaturation:
         assert calls == [I, J]
 
     def test_a_saturated_ideal_is_its_own_saturation(self):
-        pool = corpus(84, 300, max_dim=4) + [MonomialIdeal(d, g) for d, g in _lemma_pool()]
+        pool = corpus(84, 300, max_dim=4) + lemma_pool()
         saturated = 0
         for I in pool:
             S = I.saturate()

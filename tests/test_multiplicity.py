@@ -7,29 +7,40 @@ import pytest
 
 from epsmult import (
     AmaoResult,
+    DimensionMismatchError,
     EpsmultError,
+    GradedFamilySpec,
     InconclusiveError,
     InsufficientDataError,
     MonomialIdeal,
+    SizeLimitError,
     TheoremARow,
     ZeroIdealError,
     amao,
     check_sat_power_containment,
     corpus,
+    difference_max_degree,
     epsilon_sequence,
     leading_difference,
+    length_sequence,
     swanson_c_search,
     theorem_a_table,
     unit_ideal,
 )
 from epsmult import ideals as ideals_mod
 from epsmult import multiplicity as mult_mod
-from oracle_utils import swanson_truncation_agrees
+from epsmult.ideals import DEGREE_LIMIT
+from oracle_utils import lemma_pool, swanson_truncation_agrees
 
 GOLDEN = Path(__file__).parent / "golden"
 X2_XY = MonomialIdeal(2, [(2, 0), (1, 1)])
 M2_SQUARED = MonomialIdeal(2, [(1, 0), (0, 1)]).power(2)
 PRIME_3D = MonomialIdeal(3, [(1, 0, 0), (0, 1, 0)])
+EQUAL_PAIR_IDEALS = [
+    (2, [(3, 0), (1, 2), (0, 5)]),
+    (3, [(2, 1, 0), (0, 3, 1), (1, 0, 4), (1, 1, 1)]),
+    (4, [(2, 0, 0, 0), (1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1)]),
+]
 
 
 class TestLeadingDifference:
@@ -102,6 +113,46 @@ class TestAmao:
     def test_containment_required(self):
         with pytest.raises(EpsmultError, match="inner not contained in outer"):
             amao(MonomialIdeal(2, [(1, 0)]), MonomialIdeal(2, [(0, 1)]), 8)
+
+    @pytest.mark.parametrize("dim,gens", EQUAL_PAIR_IDEALS)
+    def test_equal_pair_matches_the_chain_route_and_forms_no_power(self, products, dim, gens):
+        fam_in = GradedFamilySpec.powers(MonomialIdeal(dim, gens))
+        fam_out = GradedFamilySpec.powers(MonomialIdeal(dim, gens))
+        want = leading_difference(length_sequence(fam_in, fam_out, 9), dim)
+        assert want == AmaoResult(0, 1, 9 - dim)
+        products.clear()
+        ideal = MonomialIdeal(dim, gens)
+        assert amao(ideal, ideal, 9) == want
+        assert amao(ideal, MonomialIdeal(dim, gens), 9) == want
+        assert products == []
+        assert getattr(ideal, "_powers", None) is None
+
+    @pytest.mark.parametrize("dim,gens", EQUAL_PAIR_IDEALS)
+    def test_equal_pair_needs_d_plus_window_terms(self, dim, gens):
+        ideal = MonomialIdeal(dim, gens)
+        assert amao(ideal, ideal, dim + 2, window=2).window == 2
+        with pytest.raises(InsufficientDataError):
+            amao(ideal, ideal, dim + 2)
+        with pytest.raises(InsufficientDataError):
+            amao(ideal, MonomialIdeal(dim, gens), dim + 1, window=2)
+
+    def test_equal_pair_checks_its_arguments(self):
+        with pytest.raises(ValueError, match="k_max"):
+            amao(X2_XY, X2_XY, 0)
+        with pytest.raises(ValueError, match="window"):
+            amao(X2_XY, X2_XY, 8, window=0)
+        with pytest.raises(DimensionMismatchError):
+            amao(X2_XY, PRIME_3D, 8)
+
+    def test_equal_pair_past_the_degree_limit_is_zero(self):
+        # the square of (x^(2^60), y^(2^60)) is within the limit, its cube
+        # is not; the chain route forms the cube, the equal pair forms none
+        ideal = MonomialIdeal(2, [(DEGREE_LIMIT // 2, 0), (0, DEGREE_LIMIT // 2)])
+        assert amao(ideal, ideal, 8) == AmaoResult(0, 1, 6)
+        assert amao(ideal, MonomialIdeal(2, ideal.generators), 8).value == 0
+        chain = GradedFamilySpec.powers(MonomialIdeal(2, ideal.generators))
+        with pytest.raises(SizeLimitError):
+            length_sequence(chain, chain, 8)
 
     def test_result_is_nonnegative_on_corpus(self):
         for I in corpus(51, 10):
@@ -190,15 +241,16 @@ class TestTheoremATable:
             theorem_a_table(X2_XY, m_max=0)
 
     def test_epsilon_appendix_reads_the_table_s_chain(self, products):
-        # the theorem-a report of the benchmark: I^2..I^10 for the table's
-        # amao at m = 1 already hold the appendix's I^2..I^4, and I is
-        # saturated, so both sides of that amao read the one chain
+        # the theorem-a report of the benchmark: I is saturated, so the
+        # table's amao at m = 1 is an equal pair and forms no power, and
+        # the appendix builds I^2..I^4 on the chain the table left
         ideal = MonomialIdeal(3, [(2, 1, 0), (0, 3, 1), (1, 0, 4), (1, 1, 1)])
         assert ideal.saturate() is ideal
         theorem_a_table(ideal, m_max=1, k_max=10)
-        assert len(products) == 9
+        assert len(products) == 0
         epsilon_sequence(ideal, 4)
-        assert len(products) == 9
+        assert len(products) == 3
+        assert sorted(ideal._powers) == [2, 3, 4]
 
     def test_saturated_ideals_give_the_recorded_reports(self):
         # theorem_a_table, swanson_c_search and check_sat_power_containment
@@ -217,6 +269,24 @@ class TestTheoremATable:
             assert [search.c, [c for _, _, c in search.per_pair]] == entry["swanson"], ideal
             check = check_sat_power_containment(ideal, 4)
             assert [check.ok, check.first_failure] == entry["containment"], ideal
+
+    def test_saturated_rows_make_no_copy_and_build_only_the_ideal_s_chain(
+        self, products, monkeypatch
+    ):
+        # I^m is saturated for every m, so each row is an equal pair
+        ideal = MonomialIdeal(3, [(0, 2, 2), (1, 0, 1), (2, 0, 0)])
+        copies = []
+        init = MonomialIdeal.__init__
+
+        def counted(self, dim, generators=()):
+            copies.append(dim)
+            init(self, dim, generators)
+
+        monkeypatch.setattr(MonomialIdeal, "__init__", counted)
+        rows = theorem_a_table(ideal, m_max=4, k_max=8)
+        assert [(r.a_value, r.stabilized_at) for r in rows] == [(0, 1)] * 4
+        assert copies == []
+        assert len(products) == 3 and all(other is ideal for other in products)
 
     def test_rows_past_the_first_leave_no_chain_behind(self):
         # row m reads (I^m)^k for k <= k_max; held on I^m, those chains
@@ -294,6 +364,33 @@ class TestSwanson:
         assert products == []
         assert want == swanson_c_search(MonomialIdeal(3, [(2, 1, 0), (0, 1, 3), (1, 1, 1)]))
 
+    def test_saturated_powers_form_no_chain_of_their_own(self, products):
+        # I^m is saturated for every m: each pair reads I^(mk) on both
+        # sides, so the search builds I^2..I^12 and nothing on any I^m
+        ideal = MonomialIdeal(3, [(0, 2, 2), (1, 0, 1), (2, 0, 0)])
+        res = swanson_c_search(ideal, mk_bound=12)
+        assert len(products) == 11 and all(other is ideal for other in products)
+        assert res.c == 1 and {c for _, _, c in res.per_pair} == {1}
+        for m in range(2, 13):
+            assert getattr(ideal.power(m), "_powers", None) is None
+
+    def test_per_pair_matches_memo_free_pairs_on_the_lemma_pool(self):
+        # the reference forms sat(I^m) as a separate ideal and its powers
+        # on a copy of I, so no pair reads the search's memos or shortcuts
+        seen = set()
+        for ideal in lemma_pool():
+            d, copy = ideal.dim, MonomialIdeal(ideal.dim, ideal.generators)
+            want = []
+            for m in range(1, 7):
+                sat = MonomialIdeal(d, copy.power(m).saturate().generators)
+                if m == 2:
+                    seen.add(sat == copy.power(m))
+                for k in range(1, 6 // m + 1):
+                    deepest = difference_max_degree(copy.power(m * k), sat.power(k))
+                    want.append((m, k, 1 if deepest is None else deepest // (m * k) + 1))
+            assert swanson_c_search(ideal, mk_bound=6).per_pair == tuple(want), ideal
+        assert seen == {False, True}
+
     def test_search_saturates_each_power_once(self, monkeypatch):
         calls = []
         grid = ideals_mod._saturation_on_grid
@@ -305,7 +402,8 @@ class TestSwanson:
         monkeypatch.setattr(ideals_mod, "_saturation_on_grid", counted)
         base = MonomialIdeal(2, [(3, 0), (1, 2)])
         swanson_c_search(base, mk_bound=12)
-        assert sorted(calls) == sorted({base.power(m).generators for m in range(1, 13)})
+        # m > 6 has the one pair k = 1, which reads sat(I^m) off I^m's grid
+        assert sorted(calls) == sorted({base.power(m).generators for m in range(1, 7)})
 
 
 def test_amao_result_guard():
