@@ -6,12 +6,7 @@ semigroups, and convex-hull volumes, with a CLI for deterministic
 reports.
 """
 
-from .colength import (
-    colength,
-    difference_max_degree,
-    is_finite_colength,
-    length_sequence,
-)
+from .colength import colength, difference_max_degree, is_finite_colength
 from .corpus import corpus, random_ideal
 from .errors import (
     DimensionMismatchError,
@@ -96,7 +91,6 @@ __all__ = [
     "is_finite_colength",
     "k_fold_sum_count",
     "leading_difference",
-    "length_sequence",
     "maximal_ideal",
     "random_ideal",
     "semigroup_from_json_dict",

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .colength import colength, difference_max_degree, length_sequence
+from .colength import colength, difference_max_degree
 from .errors import EpsmultError, InconclusiveError, InsufficientDataError, ZeroIdealError
 from .families import GradedFamilySpec
 from .ideals import MonomialIdeal, _exact_int
@@ -108,20 +108,22 @@ def amao(
 ) -> AmaoResult:
     """Normalized leading coefficient of k -> length(outer^k / inner^k).
 
-    Requires inner inside outer with finite colength; the result is a
-    nonnegative integer once the d-th differences stabilize.  An equal
-    pair has outer^k = inner^k, so every length is 0 and no power is formed.
+    Requires inner inside outer with finite colength; the length at k = 1
+    checks both, and an error names the index k where it arose.  The
+    result is a nonnegative integer once the d-th differences stabilize.
+    An equal pair has outer^k = inner^k, so every length is 0 and no power
+    is formed.
     """
     k_max, window = _exact_int(k_max, "k_max", 1), _exact_int(window, "window", 1)
     inner._check_same_dim(outer)
-    if outer is inner or outer == inner:
-        seq = [0] * k_max
-    elif not inner.is_subideal_of(outer):
-        raise EpsmultError("inner not contained in outer")
-    else:
-        fam_in = GradedFamilySpec.powers(inner)
-        fam_out = GradedFamilySpec.powers(outer)
-        seq = length_sequence(fam_in, fam_out, k_max)
+    seq = [0] * k_max
+    if outer is not inner and outer != inner:
+        fam_in, fam_out = GradedFamilySpec.powers(inner), GradedFamilySpec.powers(outer)
+        for k in range(1, k_max + 1):
+            try:
+                seq[k - 1] = colength(fam_in(k), fam_out(k))
+            except EpsmultError as exc:
+                raise type(exc)(f"{exc} (at family index n={k})") from exc
     return leading_difference(seq, inner.dim, window=window)
 
 

@@ -149,7 +149,8 @@ class TestExitCodes:
 
     def test_containment_violation_is_3(self, capsys):
         assert main(["amao", "--inner", "x", "--outer", "x^2"]) == 3
-        assert "inner not contained in outer" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "inner not contained in outer (at family index n=1)" in err
 
     def test_dimension_mismatch_is_3(self, capsys):
         assert main(["amao", "--inner", X2_XY, "--outer", "x"]) == 3

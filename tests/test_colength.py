@@ -6,17 +6,17 @@ import numpy as np
 import pytest
 
 from epsmult import (
+    AmaoResult,
     EpsmultError,
-    GradedFamilySpec,
     InfiniteColengthError,
     MonomialIdeal,
     SizeLimitError,
+    amao,
     colength,
     corpus,
     difference_max_degree,
     epsilon_sequence,
     is_finite_colength,
-    length_sequence,
     maximal_ideal,
     unit_ideal,
     zero_ideal,
@@ -392,20 +392,16 @@ def test_diagonal_max_degree_closed_form():
 
 class TestLengthSequence:
     def test_triangular_numbers(self):
-        powers = GradedFamilySpec.powers(X2_XY)
-        sat_powers = GradedFamilySpec.saturated_powers(X2_XY)
-        lengths = length_sequence(powers, sat_powers, 6)
-        assert lengths == [n * (n + 1) // 2 for n in range(1, 7)]
+        # lengths n(n+1)/2 for n = 1..6: second differences 1 from the start
+        assert amao(X2_XY, X2_XY.saturate(), 6) == AmaoResult(1, 1, 4)
 
     def test_error_carries_family_index(self):
-        inner = GradedFamilySpec.powers(MonomialIdeal(2, [(1, 1)]))
-        outer = GradedFamilySpec.powers(MonomialIdeal(2, [(1, 0)]))
+        inner, outer = MonomialIdeal(2, [(1, 1)]), MonomialIdeal(2, [(1, 0)])
         with pytest.raises(InfiniteColengthError, match="at family index n=1"):
-            length_sequence(inner, outer, 3)
+            amao(inner, outer, 3)
 
-    @pytest.mark.parametrize("n_max", [3.7, True])
-    def test_length_must_be_an_integer(self, n_max):
-        # int() would read 3.7 as 3, and amao's k_max passes through here
-        powers = GradedFamilySpec.powers(X2_XY)
-        with pytest.raises(TypeError, match="n_max must be an integer"):
-            length_sequence(powers, GradedFamilySpec.saturated_powers(X2_XY), n_max)
+    @pytest.mark.parametrize("k_max", [3.7, True])
+    def test_length_must_be_an_integer(self, k_max):
+        # int() would read 3.7 as 3
+        with pytest.raises(TypeError, match="k_max must be an integer"):
+            amao(X2_XY, X2_XY.saturate(), k_max)

@@ -18,11 +18,11 @@ from epsmult import (
     ZeroIdealError,
     amao,
     check_sat_power_containment,
+    colength,
     corpus,
     difference_max_degree,
     epsilon_sequence,
     leading_difference,
-    length_sequence,
     swanson_c_search,
     theorem_a_table,
     unit_ideal,
@@ -110,15 +110,26 @@ class TestAmao:
     def test_hilbert_samuel_degeneration(self, m):
         assert amao(M2_SQUARED.power(m), unit_ideal(2), 8).value == 4 * m * m
 
-    def test_containment_required(self):
-        with pytest.raises(EpsmultError, match="inner not contained in outer"):
-            amao(MonomialIdeal(2, [(1, 0)]), MonomialIdeal(2, [(0, 1)]), 8)
+    def test_containment_required(self, products):
+        # the length at k = 1 is the only containment check; it forms no power
+        inner, outer = MonomialIdeal(2, [(1, 0)]), MonomialIdeal(2, [(0, 1)])
+        with pytest.raises(
+            EpsmultError, match=r"^inner not contained in outer \(at family index n=1\)$"
+        ):
+            amao(inner, outer, 8)
+        assert products == []
+
+    def test_later_failure_carries_its_index(self):
+        # the square of (x^(2^60), y^(2^60)) is within the degree limit, its cube is not
+        ideal = MonomialIdeal(2, [(DEGREE_LIMIT // 2, 0), (0, DEGREE_LIMIT // 2)])
+        with pytest.raises(SizeLimitError, match=r"at family index n=3\)$"):
+            amao(ideal, unit_ideal(2), 8)
 
     @pytest.mark.parametrize("dim,gens", EQUAL_PAIR_IDEALS)
     def test_equal_pair_matches_the_chain_route_and_forms_no_power(self, products, dim, gens):
         fam_in = GradedFamilySpec.powers(MonomialIdeal(dim, gens))
         fam_out = GradedFamilySpec.powers(MonomialIdeal(dim, gens))
-        want = leading_difference(length_sequence(fam_in, fam_out, 9), dim)
+        want = leading_difference([colength(fam_in(k), fam_out(k)) for k in range(1, 10)], dim)
         assert want == AmaoResult(0, 1, 9 - dim)
         products.clear()
         ideal = MonomialIdeal(dim, gens)
@@ -150,9 +161,10 @@ class TestAmao:
         ideal = MonomialIdeal(2, [(DEGREE_LIMIT // 2, 0), (0, DEGREE_LIMIT // 2)])
         assert amao(ideal, ideal, 8) == AmaoResult(0, 1, 6)
         assert amao(ideal, MonomialIdeal(2, ideal.generators), 8).value == 0
-        chain = GradedFamilySpec.powers(MonomialIdeal(2, ideal.generators))
+        fam_in = GradedFamilySpec.powers(MonomialIdeal(2, ideal.generators))
+        fam_out = GradedFamilySpec.powers(MonomialIdeal(2, ideal.generators))
         with pytest.raises(SizeLimitError):
-            length_sequence(chain, chain, 8)
+            [colength(fam_in(k), fam_out(k)) for k in range(1, 9)]
 
     def test_result_is_nonnegative_on_corpus(self):
         for I in corpus(51, 10):
