@@ -103,60 +103,48 @@ def _tokenize(text: str):
 
 
 def _parse_human(text: str) -> MonomialIdeal:
-    tokens = list(_tokenize(text))
-    # split on commas into generator token runs
-    runs: list[list[tuple[str, int, int]]] = [[]]
+    gens: list[dict[int, int]] = []
+    exps: dict[int, int] = {}
+    due = ("", 1, 1)  # the ',' or '*' that a factor must follow; None once one is read
+    scheme = var = None  # var: the variable just read, which a '^' may raise
+    tokens = _tokenize(text)
     for tok in tokens:
-        if tok[0] == ",":
-            runs.append([])
+        word, line, col = tok
+        if word == "+":
+            raise IdealSyntaxError("sums are not monomials", line, col)
+        if word == "^" and var is not None:
+            power = next(tokens, None)
+            if power is None or not _is_number(power[0]):
+                raise IdealSyntaxError(
+                    "'^' must be followed by a nonnegative integer", line, col
+                )
+            exps[var] += int(power[0]) - 1  # the variable counted itself once
+            var = None
+        elif word == ",":
+            if due:
+                _missing_factor(due, tok)
+            gens.append(exps)
+            exps, due, var = {}, tok, None
+        elif due is None:
+            if word != "*":
+                raise IdealSyntaxError(f"expected '*' or ',' before {word!r}", line, col)
+            due, var = tok, None
         else:
-            runs[-1].append(tok)
-    scheme: str | None = None  # "named" | "indexed"
-    raw_gens: list[dict[int, int]] = []
-    max_index = 0
-    for run in runs:
-        if not run:
-            where = tokens[-1] if tokens else ("", 1, 1)
-            raise IdealSyntaxError("empty generator", where[1], where[2])
-        exps: dict[int, int] = {}
-        expect_factor = True
-        i = 0
-        while i < len(run):
-            tok, line, col = run[i]
-            if tok == "+":
-                raise IdealSyntaxError("sums are not monomials", line, col)
-            if expect_factor:
-                index, scheme = _variable_index(tok, scheme, line, col)
-                power = 1
-                if i + 1 < len(run) and run[i + 1][0] == "^":
-                    if i + 2 >= len(run) or not _is_number(run[i + 2][0]):
-                        bad = run[i + 1]
-                        raise IdealSyntaxError(
-                            "'^' must be followed by a nonnegative integer",
-                            bad[1],
-                            bad[2],
-                        )
-                    power = int(run[i + 2][0])
-                    i += 2
-                exps[index] = exps.get(index, 0) + power
-                max_index = max(max_index, index)
-                expect_factor = False
-            else:
-                if tok != "*":
-                    raise IdealSyntaxError(
-                        f"expected '*' or ',' before {tok!r}", line, col
-                    )
-                expect_factor = True
-            i += 1
-        if expect_factor:
-            tok, line, col = run[-1]
-            raise IdealSyntaxError("generator ends with a dangling '*'", line, col)
-        raw_gens.append(exps)
-    dim = max_index + 1
-    vectors = [
-        tuple(exps.get(a, 0) for a in range(dim)) for exps in raw_gens
-    ]
-    return MonomialIdeal(dim, vectors)
+            var, scheme = _variable_index(word, scheme, line, col)
+            exps[var] = exps.get(var, 0) + 1
+            due = None
+    if due:
+        _missing_factor(due, due)
+    gens.append(exps)
+    dim = max(max(g) for g in gens) + 1
+    return MonomialIdeal(dim, [tuple(g.get(a, 0) for a in range(dim)) for g in gens])
+
+
+def _missing_factor(due, end) -> None:
+    """Raise for a generator that ends (at `end`) where a factor is due after `due`."""
+    if due[0] == "*":
+        raise IdealSyntaxError("generator ends with a dangling '*'", due[1], due[2])
+    raise IdealSyntaxError("empty generator", end[1], end[2])
 
 
 def _is_number(tok: str) -> bool:
@@ -167,44 +155,32 @@ def _is_number(tok: str) -> bool:
 def _variable_index(tok: str, scheme: str | None, line: int, col: int):
     if _is_number(tok):
         raise IdealSyntaxError(
-            "bare integers are not monomials; use the JSON form for "
-            "constant ideals",
-            line,
-            col,
+            "bare integers are not monomials; use the JSON form for constant ideals", line, col
         )
     m = re.fullmatch(r"([A-Za-z]+?)([0-9]+)?", tok)
     if m is None:
         raise IdealSyntaxError(f"unexpected token {tok!r}", line, col)
-    name, suffix = m.group(1), m.group(2)
-    if suffix is None:
-        if name not in _NAMED_VARS:
-            raise IdealSyntaxError(
-                f"unknown variable {name!r} (named variables are x, y, z, w)",
-                line,
-                col,
-            )
-        if scheme == "indexed":
-            raise IdealSyntaxError(
-                "cannot mix named variables (x, y, z, w) with indexed x1..xd",
-                line,
-                col,
-            )
-        return _NAMED_VARS[name], "named"
-    if name != "x":
+    name, suffix = m.groups()
+    if suffix is None and name not in _NAMED_VARS:
+        raise IdealSyntaxError(
+            f"unknown variable {name!r} (named variables are x, y, z, w)", line, col
+        )
+    if suffix is not None and name != "x":
         raise IdealSyntaxError(
             f"unknown variable {tok!r} (indexed variables are x1..xd)", line, col
         )
-    if scheme == "named":
+    kind = "named" if suffix is None else "indexed"
+    if scheme not in (None, kind):
         raise IdealSyntaxError(
-            "cannot mix named variables (x, y, z, w) with indexed x1..xd",
-            line,
-            col,
+            "cannot mix named variables (x, y, z, w) with indexed x1..xd", line, col
         )
+    if suffix is None:
+        return _NAMED_VARS[name], kind
     index = int(suffix)
     if index < 1:
         raise IdealSyntaxError("indexed variables start at x1", line, col)
     _check_dim(index, line, col)
-    return index - 1, "indexed"
+    return index - 1, kind
 
 
 # -- small rendering helpers -------------------------------------------------

@@ -62,31 +62,44 @@ class TestParseIdeal:
         assert parse_ideal(text).generators == ((1, 1), (2, 0))
 
     @pytest.mark.parametrize(
-        "text,needle",
+        "text,needle,where",
         [
-            ("x^2 + y", "sums are not monomials"),
-            ("", "empty input"),
-            ("x^", "nonnegative integer"),
-            ("3*x", "bare integers"),
-            ("q", "unknown variable"),
-            ("x1, y", "cannot mix"),
-            ("y, x2", "cannot mix"),
-            ("x0", "start at x1"),
-            ("x17^2", "exceeds the supported maximum"),
-            ("x^2 y", "expected '\\*' or ','"),
-            ("x,,y", "empty generator"),
-            ("x,", "empty generator"),
-            ("{not json", "invalid JSON"),
-            ('{"dim": 2}', "generators"),
-            ('{"dim": 2, "generators": [[1]]}', "has length 1, expected 2"),
-            ('{"dim": 17, "generators": []}', "exceeds the supported maximum"),
-            ("\u00c0", "unexpected token"),  # a letter, but not one of the grammar's
-            ("x^\u00b2", "nonnegative integer"),  # a digit, but not an ASCII one
+            # ids leave the position out, so moving one renames no case
+            pytest.param(text, needle, where, id=f"{text}-{needle}")
+            for text, needle, where in [
+                ("x^2 + y", "sums are not monomials", (1, 5)),
+                ("", "empty input", (1, 1)),
+                ("x^", "nonnegative integer", (1, 2)),
+                ("3*x", "bare integers", (1, 1)),
+                ("q", "unknown variable", (1, 1)),
+                ("y2", "unknown variable 'y2' \\(indexed variables are x1..xd\\)", (1, 1)),
+                ("x1, y", "cannot mix", (1, 5)),
+                ("y, x2", "cannot mix", (1, 4)),
+                ("x0", "start at x1", (1, 1)),
+                ("x17^2", "exceeds the supported maximum", (1, 1)),
+                ("x^2 y", "expected '\\*' or ','", (1, 5)),
+                ("x*", "dangling '\\*'", (1, 2)),
+                ("x*, y", "dangling '\\*'", (1, 2)),
+                # an empty generator is reported at the comma that ends it,
+                # or at the trailing comma
+                ("x,,y", "empty generator", (1, 3)),
+                ("x,", "empty generator", (1, 2)),
+                (",x", "empty generator", (1, 1)),
+                ("x^2,\n, y", "empty generator", (2, 1)),
+                ("x^2,, y", "empty generator", (1, 5)),
+                ("{not json", "invalid JSON", (1, 2)),
+                ('{"dim": 2}', "generators", (1, 1)),
+                ('{"dim": 2, "generators": [[1]]}', "has length 1, expected 2", (1, 1)),
+                ('{"dim": 17, "generators": []}', "exceeds the supported maximum", (1, 1)),
+                ("\u00c0", "unexpected token", (1, 1)),  # a letter, but not one of the grammar's
+                ("x^\u00b2", "nonnegative integer", (1, 2)),  # a digit, but not an ASCII one
+            ]
         ],
     )
-    def test_rejected_inputs(self, text, needle):
-        with pytest.raises(IdealSyntaxError, match=needle):
+    def test_rejected_inputs(self, text, needle, where):
+        with pytest.raises(IdealSyntaxError, match=needle) as info:
             parse_ideal(text)
+        assert (info.value.line, info.value.column) == where
 
     def test_deeply_nested_json_is_a_syntax_error(self):
         text = '{"generators": ' + "[" * 10**5 + "]" * 10**5 + "}"
@@ -222,6 +235,14 @@ class TestExitCodes:
     def test_lemmas_on_the_input_alone_is_valid(self, capsys):
         assert main(["lemmas", "-i", X2_XY, "--nmax", "0"]) == 0
         assert "# lemma3: 1/1 pass" in capsys.readouterr().out
+
+    def test_failed_containment_is_3(self, capsys, monkeypatch):
+        monkeypatch.setattr(MonomialIdeal, "is_subideal_of", lambda self, other: False)
+        assert main(["lemmas", "-i", X2_XY, "--nmax", "0", "--format", "json"]) == 3
+        report = json.loads(capsys.readouterr().out)
+        assert report["rows"][0]["lemma3_ok"] is False
+        assert report["rows"][0]["lemma3_first_failure"] == 1
+        assert report["lemma3_passes"] == 0
 
     def test_infinite_quotient_is_3(self, capsys):
         assert main(["amao", "--inner", "x*y", "--outer", "x*y^0"]) == 3

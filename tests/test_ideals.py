@@ -250,6 +250,10 @@ class TestQueries:
         assert not big.is_subideal_of(small)
         assert zero_ideal(2).is_subideal_of(small)
 
+    def test_repr_lists_the_minimal_generators(self):
+        ideal = MonomialIdeal(2, [(2, 0), (1, 1), (3, 3)])
+        assert repr(ideal) == "MonomialIdeal(dim=2, generators=[(1, 1), (2, 0)])"
+
 
 class TestArithmetic:
     def test_product_example(self):

@@ -7,6 +7,7 @@ import pytest
 
 from epsmult import (
     AmaoResult,
+    ContainmentCheck,
     DimensionMismatchError,
     EpsmultError,
     GradedFamilySpec,
@@ -315,6 +316,10 @@ class TestContainmentLemma:
     def test_worked_example(self):
         res = check_sat_power_containment(X2_XY, 4)
         assert res.ok and res.first_failure is None
+
+    def test_first_failure_is_reported(self, monkeypatch):
+        monkeypatch.setattr(MonomialIdeal, "is_subideal_of", lambda self, other: False)
+        assert check_sat_power_containment(X2_XY, 4) == ContainmentCheck(False, 1)
 
     def test_corpus_never_fails(self):
         for I in corpus(52, 25):

@@ -24,6 +24,10 @@ class TestConstruction:
         with pytest.raises(ValueError, match="levels must be >= 1"):
             Semigroup(2, generators=[(1, 0, 0)])
 
+    def test_generator_length_is_checked(self):
+        with pytest.raises(ValueError, match="generator must have 3 coordinates, got 2"):
+            Semigroup(2, generators=[(1, 1)])
+
     def test_level_zero_must_be_origin(self):
         with pytest.raises(ValueError, match="origin"):
             Semigroup(1, levels={0: [(1,)]})
