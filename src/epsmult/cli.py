@@ -86,6 +86,8 @@ def _parse_json(text: str):
         raise IdealSyntaxError(f"invalid JSON: {exc.msg}", exc.lineno, exc.colno) from exc
     except RecursionError as exc:  # the decoder recurses once per nesting level
         raise IdealSyntaxError("invalid JSON: nested too deeply", 1, 1) from exc
+    except ValueError as exc:  # int() refuses a number past the interpreter's digit limit
+        raise IdealSyntaxError("invalid JSON: a number has too many digits", 1, 1) from exc
 
 
 def _check_dim(dim: int, line: int = 1, col: int = 1) -> None:
@@ -118,7 +120,7 @@ def _parse_human(text: str) -> MonomialIdeal:
                 raise IdealSyntaxError(
                     "'^' must be followed by a nonnegative integer", line, col
                 )
-            exps[var] += int(power[0]) - 1  # the variable counted itself once
+            exps[var] += _number(*power) - 1  # the variable counted itself once
             var = None
         elif word == ",":
             if due:
@@ -152,6 +154,13 @@ def _is_number(tok: str) -> bool:
     return tok.isascii() and tok.isdigit()
 
 
+def _number(tok: str, line: int, col: int) -> int:
+    try:
+        return int(tok)
+    except ValueError as exc:  # past the interpreter's digit limit (4300 by default)
+        raise IdealSyntaxError(f"a number has too many digits ({len(tok)})", line, col) from exc
+
+
 def _variable_index(tok: str, scheme: str | None, line: int, col: int):
     if _is_number(tok):
         raise IdealSyntaxError(
@@ -176,7 +185,7 @@ def _variable_index(tok: str, scheme: str | None, line: int, col: int):
         )
     if suffix is None:
         return _NAMED_VARS[name], kind
-    index = int(suffix)
+    index = _number(suffix, line, col)
     if index < 1:
         raise IdealSyntaxError("indexed variables start at x1", line, col)
     _check_dim(index, line, col)

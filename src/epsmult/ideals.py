@@ -18,9 +18,9 @@ Every nonzero ideal has a compressed height grid (see _height_grids),
 memoized on the instance by MonomialIdeal._grid; the saturation, the
 length of sat(I)/I and okounkov's simplex counts read it.  A product of
 large ideals is a min-plus shift of the larger factor's grid, trimmed to
-its own grid and kept for the next link of a power chain.  Below 64
-candidates, or past DEGREE_LIMIT, a bitset filter on Python ints
-minimalizes; above, a vectorized one (_minimal_rows).
+its own grid and kept for the next link of a power chain.  Every other
+ideal is minimalized by one bitset filter on Python ints (minimal_vectors),
+exact at any degree, in about N^2 / 2 bits of memory for N candidates.
 
 Instances are immutable and hashable; operations return new ideals.
 Each instance memoizes what it derives: its generator tuples, height
@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -50,10 +49,9 @@ from .errors import DimensionMismatchError, SizeLimitError, ZeroIdealError
 
 Exponent = tuple[int, ...]
 
-# Below this many candidate vectors (for a product: pairs of generators)
-# the plain-Python antichain filter wins.
-_NUMPY_CUTOVER = 64
-_BLOCK = 512
+# From this many pairs of generators up, a product takes the grid when its
+# union grid fits (see MonomialIdeal.product); below, pairwise sums win.
+_GRID_CUTOVER = 64
 
 # Largest degree (coordinate sum) of a minimal generator of any ideal.  So
 # every coordinate, the sum or maximum of two generators, and the degree
@@ -95,15 +93,17 @@ def _dominates(small: Exponent, big: Exponent) -> bool:
 
 
 def _minimal_python(cands: set[Exponent]) -> list[Exponent]:
-    """The minimal vectors of a set: one sort per axis, exact at any size.
+    """The minimal vectors of a set, sorted: one sort per axis, exact at any size.
 
     Each candidate ANDs, over the axes, the bitset of the candidates no
     larger on that axis.  The candidates are distinct, so one is minimal
-    when that leaves its own bit alone.
+    when that leaves its own bit alone.  In lexicographic order only an
+    earlier candidate can divide a later one, so each bitset starts as
+    its own bit and those before it, about N^2 / 2 bits in all.
     """
-    vecs = list(cands)
+    vecs = sorted(cands)
     bits = [1 << i for i in range(len(vecs))]
-    masks = [-1] * len(vecs)
+    masks = [(bit << 1) - 1 for bit in bits]
     for column in zip(*vecs):
         below: dict[int, int] = {}
         for c, bit in zip(column, bits):
@@ -313,39 +313,20 @@ def _product_on_grid(big: "MonomialIdeal", small: "MonomialIdeal", union) -> "Mo
     return ideal
 
 
-def _minimal_rows(rows: np.ndarray) -> np.ndarray:
-    """The minimal rows of an int64 array, distinct and sorted lexicographically.
-
-    Rows are compared a block at a time in order of degree, which must fit
-    in int64: a row can be dominated only by one of no larger degree.
-    """
-    rows = np.unique(rows, axis=0)
-    order = np.argsort(rows.sum(axis=1), kind="stable")
-    keep = np.zeros(len(rows), dtype=bool)
-    for start in range(0, len(rows), _BLOCK):
-        at = order[start : start + _BLOCK]
-        block = rows[at]
-        if start:
-            free = ~(rows[keep][None, :, :] <= block[:, None, :]).all(2).any(1)
-            at, block = at[free], block[free]
-        # Survivors can still dominate each other within the block.  The
-        # rows are distinct, so a row dominated by any other survivor is
-        # dominated by a minimal one, and the diagonal is the only self-match.
-        inner = (block[None, :, :] <= block[:, None, :]).all(2)
-        np.fill_diagonal(inner, False)
-        keep[at[~inner.any(1)]] = True
-    # the mask keeps the lexicographic order np.unique gave
-    return rows[keep]
-
-
 def minimal_vectors(vectors: Iterable[Exponent]) -> tuple[Exponent, ...]:
-    """Minimal elements of a set of exponent vectors, sorted lexicographically."""
-    cands = set(vectors)
-    # a vector past DEGREE_LIMIT may not fit in int64; the Python filter takes it
-    if len(cands) < _NUMPY_CUTOVER or max(map(sum, cands)) > DEGREE_LIMIT:
-        return tuple(sorted(_minimal_python(cands)))
-    rows = np.array(list(cands), dtype=np.int64)
-    return tuple(map(tuple, _minimal_rows(rows).tolist()))
+    """Minimal elements of a set of exponent vectors, sorted lexicographically.
+
+    The package's one minimalization filter (_minimal_python).  Its
+    bitsets take memory quadratic in the N distinct candidates: about
+    N^2 / 2 bits, and twice that while one axis's masks replace the last.
+    A 40,000-vector antichain in three variables takes about 320 MB.
+    """
+    return tuple(_minimal_python(set(vectors)))
+
+
+def _minimal_ideal(dim: int, rows: np.ndarray) -> "MonomialIdeal":
+    """The ideal generated by int64 rows (not necessarily minimal or distinct)."""
+    return _make(dim, minimal_vectors(map(tuple, rows.reshape(-1, dim).tolist())))
 
 
 @dataclass(frozen=True, eq=False)
@@ -439,13 +420,12 @@ class MonomialIdeal:
     def product(self, other: "MonomialIdeal") -> "MonomialIdeal":
         """Ideal product I * J.
 
-        Below _NUMPY_CUTOVER pairs of generators, the pairwise sums,
-        minimalized by the Python filter.  At or above it, a min-plus shift
-        of the larger factor's height grid (see _product_on_grid), or the
-        pairwise sums, minimalized by _minimal_rows, when that grid would
-        be too large.  Either way the product is refused with
-        SizeLimitError when one of its minimal generators has degree above
-        DEGREE_LIMIT; a larger pairwise sum that is not minimal is not.
+        From _GRID_CUTOVER pairs of generators up, a min-plus shift of the
+        larger factor's height grid (see _product_on_grid) while that grid
+        fits; otherwise the pairwise sums, minimalized by minimal_vectors
+        in about N^2 / 2 bits for N = n_big * n_small sums.  Either way the product is refused with SizeLimitError when one of
+        its minimal generators has degree above DEGREE_LIMIT; a larger
+        pairwise sum that is not minimal is not.
         """
         self._check_same_dim(other)
         if self.is_zero or other.is_zero:
@@ -453,25 +433,20 @@ class MonomialIdeal:
         big, small = self, other
         if len(big._rows) < len(small._rows):
             big, small = small, big
-        n_big, n_small = len(big._rows), len(small._rows)
-        if n_big * n_small < _NUMPY_CUTOVER:
-            sums = (tuple(map(operator.add, g, h)) for g in big for h in small)
-            return _make(self.dim, minimal_vectors(sums))
-        # The grid path gathers one union grid per generator of small; the
-        # numpy filter compares each of the n_big * n_small sums with the
-        # generators kept, of which a product has about n_big or more.  So
-        # the grid path is taken while the union grid has at most n_big^2
-        # cells.  Powers, whose exponents coincide, stay far below that;
-        # generic ideals with large exponents pass it.  The path also pads
-        # big's grid by one cell per axis, and each union axis has at least
-        # as many cuts as big's: the padded union grid must fit
-        # MAX_GRID_CELLS, as an axis with no cut but 0 doubles it.
-        union = _union_cuts(big, small)
-        padded = math.prod(len(u) + 1 for u in union)
-        if math.prod(map(len, union)) <= n_big * n_big and padded <= MAX_GRID_CELLS:
-            return _product_on_grid(big, small, union)
-        sums = big._rows[:, None, :] + small._rows[None, :, :]
-        return _make(self.dim, rows=_minimal_rows(sums.reshape(-1, self.dim)))
+        n_big = len(big._rows)
+        if n_big * len(small._rows) >= _GRID_CUTOVER:
+            # The grid path gathers one union grid per generator of small; the
+            # filter ANDs bitsets of up to n_big * n_small bits per sum.  So the
+            # grid is taken while it has at most n_big^2 cells: powers stay far
+            # below that, generic ideals with large exponents pass it.  big's
+            # grid is padded by one cell per axis, and each union axis has at
+            # least as many cuts: the padded union grid must fit MAX_GRID_CELLS
+            # (an axis cut only at 0 doubles).
+            union = _union_cuts(big, small)
+            padded = math.prod(len(u) + 1 for u in union)
+            if math.prod(map(len, union)) <= n_big * n_big and padded <= MAX_GRID_CELLS:
+                return _product_on_grid(big, small, union)
+        return _minimal_ideal(self.dim, big._rows[:, None, :] + small._rows[None, :, :])
 
     def power(self, n: int) -> "MonomialIdeal":
         """I^n; I^0 is the unit ideal and I^1 is I.
@@ -502,18 +477,14 @@ class MonomialIdeal:
         self._check_same_dim(other)
         if self.is_zero or other.is_zero:
             return zero_ideal(self.dim)
-        maxes = np.maximum(self._rows[:, None, :], other._rows[None, :, :])
-        return _make(self.dim, rows=_minimal_rows(maxes.reshape(-1, self.dim)))
+        return _minimal_ideal(self.dim, np.maximum(self._rows[:, None, :], other._rows[None, :, :]))
 
     def colon(self, other: "MonomialIdeal") -> "MonomialIdeal":
         """Colon ideal I : J, for J nonzero: the intersection of I : x^g over its generators g."""
         self._check_same_dim(other)
         if other.is_zero:
             raise ZeroIdealError("colon by the zero ideal is undefined")
-        parts = (
-            _make(self.dim, rows=_minimal_rows(np.maximum(self._rows - g, 0)))
-            for g in other._rows
-        )
+        parts = (_minimal_ideal(self.dim, np.maximum(self._rows - g, 0)) for g in other._rows)
         return functools.reduce(MonomialIdeal.intersect, parts)
 
     def saturate(self) -> "MonomialIdeal":

@@ -17,7 +17,7 @@ from fractions import Fraction
 from .colength import colength, difference_max_degree
 from .errors import EpsmultError, InconclusiveError, InsufficientDataError, ZeroIdealError
 from .families import GradedFamilySpec
-from .ideals import MonomialIdeal, _exact_int
+from .ideals import MonomialIdeal, _exact_int, _make
 
 
 @dataclass(frozen=True)
@@ -164,7 +164,7 @@ def theorem_a_table(
         if m > 1 and outer is not inner:
             # memo-free copies, so the chains amao builds die with the row;
             # a saturated I^m is an equal pair, for which amao builds none
-            inner, outer = MonomialIdeal(d, inner.generators), MonomialIdeal(d, outer.generators)
+            inner, outer = _make(d, rows=inner._rows), _make(d, rows=outer._rows)
         try:
             res = amao(inner, outer, k_max=k_max, window=window)
         except InconclusiveError as exc:

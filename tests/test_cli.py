@@ -169,6 +169,25 @@ class TestExitCodes:
         assert main(["amao", "--inner", X2_XY, "--outer", "x"]) == 3
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "command, text, where",
+        [
+            ("epsilon", "x^2, y^" + "9" * 5000, "column 8"),
+            ("epsilon", "x1, x" + "9" * 5000, "column 5"),
+            ("epsilon", '{"dim": 1, "generators": [[' + "9" * 5000 + "]]}", "column 1"),
+            ("semigroup", '{"dim": 1, "generators": [[0, ' + "9" * 5000 + "]]}", "column 1"),
+        ],
+        ids=["exponent", "index", "json-ideal", "json-semigroup"],
+    )
+    def test_number_past_the_digit_limit_is_4(self, command, text, where, capsys):
+        # int() refuses more than 4300 digits; the parser names the number instead
+        assert main([command, "-i", text]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "a number has too many digits" in err
+        assert f"(line 1, {where})" in err
+        assert "4300" not in err
+
     def test_semigroup_dimension_past_the_maximum_is_4(self, capsys):
         # the report normalizes by n^d: at d = 2^70 that alone would exhaust memory
         data = json.dumps({"dim": 2**70, "generators": []})
@@ -528,7 +547,7 @@ class TestNoRecomputation:
         shifted = [
             after.generators
             for before, after in zip(links, links[1:])
-            if len(before.generators) * len(base.generators) >= ideals_mod._NUMPY_CUTOVER
+            if len(before.generators) * len(base.generators) >= ideals_mod._GRID_CUTOVER
         ]
         assert len(shifted) >= 5
         assert not set(shifted) & set(scanned)

@@ -29,7 +29,6 @@ from epsmult import (
 from epsmult.ideals import (
     DEGREE_LIMIT,
     _minimal_python,
-    _minimal_rows,
     minimal_vectors,
 )
 
@@ -144,17 +143,17 @@ class TestConstruction:
         with pytest.raises(SizeLimitError, match="degree above"):
             MonomialIdeal(1, [(2**70,)])
         assert MonomialIdeal(1, [(1,), (2**70,)]) == MonomialIdeal(1, [(1,)])
-        # past the numpy cutover too: vectors past int64 take the Python filter
+        # among many candidates too: the filter is exact past int64
         many = [(1, 2**70 + k) for k in range(70)]
         assert MonomialIdeal(2, [(1, 0)] + many).generators == ((1, 0),)
 
 
 def _candidate_sets(rng):
-    """Sets of 65-2000 vectors in dims 1-4, several spanning more than one block.
+    """Sets of 65-2000 vectors in dims 1-4.
 
     In dims 2-4 a quarter of the vectors lie on one degree layer, where no
-    row dominates another, and the rest are nudged up from it, so each
-    block keeps many rows and drops many.
+    vector dominates another, and the rest are nudged up from it, so the
+    filter keeps many vectors and drops many.
     """
     sizes_by_dim = {1: (65, 600, 2000), 2: (65, 513, 1200), 3: (65, 513, 2000), 4: (65, 700, 2000)}
     for dim, sizes in sizes_by_dim.items():
@@ -200,11 +199,7 @@ class TestMinimalization:
         # distinct vectors in one variable never tie; in two to four, most sets do
         assert tied >= 150
 
-    def test_past_the_degree_limit_the_bitset_filter_takes_many(self, monkeypatch):
-        def no_rows(rows):
-            raise AssertionError("vectors past DEGREE_LIMIT reached the int64 filter")
-
-        monkeypatch.setattr(ideals_mod, "_minimal_rows", no_rows)
+    def test_past_the_degree_limit_the_bitset_filter_takes_many(self):
         rng = random.Random(99)
         for dim in range(1, 5):
             for draws in (200, 600):
@@ -216,13 +211,60 @@ class TestMinimalization:
                 assert len(cands) > 64 and max(map(sum, cands)) > DEGREE_LIMIT
                 assert list(minimal_vectors(cands)) == brute_minimal(cands)
 
-    def test_vectorized_path_matches_the_python_oracle(self):
+    def test_large_sets_match_the_quadratic_oracle(self):
         for cands in _candidate_sets(random.Random(97)):
-            expected = brute_minimal(cands)
-            # the rows come back sorted, with no sort of their own
-            rows = _minimal_rows(np.array(list(cands), dtype=np.int64))
-            assert list(map(tuple, rows.tolist())) == expected
-            assert list(minimal_vectors(cands)) == expected
+            assert list(minimal_vectors(cands)) == brute_minimal(cands)
+
+    @pytest.mark.parametrize("shape", ["random", "antichain"])
+    def test_twenty_thousand_points_in_the_plane(self, shape):
+        # an independent O(N log N) oracle: sorted by x, a point is minimal
+        # when its y lies strictly below every y before it
+        rng = random.Random(96)
+        if shape == "random":
+            cands = {(rng.randrange(3000), rng.randrange(3000)) for _ in range(20_000)}
+        else:
+            xs = rng.sample(range(10**6), 20_000)
+            cands = set(zip(sorted(xs), sorted(rng.sample(range(10**6), 20_000), reverse=True)))
+        assert len(cands) >= 19_900
+        expected, low = [], math.inf
+        for x, y in sorted(cands):
+            if y < low:
+                expected.append((x, y))
+                low = y
+        assert list(minimal_vectors(cands)) == expected
+        assert shape == "random" or len(expected) == 20_000
+
+    def test_every_operation_minimalizes_through_one_filter(self, monkeypatch):
+        calls = []
+        filtered = ideals_mod.minimal_vectors
+
+        def recorded(vectors):
+            calls.append(True)
+            return filtered(vectors)
+
+        monkeypatch.setattr(ideals_mod, "minimal_vectors", recorded)
+        a = MonomialIdeal(3, [(2, 1, 0), (0, 2, 1), (1, 0, 2)])
+        b = MonomialIdeal(3, [(1, 1, 0), (0, 0, 3)])
+        # generic: 12 x 9 generators whose union grid is past 12^2 cells
+        rng = random.Random(7)
+        big, small = (
+            MonomialIdeal(3, [tuple(rng.randrange(1000) for _ in "xyz") for _ in range(n)])
+            for n in (40, 12)
+        )
+        assert len(big.generators) * len(small.generators) >= ideals_mod._GRID_CUTOVER
+        operations = {
+            "constructor": lambda: MonomialIdeal(3, [(1, 1, 0), (2, 1, 0)]),
+            "small product": lambda: a * b,
+            "large product by pairwise sums": lambda: big * small,
+            "intersect": lambda: a & b,
+            "colon": lambda: a.colon(b),
+            "sum": lambda: a + b,
+        }
+        for name, operation in operations.items():
+            calls.clear()
+            operation()
+            assert calls, name
+        assert getattr(big * small, "_heights", None) is None
 
 
 class TestQueries:
@@ -540,7 +582,7 @@ class TestGridProduct:
                 power = base
                 for _ in range(2, 13):
                     want = product_by_sums(power, base)
-                    if len(power.generators) * len(base.generators) >= ideals_mod._NUMPY_CUTOVER:
+                    if len(power.generators) * len(base.generators) >= ideals_mod._GRID_CUTOVER:
                         crossed += 1
                     got = power.product(base)
                     assert got.generators == want
@@ -587,7 +629,7 @@ class TestGridProduct:
                 assert _same_grid(got._grid(), _fresh_grid(got))
         # the prime's chain crosses onto grid products, as in criterion 3
         power = prime.power(40)
-        assert len(power.generators) * 2 >= ideals_mod._NUMPY_CUTOVER
+        assert len(power.generators) * 2 >= ideals_mod._GRID_CUTOVER
         assert _same_grid(power._grid(), _fresh_grid(power))
 
     @staticmethod
@@ -598,7 +640,7 @@ class TestGridProduct:
     def test_degree_guard_above_the_switch(self):
         # 8 x 8 generator pairs take the grid path; the degrees add up to 2^61
         a, b = self._wide(1 << 60), self._wide(1 << 60)
-        assert len(a.generators) * len(b.generators) >= ideals_mod._NUMPY_CUTOVER
+        assert len(a.generators) * len(b.generators) >= ideals_mod._GRID_CUTOVER
         got = a.product(b)
         assert got.generators == product_by_sums(a, b)
         assert (1 << 61, 0) in got.generators
@@ -632,7 +674,7 @@ class TestGridProduct:
         # 2^61 + 2, but x*y divides it
         a = MonomialIdeal(2, [((1 << 60) + 1, 0)] + [(7 - i, i + 1) for i in range(7)])
         b = MonomialIdeal(2, [(0, (1 << 60) + 1)] + [(i + 1, 7 - i) for i in range(7)])
-        assert len(a.generators) * len(b.generators) == ideals_mod._NUMPY_CUTOVER
+        assert len(a.generators) * len(b.generators) == ideals_mod._GRID_CUTOVER
         got = a.product(b)
         assert got.generators == product_by_sums(a, b)
         assert max(map(sum, got.generators)) == (1 << 60) + 9
@@ -691,7 +733,7 @@ class TestGridProduct:
     )
     def test_large_grids_take_the_pairwise_sums(self, big, small):
         n_big = len(big.generators)
-        assert n_big * len(small.generators) >= ideals_mod._NUMPY_CUTOVER
+        assert n_big * len(small.generators) >= ideals_mod._GRID_CUTOVER
         cells = math.prod(map(len, ideals_mod._union_cuts(big, small)))
         assert cells > min(ideals_mod.MAX_GRID_CELLS, n_big * n_big)
         got = big.product(small)
@@ -724,7 +766,7 @@ class TestGridProduct:
             MonomialIdeal(3, [(3, 0, 0), (0, 2, 1), (1, 0, 2), (0, 3, 0)]),
         ):
             power = base.power(6)
-            assert len(power.generators) * len(base.generators) >= ideals_mod._NUMPY_CUTOVER
+            assert len(power.generators) * len(base.generators) >= ideals_mod._GRID_CUTOVER
             assert getattr(power.product(base), "_heights", None) is not None
 
     def test_memoized_grids_are_read_only(self):
@@ -787,7 +829,7 @@ class TestLazyGenerators:
         routes = {
             "constructor": MonomialIdeal(2, [(np.int64(2), 0), (1, 1)]),
             "Python filter": a * b,
-            "_minimal_rows": big,
+            "constructor of 70 candidates": big,
             "grid product": grid,
             "pairwise sums": sums,
             "saturation": grid.saturate(),
