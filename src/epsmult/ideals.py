@@ -144,9 +144,15 @@ MAX_GRID_CELLS = 1 << 22
 _NEVER = 2 * DEGREE_LIMIT + 1
 
 
+def _sorted_distinct(values: np.ndarray) -> np.ndarray:
+    """0 and the values, sorted, each once: np.unique would import numpy.ma."""
+    s = np.sort(np.concatenate(([0], values), axis=None))
+    return s[np.concatenate(([True], s[1:] != s[:-1]))]
+
+
 def _column_cuts(rows: np.ndarray) -> list[np.ndarray]:
     """0 and every row's coordinate k, sorted, for each column axis k = 1..d-1."""
-    return [np.unique(np.concatenate(([0], rows[:, k]))) for k in range(1, rows.shape[1])]
+    return [_sorted_distinct(rows[:, k]) for k in range(1, rows.shape[1])]
 
 
 def _height_grids(ideals) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -267,10 +273,7 @@ def _union_cuts(big: "MonomialIdeal", small: "MonomialIdeal") -> list[np.ndarray
     grid = getattr(big, "_heights", None)
     cuts = grid[0] if grid is not None else _column_cuts(big._rows)
     shifts = small._rows
-    return [
-        np.unique(np.concatenate(([0], (c[None, :] + shifts[:, k + 1, None]).ravel())))
-        for k, c in enumerate(cuts)
-    ]
+    return [_sorted_distinct(c[None, :] + shifts[:, k + 1, None]) for k, c in enumerate(cuts)]
 
 
 def _product_on_grid(big: "MonomialIdeal", small: "MonomialIdeal", union) -> "MonomialIdeal":

@@ -4,12 +4,13 @@ Everything here works on raw generator tuples and enumerates boxes of
 exponent vectors, taking the textbook definitions at face value: a point
 is in the product if it splits as a sum of members, in the colon if every
 shift by a divisor generator lands inside, and so on.  Slow on purpose --
-these exist to disagree with the fast code, not to race it.  Six helpers
+these exist to disagree with the fast code, not to race it.  Seven helpers
 take `MonomialIdeal` values instead: the product by pairwise sums, the
 oracle of the grid product; the colon-iteration saturation, an
 independent route to the grid saturation; a batched membership test; the
 staircase points in a simplex, the oracle of the simplex count; the
-literal truncation statement, the oracle of the truncation search; and
+literal truncation statement and the full (m, k) truncation grid, the
+oracles of the truncation search and of its diagonal; and
 the K-polynomial length, which reads generator lists only and so checks
 `colength` at exponents no box can hold.  The slicing hull volume, in
 dimensions 1 to 4, is the oracle of `okounkov.hull_volume`, and the
@@ -26,6 +27,7 @@ from itertools import combinations, product as iproduct
 
 import numpy as np
 
+from epsmult.colength import difference_max_degree
 from epsmult.ideals import MonomialIdeal, maximal_ideal
 
 Vec = tuple[int, ...]
@@ -324,6 +326,24 @@ def lemma_pool() -> list:
                             gens.append(v)
                     pool.append(MonomialIdeal(dim, gens))
     return pool
+
+
+def swanson_grid(ideal, mk_bound: int) -> list[tuple[int, int, int | None, int]]:
+    """(m, k, D, least c) for every pair (m, k) with m*k <= mk_bound.
+
+    D is the deepest degree of sat(I^m)^k outside I^(mk) (None when they
+    agree) and c = floor(D/(m*k)) + 1.  Every pair is formed: sat(I^m) as a
+    separate ideal and its powers on a copy of I, so no pair reads
+    `swanson_c_search`'s memos or its bound by the pair (mk, 1).
+    """
+    d, copy = ideal.dim, MonomialIdeal(ideal.dim, ideal.generators)
+    out = []
+    for m in range(1, mk_bound + 1):
+        sat = MonomialIdeal(d, copy.power(m).saturate().generators)
+        for k in range(1, mk_bound // m + 1):
+            deepest = difference_max_degree(copy.power(m * k), sat.power(k))
+            out.append((m, k, deepest, 1 if deepest is None else deepest // (m * k) + 1))
+    return out
 
 
 def swanson_truncation_agrees(ideal, m: int, k: int, c: int) -> bool:

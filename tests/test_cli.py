@@ -553,25 +553,27 @@ class TestNoRecomputation:
         assert not set(shifted) & set(scanned)
 
     def test_lemmas_row_shares_one_chain_between_its_checks(self, capsys, products, monkeypatch):
-        # the truncation search builds every power and saturation the
-        # containment check reads, so the row costs what the search does
+        # the truncation search builds I^2..I^12 and no saturation; the
+        # containment check reads I^2..I^4 off that chain and adds
+        # sat(I)^2..sat(I)^4 and sat(I^i) for i <= 4, each formed once
         saturations = []
         saturation = ideals_mod._saturation_on_grid
 
         def counted_saturation(ideal):
-            saturations.append(ideal)
+            saturations.append(ideal.generators)
             return saturation(ideal)
 
         monkeypatch.setattr(ideals_mod, "_saturation_on_grid", counted_saturation)
         text = "x^2*y, x*y^3, y^5, x^4"
         swanson_c_search(parse_ideal(text))
-        search_alone = len(products), len(saturations)
+        assert (len(products), saturations) == (11, [])
         products.clear()
-        saturations.clear()
         assert main(["lemmas", "-i", text, "--nmax", "0", "--kmax", "4"]) == 0
         capsys.readouterr()
-        assert (len(products), len(saturations)) == search_alone
-        assert len(products) == 34
+        factors, saturated = [other.generators for other in products], list(saturations)
+        base = parse_ideal(text)
+        assert sorted(factors) == sorted([base.generators] * 11 + [base.saturate().generators] * 3)
+        assert saturated == [base.power(i).generators for i in range(1, 5)]
 
     def test_deep_probe_level_needs_no_recursion(self, capsys):
         # The power chain is built bottom-up: a probe level far past the
@@ -616,6 +618,21 @@ class TestProcessLevel:
         bad = _run_checkout("-m", module, "epsilon", "-i", X2_XY, "--nmax", "0")
         assert bad.returncode == 3
         assert bad.stdout == "" and bad.stderr.startswith("error: n_max must be at least 1")
+
+    def test_reports_leave_numpy_ma_unimported(self):
+        # np.unique imports numpy.ma (about 1 MB) on its first call; the
+        # package sorts its cuts without it
+        script = (
+            "import contextlib, io, sys; from epsmult.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main({LEMMAS_X2XY!r}) == 0\n"
+            "    assert main(['epsilon', '-i', 'x^2*y, y*z^3, x*z^2', '--nmax', '6']) == 0\n"
+            f"    assert main({OKOUNKOV_X2XY!r}) == 0\n"
+            "print('numpy.ma' in sys.modules)"
+        )
+        proc = _run_checkout("-c", script)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
 
     @pytest.mark.skipif(shutil.which("epsmult") is None, reason="no epsmult script on PATH")
     def test_installed_script_runs(self):

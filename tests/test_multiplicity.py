@@ -21,7 +21,6 @@ from epsmult import (
     check_sat_power_containment,
     colength,
     corpus,
-    difference_max_degree,
     epsilon_sequence,
     leading_difference,
     swanson_c_search,
@@ -31,12 +30,17 @@ from epsmult import (
 from epsmult import ideals as ideals_mod
 from epsmult import multiplicity as mult_mod
 from epsmult.ideals import DEGREE_LIMIT
-from oracle_utils import lemma_pool, swanson_truncation_agrees
+from oracle_utils import lemma_pool, swanson_grid, swanson_truncation_agrees
 
 GOLDEN = Path(__file__).parent / "golden"
 X2_XY = MonomialIdeal(2, [(2, 0), (1, 1)])
 M2_SQUARED = MonomialIdeal(2, [(1, 0), (0, 1)]).power(2)
 PRIME_3D = MonomialIdeal(3, [(1, 0, 0), (0, 1, 0)])
+PEAKS_PAST_TWO = [
+    MonomialIdeal(3, [(2, 1, 4), (3, 3, 3), (7, 4, 2)]),
+    MonomialIdeal(4, [(1, 0, 2, 1), (1, 1, 1, 1), (1, 1, 2, 0), (2, 2, 0, 0)]),
+    MonomialIdeal(4, [(3, 8, 0, 5), (7, 5, 3, 1), (8, 1, 5, 0)]),
+]
 EQUAL_PAIR_IDEALS = [
     (2, [(3, 0), (1, 2), (0, 5)]),
     (3, [(2, 1, 0), (0, 3, 1), (1, 0, 4), (1, 1, 1)]),
@@ -271,6 +275,8 @@ class TestTheoremATable:
         # the saturated ideals of the lemma pool and corpus(7, 48, max_dim=4)
         recorded = json.loads((GOLDEN / "saturated_lemma_reports.json").read_text())
         assert len(recorded) == 111
+        # each "swanson" entry lists c over the full grid, m*k <= 6, m by m
+        grid = [(m, k) for m in range(1, 7) for k in range(1, 6 // m + 1)]
         for entry in recorded:
             ideal = MonomialIdeal(entry["dim"], entry["generators"])
             assert ideal.saturate() is ideal
@@ -279,7 +285,9 @@ class TestTheoremATable:
                 [r.m, r.a_value, r.stabilized_at, r.status, list(r.tail)] for r in rows
             ] == entry["theorem_a"], ideal
             search = swanson_c_search(ideal, c_max=8, mk_bound=6)
-            assert [search.c, [c for _, _, c in search.per_pair]] == entry["swanson"], ideal
+            want_c, want_grid = entry["swanson"]
+            diagonal = [c for (_, k), c in zip(grid, want_grid, strict=True) if k == 1]
+            assert [search.c, [c for _, _, c in search.per_pair]] == [want_c, diagonal], ideal
             check = check_sat_power_containment(ideal, 4)
             assert [check.ok, check.first_failure] == entry["containment"], ideal
 
@@ -344,13 +352,9 @@ class TestSwanson:
         assert dict(((m, k), c) for m, k, c in res.per_pair)[(1, 1)] == 2
 
     def test_grid_pairs_cover_the_bound(self):
+        # the pair (n, 1) bounds every (m, k) with m*k = n, so only it is checked
         res = swanson_c_search(X2_XY, c_max=8, mk_bound=6)
-        assert sorted((m, k) for m, k, _ in res.per_pair) == sorted(
-            (m, k)
-            for m in range(1, 7)
-            for k in range(1, 7)
-            if m * k <= 6
-        )
+        assert [(m, k) for m, k, _ in res.per_pair] == [(n, 1) for n in range(1, 7)]
 
     def test_saturation_stable_ideal_gives_one(self):
         assert swanson_c_search(PRIME_3D, c_max=4, mk_bound=6).c == 1
@@ -382,8 +386,8 @@ class TestSwanson:
         assert want == swanson_c_search(MonomialIdeal(3, [(2, 1, 0), (0, 1, 3), (1, 1, 1)]))
 
     def test_saturated_powers_form_no_chain_of_their_own(self, products):
-        # I^m is saturated for every m: each pair reads I^(mk) on both
-        # sides, so the search builds I^2..I^12 and nothing on any I^m
+        # I^m is saturated for every m: the search reads each I^n and its
+        # saturation off I's chain, so it builds I^2..I^12 and nothing on any I^m
         ideal = MonomialIdeal(3, [(0, 2, 2), (1, 0, 1), (2, 0, 0)])
         res = swanson_c_search(ideal, mk_bound=12)
         assert len(products) == 11 and all(other is ideal for other in products)
@@ -392,23 +396,50 @@ class TestSwanson:
             assert getattr(ideal.power(m), "_powers", None) is None
 
     def test_per_pair_matches_memo_free_pairs_on_the_lemma_pool(self):
-        # the reference forms sat(I^m) as a separate ideal and its powers
-        # on a copy of I, so no pair reads the search's memos or shortcuts
+        # the oracle forms every pair apart from the search's memos
         seen = set()
         for ideal in lemma_pool():
-            d, copy = ideal.dim, MonomialIdeal(ideal.dim, ideal.generators)
-            want = []
-            for m in range(1, 7):
-                sat = MonomialIdeal(d, copy.power(m).saturate().generators)
-                if m == 2:
-                    seen.add(sat == copy.power(m))
-                for k in range(1, 6 // m + 1):
-                    deepest = difference_max_degree(copy.power(m * k), sat.power(k))
-                    want.append((m, k, 1 if deepest is None else deepest // (m * k) + 1))
-            assert swanson_c_search(ideal, mk_bound=6).per_pair == tuple(want), ideal
+            want = [(m, k, deepest, c) for m, k, deepest, c in swanson_grid(ideal, 6) if k == 1]
+            seen.update(deepest is None for _, _, deepest, _ in want)
+            assert swanson_c_search(ideal, mk_bound=6).per_pair == tuple(
+                (m, k, c) for m, k, _, c in want
+            ), ideal
         assert seen == {False, True}
 
-    def test_search_saturates_each_power_once(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "pool, mk_bound",
+        [
+            pytest.param(lemma_pool, 6, id="lemma-pool-6"),
+            pytest.param(lemma_pool, 12, id="lemma-pool-12"),
+            pytest.param(lambda: corpus(1, 50), 12, id="corpus-1-50"),
+            pytest.param(lambda: corpus(7, 48, max_dim=4), 12, id="corpus-7-48-4d"),
+            # c first reaches its max at (7, 1), (3, 1) and (4, 1); above, at (1, 1) or (2, 1)
+            pytest.param(lambda: PEAKS_PAST_TWO, 12, id="peaks-past-n-2"),
+        ],
+    )
+    def test_diagonal_answers_for_the_full_grid(self, pool, mk_bound):
+        # the search checks the pairs (n, 1) only; the oracle checks every (m, k)
+        found = set()
+        for ideal in pool():
+            worst = max(c for *_, c in swanson_grid(ideal, mk_bound))
+            found.add(worst)
+            res = swanson_c_search(ideal, mk_bound=mk_bound)
+            assert max(c for *_, c in res.per_pair) == worst, ideal
+            assert res.c == (worst if worst <= 8 else None), ideal
+        assert len(found) > 2
+
+    def test_each_pair_is_bounded_by_its_diagonal_pair(self):
+        # I^(mk) <= sat(I^m)^k <= sat(I^(mk)), so D(m, k) <= D(mk, 1); an
+        # empty difference (D None) counts as depth -1
+        strict = 0
+        for ideal in lemma_pool():
+            depth = {(m, k): -1 if d is None else d for m, k, d, _ in swanson_grid(ideal, 12)}
+            for (m, k), d in depth.items():
+                assert d <= depth[(m * k, 1)], (ideal, m, k)
+                strict += d < depth[(m * k, 1)]
+        assert strict > 0
+
+    def test_search_saturates_no_power(self, products, monkeypatch):
         calls = []
         grid = ideals_mod._saturation_on_grid
 
@@ -419,8 +450,9 @@ class TestSwanson:
         monkeypatch.setattr(ideals_mod, "_saturation_on_grid", counted)
         base = MonomialIdeal(2, [(3, 0), (1, 2)])
         swanson_c_search(base, mk_bound=12)
-        # m > 6 has the one pair k = 1, which reads sat(I^m) off I^m's grid
-        assert sorted(calls) == sorted({base.power(m).generators for m in range(1, 7)})
+        # every pair (n, 1) reads sat(I^n) off I^n's own grid
+        assert calls == []
+        assert len(products) == 11 and all(other is base for other in products)
 
 
 def test_amao_result_guard():
