@@ -348,8 +348,9 @@ def _cmd_okounkov_volume(args) -> int:
     est = epsilon_via_volumes(ideal, args.beta, args.nmax)
     lines: list[str] = []
     payload: dict = {}
+    powers = GradedFamilySpec(ideal)
     for kind, top in (("saturated_powers", est.count_saturated), ("powers", est.count_powers)):
-        fam = GradedFamilySpec(kind, ideal)
+        fam = powers if kind == "powers" else lambda n: powers(n).saturate()
         counts = {n: count_staircase_in_simplex(fam(n), args.beta * n) for n in range(1, args.nmax)}
         counts[args.nmax] = top
         sweep_lines, payload[kind] = _volume_sweep(counts, ideal.dim, None)

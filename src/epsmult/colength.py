@@ -9,12 +9,11 @@ axis at 0 and at every generator coordinate of the ideals involved gives a
 compressed grid with one height per cell and ideal; the last cell of each
 axis is unbounded.  An equal pair (the same ideal, or two with equal
 generators, as a saturated ideal and its saturation are) has an empty
-difference and reads no grid.  I and a saturation that differs from it
-are counted on I's own grid, where the containment and finiteness checks
-hold by construction and are skipped; so are colength(I, None) and
-difference_max_degree(I, None), which read sat(I) there without forming
-the saturation ideal.  Any other pair gets a fresh grid from
-ideals._height_grids.
+difference and reads no grid.  colength(I, None) and
+difference_max_degree(I, None) read sat(I) off I's own grid without
+forming the saturation ideal; there the containment and finiteness checks
+hold by construction and are skipped.  Any other pair gets a fresh grid
+from ideals._height_grids.
 Containment, finiteness, the length and the deepest degree of the
 difference are array expressions over those cells.  A length contracts
 the depths with each axis's cell widths in int64 while the largest depth
@@ -46,14 +45,13 @@ def _difference_cells(inner: MonomialIdeal, outer: MonomialIdeal | None):
     least h_out.  Raises EpsmultError unless inner <= outer, and
     InfiniteColengthError when the difference is infinite: some column
     enters outer but never inner, or an unbounded cell is nonempty.
-    Outer None stands for sat(inner), as inner's memoized saturation does:
-    its heights on inner's grid never exceed h, equal h on every last cell
-    and are _NEVER wherever h is, so no check is run.  The zero ideal is
-    its own saturation.
+    Outer None stands for sat(inner): its heights on inner's grid never
+    exceed h, equal h on every last cell and are _NEVER wherever h is, so
+    no check is run.  The zero ideal is its own saturation.
     """
     if outer is inner or outer == inner or (outer is None and inner.is_zero):
         return None
-    if outer is None or outer is getattr(inner, "_sat", None):
+    if outer is None:
         cuts, h_in = inner._grid()
         h_out = _saturation_heights(h_in)
         return cuts, h_in > h_out, h_in, h_out

@@ -41,7 +41,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -90,30 +90,6 @@ def _as_vector(vec: Iterable[int], dim: int) -> Exponent:
 
 def _dominates(small: Exponent, big: Exponent) -> bool:
     return all(s <= b for s, b in zip(small, big))
-
-
-def _minimal_python(cands: set[Exponent]) -> list[Exponent]:
-    """The minimal vectors of a set, sorted: one sort per axis, exact at any size.
-
-    Each candidate ANDs, over the axes, the bitset of the candidates no
-    larger on that axis.  The candidates are distinct, so one is minimal
-    when that leaves its own bit alone.  In lexicographic order only an
-    earlier candidate can divide a later one, so each bitset starts as
-    its own bit and those before it, about N^2 / 2 bits in all.
-    """
-    vecs = sorted(cands)
-    bits = [1 << i for i in range(len(vecs))]
-    masks = [(bit << 1) - 1 for bit in bits]
-    for column in zip(*vecs):
-        below: dict[int, int] = {}
-        for c, bit in zip(column, bits):
-            below[c] = below.get(c, 0) | bit
-        seen = 0
-        for c in sorted(below):
-            seen |= below[c]
-            below[c] = seen
-        masks = [m & below[c] for m, c in zip(masks, column)]
-    return [v for v, m, bit in zip(vecs, masks, bits) if m == bit]
 
 
 def _check_degree(vectors) -> None:
@@ -270,10 +246,11 @@ def _union_cuts(big: "MonomialIdeal", small: "MonomialIdeal") -> list[np.ndarray
     0, and big's cuts shifted by the column part g' of every generator of
     small.  Read off the generators, so big's grid need not exist yet.
     """
-    grid = getattr(big, "_heights", None)
-    cuts = grid[0] if grid is not None else _column_cuts(big._rows)
     shifts = small._rows
-    return [_sorted_distinct(c[None, :] + shifts[:, k + 1, None]) for k, c in enumerate(cuts)]
+    return [
+        _sorted_distinct(c[None, :] + shifts[:, k + 1, None])
+        for k, c in enumerate(_column_cuts(big._rows))
+    ]
 
 
 def _product_on_grid(big: "MonomialIdeal", small: "MonomialIdeal", union) -> "MonomialIdeal":
@@ -319,12 +296,31 @@ def _product_on_grid(big: "MonomialIdeal", small: "MonomialIdeal", union) -> "Mo
 def minimal_vectors(vectors: Iterable[Exponent]) -> tuple[Exponent, ...]:
     """Minimal elements of a set of exponent vectors, sorted lexicographically.
 
-    The package's one minimalization filter (_minimal_python).  Its
-    bitsets take memory quadratic in the N distinct candidates: about
-    N^2 / 2 bits, and twice that while one axis's masks replace the last.
-    A 40,000-vector antichain in three variables takes about 320 MB.
+    The package's one minimalization filter: one sort per axis, exact at
+    any size.  Each candidate ANDs, over the axes, the bitset of the
+    candidates no larger on that axis.  The candidates are made distinct,
+    so one is minimal when that leaves its own bit alone.  In
+    lexicographic order only an earlier candidate can divide a later one,
+    so each bitset starts as its own bit and those before it.  The bitsets
+    take memory quadratic in the N distinct candidates: about N^2 / 2
+    bits, and twice that while one axis's masks replace the last.  A
+    40,000-vector antichain in three variables takes about 320 MB.
     """
-    return tuple(_minimal_python(set(vectors)))
+    vecs = sorted(set(vectors))
+    bits = [1 << i for i in range(len(vecs))]
+    masks = [(bit << 1) - 1 for bit in bits]
+    for column in zip(*vecs):
+        below: dict[int, int] = {}
+        for c, bit in zip(column, bits):
+            below[c] = below.get(c, 0) | bit
+        seen = 0
+        for c in sorted(below):
+            seen |= below[c]
+            below[c] = seen
+        masks = [m & below[c] for m, c in zip(masks, column)]
+    # a list, not a generator: tuple() over-allocates and shrinks a tuple of
+    # unknown length, which left the heap about 2 MB larger after 40 lemmas passes
+    return tuple([v for v, m, bit in zip(vecs, masks, bits) if m == bit])
 
 
 def _minimal_ideal(dim: int, rows: np.ndarray) -> "MonomialIdeal":
@@ -403,9 +399,6 @@ class MonomialIdeal:
         """Membership of the monomial x^vec."""
         e = _as_vector(vec, self.dim)
         return any(_dominates(g, e) for g in self.generators)
-
-    def __iter__(self) -> Iterator[Exponent]:
-        return iter(self.generators)
 
     def _check_same_dim(self, other: "MonomialIdeal") -> None:
         if self.dim != other.dim:

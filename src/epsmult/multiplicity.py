@@ -17,7 +17,7 @@ from fractions import Fraction
 from .colength import colength, difference_max_degree
 from .errors import EpsmultError, InconclusiveError, InsufficientDataError, ZeroIdealError
 from .families import GradedFamilySpec
-from .ideals import MonomialIdeal, _exact_int, _make
+from .ideals import MonomialIdeal, _exact_int
 
 
 @dataclass(frozen=True)
@@ -112,16 +112,20 @@ def amao(
     checks both, and an error names the index k where it arose.  The
     result is a nonnegative integer once the d-th differences stabilize.
     An equal pair has outer^k = inner^k, so every length is 0 and no power
-    is formed.
+    is formed.  Otherwise the powers are multiplied here, one product by
+    inner and one by outer per k, and kept on neither argument: each is
+    read once, so they are freed as the next one is formed.
     """
     k_max, window = _exact_int(k_max, "k_max", 1), _exact_int(window, "window", 1)
     inner._check_same_dim(outer)
     seq = [0] * k_max
     if outer is not inner and outer != inner:
-        fam_in, fam_out = GradedFamilySpec.powers(inner), GradedFamilySpec.powers(outer)
+        power_in, power_out = inner, outer
         for k in range(1, k_max + 1):
             try:
-                seq[k - 1] = colength(fam_in(k), fam_out(k))
+                if k > 1:
+                    power_in, power_out = power_in.product(inner), power_out.product(outer)
+                seq[k - 1] = colength(power_in, power_out)
             except EpsmultError as exc:
                 raise type(exc)(f"{exc} (at family index n={k})") from exc
     return leading_difference(seq, inner.dim, window=window)
@@ -134,7 +138,7 @@ def epsilon_sequence(ideal: MonomialIdeal, n_max: int) -> EpsilonEstimate:
     n_max = _exact_int(n_max, "n_max", 1)
     d = ideal.dim
     fact = math.factorial(d)
-    powers = GradedFamilySpec.powers(ideal)
+    powers = GradedFamilySpec(ideal)
     lengths = tuple(colength(powers(n), None) for n in range(1, n_max + 1))
     values = tuple(Fraction(fact * ln, n**d) for n, ln in enumerate(lengths, 1))
     return EpsilonEstimate(values, lengths)
@@ -156,15 +160,11 @@ def theorem_a_table(
         raise ZeroIdealError("the convergence table needs an ideal that is neither zero nor the ring")
     m_max = _exact_int(m_max, "m_max", 1)
     d = ideal.dim
-    powers = GradedFamilySpec.powers(ideal)
+    powers = GradedFamilySpec(ideal)
     rows: list[TheoremARow] = []
     for m in range(1, m_max + 1):
         inner = powers(m)
         outer = inner.saturate()
-        if m > 1 and outer is not inner:
-            # memo-free copies, so the chains amao builds die with the row;
-            # a saturated I^m is an equal pair, for which amao builds none
-            inner, outer = _make(d, rows=inner._rows), _make(d, rows=outer._rows)
         try:
             res = amao(inner, outer, k_max=k_max, window=window)
         except InconclusiveError as exc:
@@ -179,10 +179,9 @@ def theorem_a_table(
 def check_sat_power_containment(ideal: MonomialIdeal, i_max: int) -> ContainmentCheck:
     """Verify saturate(I)^i lies inside saturate(I^i) for i = 1..i_max."""
     i_max = _exact_int(i_max, "i_max", 1)
-    sat_powers = GradedFamilySpec.powers(ideal.saturate())
-    saturated = GradedFamilySpec.saturated_powers(ideal)
+    sat_powers, powers = GradedFamilySpec(ideal.saturate()), GradedFamilySpec(ideal)
     for i in range(1, i_max + 1):
-        if not sat_powers(i).is_subideal_of(saturated(i)):
+        if not sat_powers(i).is_subideal_of(powers(i).saturate()):
             return ContainmentCheck(False, i)
     return ContainmentCheck(True, None)
 
@@ -207,7 +206,7 @@ def swanson_c_search(
     if ideal.is_zero or ideal.is_unit:
         raise ZeroIdealError("the truncation search needs an ideal that is neither zero nor the ring")
     c_max, mk_bound = _exact_int(c_max, "c_max", 1), _exact_int(mk_bound, "mk_bound", 1)
-    powers = GradedFamilySpec.powers(ideal)
+    powers = GradedFamilySpec(ideal)
     per_pair = []
     for n in range(1, mk_bound + 1):
         deepest = difference_max_degree(powers(n), None)

@@ -35,7 +35,7 @@ from epsmult.cli import main
 
 X2_XY = MonomialIdeal(2, [(2, 0), (1, 1)])
 OUTER = MonomialIdeal(2, [(1, 0)])
-POWERS = GradedFamilySpec.powers(X2_XY)
+POWERS = GradedFamilySpec(X2_XY)
 SG = Semigroup(1, generators=[(0, 1), (1, 1)])
 SEQ = [1, 2, 3, 4, 5, 6]
 

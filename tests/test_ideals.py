@@ -28,7 +28,6 @@ from epsmult import (
 )
 from epsmult.ideals import (
     DEGREE_LIMIT,
-    _minimal_python,
     minimal_vectors,
 )
 
@@ -193,7 +192,7 @@ class TestMinimalization:
     def test_bitset_filter_matches_the_quadratic_oracle(self, offset):
         tied = 0
         for cands in _tied_sets(random.Random(98), offset):
-            assert sorted(_minimal_python(cands)) == brute_minimal(cands)
+            assert list(minimal_vectors(cands)) == brute_minimal(cands)
             axes = zip(*cands)
             tied += len(cands) > 1 and all(len(set(a)) < len(cands) for a in axes)
         # distinct vectors in one variable never tie; in two to four, most sets do

@@ -130,10 +130,24 @@ class TestAmao:
         with pytest.raises(SizeLimitError, match=r"at family index n=3\)$"):
             amao(ideal, unit_ideal(2), 8)
 
+    def test_non_equal_pair_keeps_no_chain_on_its_arguments(self, products):
+        # each (inner^k, outer^k) is read once, so amao multiplies its own
+        # chains, one product by inner and one by outer per k in 2..k_max
+        inner = MonomialIdeal(3, [(2, 1, 0), (0, 2, 1), (1, 0, 2)])
+        outer = inner.saturate()
+        res = amao(inner, outer, 8)
+        assert getattr(inner, "_powers", None) is None
+        assert getattr(outer, "_powers", None) is None
+        assert sum(other is inner for other in products) == 7
+        assert sum(other is outer for other in products) == 7
+        assert len(products) == 14
+        lengths = [colength(inner.power(k), outer.power(k)) for k in range(1, 9)]
+        assert res == leading_difference(lengths, 3)
+
     @pytest.mark.parametrize("dim,gens", EQUAL_PAIR_IDEALS)
     def test_equal_pair_matches_the_chain_route_and_forms_no_power(self, products, dim, gens):
-        fam_in = GradedFamilySpec.powers(MonomialIdeal(dim, gens))
-        fam_out = GradedFamilySpec.powers(MonomialIdeal(dim, gens))
+        fam_in = GradedFamilySpec(MonomialIdeal(dim, gens))
+        fam_out = GradedFamilySpec(MonomialIdeal(dim, gens))
         want = leading_difference([colength(fam_in(k), fam_out(k)) for k in range(1, 10)], dim)
         assert want == AmaoResult(0, 1, 9 - dim)
         products.clear()
@@ -166,8 +180,8 @@ class TestAmao:
         ideal = MonomialIdeal(2, [(DEGREE_LIMIT // 2, 0), (0, DEGREE_LIMIT // 2)])
         assert amao(ideal, ideal, 8) == AmaoResult(0, 1, 6)
         assert amao(ideal, MonomialIdeal(2, ideal.generators), 8).value == 0
-        fam_in = GradedFamilySpec.powers(MonomialIdeal(2, ideal.generators))
-        fam_out = GradedFamilySpec.powers(MonomialIdeal(2, ideal.generators))
+        fam_in = GradedFamilySpec(MonomialIdeal(2, ideal.generators))
+        fam_out = GradedFamilySpec(MonomialIdeal(2, ideal.generators))
         with pytest.raises(SizeLimitError):
             [colength(fam_in(k), fam_out(k)) for k in range(1, 9)]
 
@@ -311,13 +325,17 @@ class TestTheoremATable:
 
     def test_rows_past_the_first_leave_no_chain_behind(self):
         # row m reads (I^m)^k for k <= k_max; held on I^m, those chains
-        # would stay alive as long as I does
+        # would stay alive as long as I does.  amao keeps none, so every
+        # row, the first included, leaves only I's chain of the I^m
         ideal = MonomialIdeal(3, [(2, 1, 0), (0, 2, 1), (1, 0, 2)])
         theorem_a_table(ideal, m_max=3, k_max=6)
-        assert sorted(ideal._powers) == [2, 3, 4, 5, 6]
-        for m in (2, 3):
-            assert getattr(ideal.power(m), "_powers", None) is None
-            assert getattr(ideal.power(m).saturate(), "_powers", None) is None
+        assert sorted(ideal._powers) == [2, 3]
+        for m in (1, 2, 3):
+            power = ideal.power(m)
+            assert power.saturate() is not power
+            assert getattr(power.saturate(), "_powers", None) is None
+            if m > 1:
+                assert getattr(power, "_powers", None) is None
 
 
 class TestContainmentLemma:

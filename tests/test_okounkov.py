@@ -147,6 +147,12 @@ class TestSimplexCounts:
             assert enumerate_staircase_in_simplex(ideal, cap) == expected
 
 
+def saturated(base):
+    """n -> sat(I^n), read as fam(n).saturate() off the powers family."""
+    fam = GradedFamilySpec(base)
+    return lambda n: fam(n).saturate()
+
+
 def gamma_level(fam, beta, i):
     """Level i of the beta-truncated value semigroup of fam, listed by the oracle.
 
@@ -160,25 +166,25 @@ def gamma_level(fam, beta, i):
 
 class TestGammaBeta:
     def test_worked_level_one(self):
-        fam = GradedFamilySpec.powers(PLANE_LINE)
+        fam = GradedFamilySpec(PLANE_LINE)
         assert gamma_level(fam, 2, 1) == frozenset({(1, 0), (1, 1), (2, 0)})
 
     def test_counts_follow_the_closed_form(self):
         # level i of the beta=2 truncation of powers of (x) is a triangle
-        fam = GradedFamilySpec.powers(PLANE_LINE)
+        fam = GradedFamilySpec(PLANE_LINE)
         for i in range(1, 7):
             assert count_staircase_in_simplex(fam(i), 2 * i) == (i + 1) * (i + 2) // 2
 
     def test_counts_need_no_materialized_level(self):
         # level 3 holds about 4.5 * 10^12 points: only a count can reach it
         beta = 10**6
-        fam = GradedFamilySpec.powers(PLANE_LINE)
+        fam = GradedFamilySpec(PLANE_LINE)
         assert count_staircase_in_simplex(fam(3), 3 * beta) == math.comb(3 * (beta - 1) + 2, 2)
 
     def test_saturated_family_levels(self):
-        sat = GradedFamilySpec.saturated_powers(X2_XY)
+        sat = saturated(X2_XY)
         # saturation of (x^2, xy)^i is (x^i), so the level sets match (x)'s powers
-        ref = GradedFamilySpec.powers(PLANE_LINE)
+        ref = GradedFamilySpec(PLANE_LINE)
         for i in (1, 2, 4):
             assert gamma_level(sat, 2, i) == gamma_level(ref, 2, i)
 
@@ -206,8 +212,8 @@ class TestGammaInclusionChain:
     @pytest.mark.parametrize("m,k", [(1, 2), (2, 2), (2, 3), (3, 2)])
     def test_chain_for_power_families(self, beta, m, k):
         for ideal in self.IDEALS:
-            fam = GradedFamilySpec.powers(ideal)
-            rescaled = GradedFamilySpec.powers(ideal.power(m))
+            fam = GradedFamilySpec(ideal)
+            rescaled = GradedFamilySpec(ideal.power(m))
             mid = gamma_level(rescaled, beta * m, k)
             assert brute_k_fold_sums(gamma_level(fam, beta, m), k) <= mid
             assert mid <= gamma_level(fam, beta, m * k)
@@ -215,8 +221,8 @@ class TestGammaInclusionChain:
     @pytest.mark.parametrize("m,k", [(2, 2), (3, 2)])
     def test_chain_for_saturated_families(self, m, k):
         for ideal in self.IDEALS:
-            fam = GradedFamilySpec.saturated_powers(ideal)
-            rescaled = GradedFamilySpec.saturated_powers(ideal.power(m))
+            fam = saturated(ideal)
+            rescaled = saturated(ideal.power(m))
             mid = gamma_level(rescaled, 2 * m, k)
             assert brute_k_fold_sums(gamma_level(fam, 2, m), k) <= mid
             assert mid <= gamma_level(fam, 2, m * k)
@@ -369,7 +375,7 @@ class TestExactVolume:
         assert sg.counts(30)[30] == 16
 
     def test_leveled_semigroup_has_no_exact_value(self):
-        fam = GradedFamilySpec.saturated_powers(X2_XY)
+        fam = saturated(X2_XY)
         levels = {i: gamma_level(fam, 2, i) for i in (1, 10)}
         sg = Semigroup(2, levels=levels)
         assert sg.exact_volume() is None
