@@ -13,13 +13,13 @@ difference and reads no grid.  colength(I, None) and
 difference_max_degree(I, None) read sat(I) off I's own grid without
 forming the saturation ideal; there the containment and finiteness checks
 hold by construction and are skipped.  Any other pair gets a fresh grid
-from ideals._height_grids.
+from ideals._height_grids.  inside_saturation(J, I) reads J <= sat(I)
+off I's own grid too.
 Containment, finiteness, the length and the deepest degree of the
-difference are array expressions over those cells.  A length contracts
-the depths with each axis's cell widths in int64 while the largest depth
-times the product of the axes' last cuts, which bounds every partial sum,
-stays below _INT64_BOUND = 2^63, and in Python integers past it; the
-deepest degree is taken in Python integers.  So every result is exact.
+difference are array expressions over those cells.  A length or degree
+runs in int64 while a bound on its partial sums (the largest depth times
+the product of the axes' last cuts; the largest height plus their sum)
+stays below _INT64_BOUND = 2^63, and in Python integers past it, exactly.
 """
 
 from __future__ import annotations
@@ -29,11 +29,9 @@ import math
 import numpy as np
 
 from .errors import EpsmultError, InfiniteColengthError
-from .ideals import (
-    _NEVER, MonomialIdeal, _cell_corners, _height_grids, _saturation_heights,
-)
+from .ideals import _NEVER, MonomialIdeal, _height_grids, _saturation_heights
 
-# A length is summed in int64 below this bound on its partial sums.
+# A length or degree is summed in int64 below this bound on its partial sums.
 _INT64_BOUND = 1 << 63
 
 
@@ -109,17 +107,36 @@ def difference_max_degree(inner: MonomialIdeal, outer: MonomialIdeal | None) -> 
 
     Returns None when the difference is empty (the ideals coincide) and
     raises InfiniteColengthError when it is infinite.  Outer None stands
-    for sat(inner), as in colength.  This is the degree
-    past which truncations of the two ideals by powers of the maximal
-    ideal agree.  In each cell the deepest point sits at the upper corner,
-    one step below the inner height.
+    for sat(inner), as in colength.  This is the degree past which
+    truncations of the two ideals by powers of the maximal ideal agree.
+    A finite difference leaves every unbounded last cell empty; in each
+    other cell the deepest point sits one step below the inner height and
+    each upper cut.
     """
     cells = _difference_cells(inner, outer)
     if cells is None:
         return None
     cuts, mask, h_in, _ = cells
-    lows, widths = _cell_corners(cuts, mask)
-    degree = h_in[mask].astype(object) - 1
-    for low, width in zip(lows, widths):
-        degree = degree + low + width - 1
-    return int(degree.max()) if len(degree) else None
+    bounded = (slice(-1),) * mask.ndim + (...,)  # ... keeps a 0-d grid an array
+    mask, h_in, tops = mask[bounded], h_in[bounded], [c[1:] for c in cuts]
+    if not mask.any():
+        return None
+    # an object array of Python ints takes in the int64 cuts as Python ints
+    bound = int(h_in.max()) + sum(int(top[-1]) for top in tops)
+    degree = sum(np.ix_(*tops), h_in if bound < _INT64_BOUND else h_in.astype(object))
+    return int(degree[mask].max()) - inner.dim
+
+
+def inside_saturation(ideal: MonomialIdeal, power: MonomialIdeal) -> bool:
+    """Whether ideal <= sat(power), read off power's own grid.
+
+    A generator g = (g_1, g') lies in the saturation iff g_1 reaches the
+    saturation's height over the cell holding the column g'.  The zero
+    ideal lies in every saturation, and only it lies in sat(0) = 0.
+    """
+    ideal._check_same_dim(power)
+    if ideal.is_zero or power.is_zero:
+        return ideal.is_zero
+    (cuts, heights), rows = power._grid(), ideal._rows
+    cell = [np.searchsorted(c, rows[:, k], side="right") - 1 for k, c in enumerate(cuts, 1)]
+    return bool((_saturation_heights(heights)[tuple(cell)] <= rows[:, 0]).all())

@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 import epsmult.cli as cli
 from epsmult import ideals as ideals_mod
+from epsmult import multiplicity as mult_mod
 from epsmult import okounkov as okounkov_mod
 from epsmult import (
     IdealSyntaxError,
@@ -256,7 +257,7 @@ class TestExitCodes:
         assert "# lemma3: 1/1 pass" in capsys.readouterr().out
 
     def test_failed_containment_is_3(self, capsys, monkeypatch):
-        monkeypatch.setattr(MonomialIdeal, "is_subideal_of", lambda self, other: False)
+        monkeypatch.setattr(mult_mod, "inside_saturation", lambda ideal, power: False)
         assert main(["lemmas", "-i", X2_XY, "--nmax", "0", "--format", "json"]) == 3
         report = json.loads(capsys.readouterr().out)
         assert report["rows"][0]["lemma3_ok"] is False
@@ -554,8 +555,9 @@ class TestNoRecomputation:
 
     def test_lemmas_row_shares_one_chain_between_its_checks(self, capsys, products, monkeypatch):
         # the truncation search builds I^2..I^12 and no saturation; the
-        # containment check reads I^2..I^4 off that chain and adds
-        # sat(I)^2..sat(I)^4 and sat(I^i) for i <= 4, each formed once
+        # containment check reads I^2..I^4 off that chain, adds
+        # sat(I)^2..sat(I)^4, and reads each sat(I^i) off I^i's grid: sat(I)
+        # is the one saturation formed
         saturations = []
         saturation = ideals_mod._saturation_on_grid
 
@@ -573,7 +575,7 @@ class TestNoRecomputation:
         factors, saturated = [other.generators for other in products], list(saturations)
         base = parse_ideal(text)
         assert sorted(factors) == sorted([base.generators] * 11 + [base.saturate().generators] * 3)
-        assert saturated == [base.power(i).generators for i in range(1, 5)]
+        assert saturated == [base.generators]
 
     def test_deep_probe_level_needs_no_recursion(self, capsys):
         # The power chain is built bottom-up: a probe level far past the

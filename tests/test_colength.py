@@ -1,12 +1,14 @@
 import importlib
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
 
 from epsmult import (
     AmaoResult,
+    DimensionMismatchError,
     EpsmultError,
     InfiniteColengthError,
     MonomialIdeal,
@@ -22,6 +24,7 @@ from epsmult import (
     zero_ideal,
 )
 
+from epsmult.colength import inside_saturation
 from epsmult.ideals import _height_grids
 from oracle_utils import brute_colength, brute_difference_max_degree, kpoly_length
 
@@ -371,6 +374,85 @@ class TestDifferenceMaxDegree:
             gens = (I.generators, S.generators, 3)
             assert colength(I, S) == brute_colength(*gens)
             assert difference_max_degree(I, S) == brute_difference_max_degree(*gens)
+
+
+class TestInt64Degree:
+    """Deepest degrees sum in int64 below the bound on their partial sums and exactly past it."""
+
+    @staticmethod
+    def _degree_and_casts(inner, outer):
+        """difference_max_degree(inner, outer), and whether it cast an array to Python ints."""
+        casts = []
+
+        def profile(frame, event, arg):
+            if event == "c_call" and getattr(arg, "__name__", None) == "astype":
+                casts.append(arg)
+
+        sys.setprofile(profile)
+        try:
+            degree = difference_max_degree(inner, outer)
+        finally:
+            sys.setprofile(None)
+        return degree, bool(casts)
+
+    @pytest.mark.parametrize(
+        "a, in_int64",
+        # inner height a plus three last cuts of a: 4a against 2^63
+        [((1 << 61) - 1, True), (1 << 61, False)],
+    )
+    def test_diagonal_at_the_bound(self, a, in_int64):
+        ideal = MonomialIdeal(4, [(a, 0, 0, 0), (0, a, 0, 0), (0, 0, a, 0), (0, 0, 0, a)])
+        want = (4 * a - 4, not in_int64)
+        assert self._degree_and_casts(ideal, unit_ideal(4)) == want
+        assert self._degree_and_casts(ideal, None) == want
+
+    def test_small_pairs_match_the_object_degree(self, monkeypatch):
+        colength_mod = importlib.import_module("epsmult.colength")
+        pairs = [(I.power(n), None) for I in corpus(29, 30, max_dim=4) for n in (1, 2)]
+        pairs += list(_saturation_pairs())
+        want = [difference_max_degree(inner, outer) for inner, outer in pairs]
+        monkeypatch.setattr(colength_mod, "_INT64_BOUND", 0)
+        assert [difference_max_degree(inner, outer) for inner, outer in pairs] == want
+        assert sum(degree is not None for degree in want) > 20
+
+
+class TestInsideSaturation:
+    """inside_saturation(J, I) against J.is_subideal_of(I.saturate())."""
+
+    @staticmethod
+    def _agrees(ideal, power):
+        return inside_saturation(ideal, power) == ideal.is_subideal_of(power.saturate())
+
+    def test_saturated_powers_match_the_ideal_containment(self):
+        for I in corpus(7, 48, max_dim=4):
+            sat = I.saturate()
+            for i in range(1, 5):
+                assert inside_saturation(sat.power(i), I.power(i)), (I, i)
+                assert self._agrees(sat.power(i), I.power(i)), (I, i)
+
+    def test_cross_pairs_match_the_ideal_containment(self):
+        outcomes = set()
+        ideals = list(corpus(7, 48, max_dim=4))
+        for I, J in zip(ideals, ideals[1:] + ideals[:1]):
+            pairs = [(I, I.power(2)), (I.power(2), I)] + [(J, I)] * (I.dim == J.dim)
+            for ideal, power in pairs:
+                assert self._agrees(ideal, power), (ideal, power)
+                outcomes.add(inside_saturation(ideal, power))
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_zero_and_unit(self, dim):
+        zero, unit, m = zero_ideal(dim), unit_ideal(dim), maximal_ideal(dim)
+        lone = MonomialIdeal(dim, [(1,) + (0,) * (dim - 1)])
+        for ideal in (zero, unit, m, lone):
+            for power in (zero, unit, m, lone):
+                assert self._agrees(ideal, power), (ideal, power)
+        assert inside_saturation(zero, zero) and not inside_saturation(unit, zero)
+        assert inside_saturation(unit, m) and inside_saturation(unit, lone) == (dim == 1)
+
+    def test_dimension_mismatch_raises(self):
+        with pytest.raises(DimensionMismatchError):
+            inside_saturation(X2_XY, maximal_ideal(3))
 
 
 # Exponents near 10^6 put these far past enumeration (about 10^12 columns)

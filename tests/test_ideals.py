@@ -371,6 +371,11 @@ class TestPowerChain:
         assert len(products) == 2
         assert I.power(9) is I.power(9)
 
+    def test_operator_products_are_counted(self, products):
+        I, J = MonomialIdeal(2, [(2, 0), (1, 1)]), MonomialIdeal(2, [(0, 1)])
+        assert I * J == MonomialIdeal(2, [(2, 1), (1, 2)])
+        assert products == [J]
+
     def test_each_link_is_one_product_by_the_base(self, products):
         I = MonomialIdeal(3, [(2, 1, 0), (0, 1, 3), (1, 1, 1)])
         I.power(5)

@@ -308,19 +308,20 @@ class TestTheoremATable:
     def test_saturated_rows_make_no_copy_and_build_only_the_ideal_s_chain(
         self, products, monkeypatch
     ):
-        # I^m is saturated for every m, so each row is an equal pair
+        # I^m is saturated for every m, so each row is an equal pair.  Every
+        # derived ideal is formed by _make: one per product, and no other
         ideal = MonomialIdeal(3, [(0, 2, 2), (1, 0, 1), (2, 0, 0)])
-        copies = []
-        init = MonomialIdeal.__init__
+        made = []
+        make = ideals_mod._make
 
-        def counted(self, dim, generators=()):
-            copies.append(dim)
-            init(self, dim, generators)
+        def counted(dim, gens=None, rows=None):
+            made.append(dim)
+            return make(dim, gens, rows)
 
-        monkeypatch.setattr(MonomialIdeal, "__init__", counted)
+        monkeypatch.setattr(ideals_mod, "_make", counted)
         rows = theorem_a_table(ideal, m_max=4, k_max=8)
         assert [(r.a_value, r.stabilized_at) for r in rows] == [(0, 1)] * 4
-        assert copies == []
+        assert len(made) == 3
         assert len(products) == 3 and all(other is ideal for other in products)
 
     def test_rows_past_the_first_leave_no_chain_behind(self):
@@ -344,8 +345,31 @@ class TestContainmentLemma:
         assert res.ok and res.first_failure is None
 
     def test_first_failure_is_reported(self, monkeypatch):
-        monkeypatch.setattr(MonomialIdeal, "is_subideal_of", lambda self, other: False)
+        monkeypatch.setattr(mult_mod, "inside_saturation", lambda ideal, power: False)
         assert check_sat_power_containment(X2_XY, 4) == ContainmentCheck(False, 1)
+
+    def test_saturated_ideal_forms_no_power(self, products, monkeypatch):
+        # sat(I)^i = I^i lies in sat(I^i) by definition
+        ideal = MonomialIdeal(3, [(0, 2, 2), (1, 0, 1), (2, 0, 0)])
+        monkeypatch.setattr(mult_mod, "inside_saturation", lambda ideal, power: False)
+        assert check_sat_power_containment(ideal, 6) == ContainmentCheck(True, None)
+        assert products == [] and getattr(ideal, "_powers", None) is None
+        with pytest.raises(ValueError, match="i_max"):
+            check_sat_power_containment(ideal, 0)
+
+    def test_forms_no_saturation_past_the_ideal_s(self, monkeypatch):
+        ideal = MonomialIdeal(3, [(2, 1, 0), (0, 2, 1), (1, 0, 2)])
+        saturated = []
+        saturation = ideals_mod._saturation_on_grid
+
+        def counted(power):
+            saturated.append(power)
+            return saturation(power)
+
+        monkeypatch.setattr(ideals_mod, "_saturation_on_grid", counted)
+        monkeypatch.setattr(MonomialIdeal, "is_subideal_of", None)
+        assert check_sat_power_containment(ideal, 4).ok
+        assert saturated == [ideal]
 
     def test_corpus_never_fails(self):
         for I in corpus(52, 25):
