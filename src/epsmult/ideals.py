@@ -88,10 +88,6 @@ def _as_vector(vec: Iterable[int], dim: int) -> Exponent:
     return v
 
 
-def _dominates(small: Exponent, big: Exponent) -> bool:
-    return all(s <= b for s, b in zip(small, big))
-
-
 def _check_degree(vectors) -> None:
     """The degree rule, summed in Python ints: no vector past DEGREE_LIMIT."""
     if max(map(sum, vectors), default=0) > DEGREE_LIMIT:
@@ -389,17 +385,6 @@ class MonomialIdeal:
         object.__setattr__(self, "_heights", grid)
         return grid
 
-    def max_exponents(self) -> Exponent:
-        """Componentwise maximum over the generators (zeros for the zero ideal)."""
-        if self.is_zero:
-            return (0,) * self.dim
-        return tuple(int(v) for v in self._rows.max(axis=0))
-
-    def contains(self, vec: Iterable[int]) -> bool:
-        """Membership of the monomial x^vec."""
-        e = _as_vector(vec, self.dim)
-        return any(_dominates(g, e) for g in self.generators)
-
     def _check_same_dim(self, other: "MonomialIdeal") -> None:
         if self.dim != other.dim:
             raise DimensionMismatchError(
@@ -407,11 +392,6 @@ class MonomialIdeal:
             )
 
     # -- ideal arithmetic ----------------------------------------------
-
-    def sum(self, other: "MonomialIdeal") -> "MonomialIdeal":
-        """Ideal sum I + J."""
-        self._check_same_dim(other)
-        return _make(self.dim, minimal_vectors(self.generators + other.generators))
 
     def product(self, other: "MonomialIdeal") -> "MonomialIdeal":
         """Ideal product I * J.
@@ -505,14 +485,8 @@ class MonomialIdeal:
             object.__setattr__(self, "_sat", _SATURATED if sat is self else sat)
         return self if sat is _SATURATED else sat
 
-    def is_subideal_of(self, other: "MonomialIdeal") -> bool:
-        """Containment I <= J: each generator of I is a multiple of one of J."""
-        self._check_same_dim(other)
-        return all(any(_dominates(g, e) for g in other.generators) for e in self.generators)
-
     # -- operator sugar --------------------------------------------------
 
-    __add__ = sum
     __mul__ = product
     __pow__ = power
     __and__ = intersect

@@ -4,17 +4,17 @@ Everything here works on raw generator tuples and enumerates boxes of
 exponent vectors, taking the textbook definitions at face value: a point
 is in the product if it splits as a sum of members, in the colon if every
 shift by a divisor generator lands inside, and so on.  Slow on purpose --
-these exist to disagree with the fast code, not to race it.  Seven helpers
-take `MonomialIdeal` values instead: the product by pairwise sums, the
-oracle of the grid product; the colon-iteration saturation, an
-independent route to the grid saturation; a batched membership test; the
-staircase points in a simplex, the oracle of the simplex count; the
-literal truncation statement and the full (m, k) truncation grid, the
-oracles of the truncation search and of its diagonal; and
-the K-polynomial length, which reads generator lists only and so checks
-`colength` at exponents no box can hold.  The slicing hull volume, in
-dimensions 1 to 4, is the oracle of `okounkov.hull_volume`, and the
-quadratic `brute_minimal` that of the package's antichain filters.
+these exist to disagree with the fast code, not to race it.  Eight helpers
+take `MonomialIdeal` values instead: containment by `member`; the product
+by pairwise sums, the oracle of the grid product; the colon-iteration
+saturation, an independent route to the grid saturation; a batched
+membership test; the staircase points in a simplex, the oracle of the
+simplex count; the literal truncation statement and the full (m, k)
+truncation grid, the oracles of the truncation search and of its
+diagonal; and the K-polynomial length, which reads generator lists only
+and so checks `colength` at exponents no box can hold.  The slicing hull
+volume, in dimensions 1 to 4, is the oracle of `okounkov.hull_volume`,
+and the quadratic `brute_minimal` that of the package's antichain filters.
 `lemma_pool` draws the 168 ideals of the lemmas_corpus benchmark workload.
 """
 
@@ -36,6 +36,11 @@ Vec = tuple[int, ...]
 def member(gens: frozenset[Vec] | tuple[Vec, ...], e: Vec) -> bool:
     """Is the monomial with exponent e in the ideal generated by gens?"""
     return any(all(x >= g for x, g in zip(e, gen)) for gen in gens)
+
+
+def subideal(a, b) -> bool:
+    """Is the ideal a contained in the ideal b: each generator of a a member of b?"""
+    return all(member(b.generators, g) for g in a.generators)
 
 
 def box_points(bounds: tuple[int, ...]):

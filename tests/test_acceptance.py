@@ -33,6 +33,7 @@ from epsmult import (
 )
 
 from oracle_utils import (
+    _coord_maxes,
     brute_colength,
     brute_colon,
     brute_intersect,
@@ -170,7 +171,7 @@ def test_criterion_8_oracle_equivalence(capsys):
             a, b = _same_dim_pair(rng)
             d = a.dim
             ga, gb = a.generators, b.generators
-            ta, tb = a.max_exponents(), b.max_exponents()
+            ta, tb = _coord_maxes(ga, d), _coord_maxes(gb, d)
 
             box = tuple(x + y + 1 for x, y in zip(ta, tb))
             assert staircase_in_box((a * b).generators, box) == brute_product(ga, gb, d)

@@ -72,7 +72,6 @@ CASES = [
     ("check_cone_conditions", "beta", 1, lambda v: check_cone_conditions(SG, v)),
     ("MonomialIdeal", "dim", 1, lambda v: MonomialIdeal(v, [])),
     ("MonomialIdeal", "an exponent", 0, lambda v: MonomialIdeal(2, [(v, 1)])),
-    ("MonomialIdeal.contains", "an exponent", 0, lambda v: X2_XY.contains((v, 1))),
     ("MonomialIdeal.power", "a power", 0, lambda v: X2_XY.power(v)),
     ("GradedFamilySpec", "a family index", 0, lambda v: POWERS(v)),
     ("corpus", "size", 0, lambda v: corpus(1, v)),

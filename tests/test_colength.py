@@ -26,7 +26,7 @@ from epsmult import (
 
 from epsmult.colength import inside_saturation
 from epsmult.ideals import _height_grids
-from oracle_utils import brute_colength, brute_difference_max_degree, kpoly_length
+from oracle_utils import brute_colength, brute_difference_max_degree, kpoly_length, subideal
 
 
 X2_XY = MonomialIdeal(2, [(2, 0), (1, 1)])
@@ -331,7 +331,8 @@ class TestInt64Count:
         pairs = list(_saturation_pairs())[::3]
         for a, b in zip(corpus(27, 30, max_dim=4), corpus(28, 30, max_dim=4)):
             if a.dim == b.dim:
-                pairs.append((a.product(b), a.sum(b)))
+                union = MonomialIdeal(a.dim, a.generators + b.generators)
+                pairs.append((a.product(b), union))
         finite = 0
         for inner, outer in pairs:
             want = brute_colength(inner.generators, outer.generators, inner.dim)
@@ -417,11 +418,11 @@ class TestInt64Degree:
 
 
 class TestInsideSaturation:
-    """inside_saturation(J, I) against J.is_subideal_of(I.saturate())."""
+    """inside_saturation(J, I) against subideal(J, I.saturate())."""
 
     @staticmethod
     def _agrees(ideal, power):
-        return inside_saturation(ideal, power) == ideal.is_subideal_of(power.saturate())
+        return inside_saturation(ideal, power) == subideal(ideal, power.saturate())
 
     def test_saturated_powers_match_the_ideal_containment(self):
         for I in corpus(7, 48, max_dim=4):

@@ -32,6 +32,7 @@ from epsmult.ideals import (
 )
 
 from oracle_utils import (
+    _coord_maxes,
     brute_colon,
     brute_intersect,
     brute_minimal,
@@ -39,9 +40,11 @@ from oracle_utils import (
     brute_saturate,
     contains_many,
     lemma_pool,
+    member,
     product_by_sums,
     saturate_by_colon_iteration,
     staircase_in_box,
+    subideal,
 )
 
 
@@ -100,10 +103,6 @@ class TestConstruction:
         assert ideal == MonomialIdeal(2, [(2, 0), (1, 1)])
         assert all(type(c) is int for g in ideal.generators for c in g)
         assert type(ideal.dim) is int
-
-    def test_contains_rejects_non_integers(self):
-        with pytest.raises(TypeError):
-            MonomialIdeal(2, [(1, 0)]).contains((1.5, 0))
 
     def test_equality_is_canonical(self):
         a = MonomialIdeal(2, [(2, 0), (1, 1)])
@@ -257,7 +256,6 @@ class TestMinimalization:
             "large product by pairwise sums": lambda: big * small,
             "intersect": lambda: a & b,
             "colon": lambda: a.colon(b),
-            "sum": lambda: a + b,
         }
         for name, operation in operations.items():
             calls.clear()
@@ -267,29 +265,18 @@ class TestMinimalization:
 
 
 class TestQueries:
-    def test_contains(self):
-        ideal = MonomialIdeal(2, [(2, 0), (1, 1)])
-        assert ideal.contains((2, 5))
-        assert ideal.contains((1, 1))
-        assert not ideal.contains((1, 0))
-        assert not ideal.contains((0, 9))
-
     def test_contains_many_matches_scalar(self):
         ideal = MonomialIdeal(3, [(2, 0, 1), (0, 3, 0)])
         pts = [(i, j, k) for i in range(4) for j in range(4) for k in range(3)]
         flags = contains_many(ideal, pts)
-        assert [bool(f) for f in flags] == [ideal.contains(p) for p in pts]
-
-    def test_max_exponents(self):
-        assert MonomialIdeal(2, [(2, 1), (0, 3)]).max_exponents() == (2, 3)
-        assert zero_ideal(2).max_exponents() == (0, 0)
+        assert [bool(f) for f in flags] == [member(ideal.generators, p) for p in pts]
 
     def test_subideal(self):
         small = MonomialIdeal(2, [(2, 0), (1, 1)])
         big = MonomialIdeal(2, [(1, 0)])
-        assert small.is_subideal_of(big)
-        assert not big.is_subideal_of(small)
-        assert zero_ideal(2).is_subideal_of(small)
+        assert subideal(small, big)
+        assert not subideal(big, small)
+        assert subideal(zero_ideal(2), small)
 
     def test_repr_lists_the_minimal_generators(self):
         ideal = MonomialIdeal(2, [(2, 0), (1, 1), (3, 3)])
@@ -347,13 +334,11 @@ class TestArithmetic:
         I = MonomialIdeal(2, [(1, 1)])
         assert (I * zero_ideal(2)).is_zero
         assert I.intersect(zero_ideal(2)).is_zero
-        assert (I + zero_ideal(2)) == I
 
     def test_operator_sugar(self):
         I = MonomialIdeal(2, [(2, 0), (1, 1)])
         J = MonomialIdeal(2, [(0, 2)])
         assert I * J == I.product(J)
-        assert I + J == I.sum(J)
         assert (I & J) == I.intersect(J)
         assert I**3 == I.power(3)
 
@@ -466,7 +451,7 @@ class TestSaturation:
         for I in corpus(11, 30) + [J.power(2) for J in corpus(44, 30, max_dim=4)]:
             S = I.saturate()
             assert S.saturate() == S
-            assert I.is_subideal_of(S)
+            assert subideal(I, S)
 
     def test_matches_colon_iteration_on_corpus(self):
         for I in corpus(12, 30):
@@ -483,7 +468,7 @@ class TestSaturation:
                 S = I.saturate()
                 dims.add(I.dim)
                 assert S == saturate_by_colon_iteration(I)
-                bounds = tuple(t + 1 for t in I.max_exponents())
+                bounds = tuple(t + 1 for t in _coord_maxes(I.generators, I.dim))
                 if math.prod(bounds) <= 20_000:
                     assert staircase_in_box(S.generators, bounds) == brute_saturate(
                         I.generators, I.dim
@@ -509,7 +494,7 @@ class TestSaturation:
         ideal = MonomialIdeal(3, [(2 * a, 0, 0), (a, b, 0), (a, 0, c)])
         assert ideal.saturate() == MonomialIdeal(3, [(a, 0, 0)])
         # the columns beyond every cut stay unbounded: x^(a-1) * y^big is out
-        assert not ideal.saturate().contains((a - 1, 1 << 60, 1 << 60))
+        assert not member(ideal.saturate().generators, (a - 1, 1 << 60, 1 << 60))
 
     def test_saturation_past_the_degree_limit_raises(self):
         # sat(y^N z^(N-1), x^(N-1) z^N, x^N y^(N-1) z) has the generator
@@ -839,7 +824,6 @@ class TestLazyGenerators:
             "saturation": grid.saturate(),
             "intersect": a & b,
             "colon": a.colon(b),
-            "sum": a + b,
         }
         for route, ideal in routes.items():
             assert ideal.generators, route
@@ -868,7 +852,7 @@ def pairs():
 def test_every_ideal_carries_its_rows(pairs):
     # the int64 rows every numpy path reads are the generators, from birth
     for a, b in pairs:
-        formed = [a, b, a + b, a * b, a & b, a.colon(b), a.saturate(), a.power(3)]
+        formed = [a, b, a * b, a & b, a.colon(b), a.saturate(), a.power(3)]
         for ideal in formed + [zero_ideal(a.dim), unit_ideal(a.dim)]:
             rows = ideal._rows
             assert rows.dtype == np.int64

@@ -168,3 +168,47 @@ def test_ideals_are_formed_in_one_place():
         if re.search(r"\b_(array|np)\b", line)
     ]
     assert not lazy, f"a lazy generator array is back at {lazy}"
+
+
+# Entry points that no src module calls, each with what calls it.
+ENTRY_POINTS = {
+    "colon": "acceptance criterion 8",
+    "is_finite_colength": "acceptance criterion 8",
+    "beta_stability": "acceptance criterion 6",
+    "maximal_ideal": "acceptance criterion 2",
+    "k_fold_sum_count": "acceptance criterion 5 and the volumes_2d sumset operation",
+}
+
+
+def _referenced_names(tree):
+    """Every name the tree reads: Names, attributes and import aliases."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.split(".")[-1]
+
+
+def test_every_public_function_has_a_caller_in_src():
+    # a helper only tests call belongs in the tests; the builtin sum hides a
+    # method of that name from this walk
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"))
+        for path in SOURCES
+        if path.name != "__init__.py"
+    }
+    referenced = {name for tree in trees.values() for name in _referenced_names(tree)}
+    uncalled = sorted(
+        (node.name, f"{module}:{node.lineno}")
+        for module, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+        and not node.name.startswith("_")
+        and node.name not in referenced
+    )
+    extra = [f"{where} {name}" for name, where in uncalled if name not in ENTRY_POINTS]
+    assert not extra, f"public functions with no caller in src: {extra}"
+    # an entry point that gains a caller in src leaves the list
+    assert [name for name, _ in uncalled] == sorted(ENTRY_POINTS)
