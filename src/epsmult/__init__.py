@@ -44,9 +44,9 @@ from .okounkov import (
     BetaStability,
     EpsilonViaVolumes,
     beta_stability,
-    count_staircase_in_simplex,
     epsilon_via_volumes,
     hull_volume,
+    simplex_counts,
 )
 from .semigroups import (
     Semigroup,
@@ -82,7 +82,6 @@ __all__ = [
     "check_sat_power_containment",
     "colength",
     "corpus",
-    "count_staircase_in_simplex",
     "difference_max_degree",
     "epsilon_sequence",
     "epsilon_via_volumes",
@@ -94,6 +93,7 @@ __all__ = [
     "maximal_ideal",
     "random_ideal",
     "semigroup_from_json_dict",
+    "simplex_counts",
     "swanson_c_search",
     "theorem_a_table",
     "to_json_dict",

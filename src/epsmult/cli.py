@@ -45,7 +45,7 @@ from .multiplicity import (
     swanson_c_search,
     theorem_a_table,
 )
-from .okounkov import count_staircase_in_simplex, epsilon_via_volumes
+from .okounkov import epsilon_via_volumes, simplex_counts
 from .semigroups import check_cone_conditions, semigroup_from_json_dict
 
 _NAMED_VARS = {"x": 0, "y": 1, "z": 2, "w": 3}
@@ -349,10 +349,11 @@ def _cmd_okounkov_volume(args) -> int:
     lines: list[str] = []
     payload: dict = {}
     powers = GradedFamilySpec(ideal)
-    for kind, top in (("saturated_powers", est.count_saturated), ("powers", est.count_powers)):
-        fam = powers if kind == "powers" else lambda n: powers(n).saturate()
-        counts = {n: count_staircase_in_simplex(fam(n), args.beta * n) for n in range(1, args.nmax)}
-        counts[args.nmax] = top
+    # level n of both families in one count of I^n's grid
+    levels = [simplex_counts(powers(n), args.beta * n) for n in range(1, args.nmax)]
+    levels.append((est.count_saturated, est.count_powers))
+    for j, kind in enumerate(("saturated_powers", "powers")):
+        counts = {n: level[j] for n, level in enumerate(levels, 1)}
         sweep_lines, payload[kind] = _volume_sweep(counts, ideal.dim, None)
         lines += [f"# family: {kind}", *sweep_lines]
     value = est.value

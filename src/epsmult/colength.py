@@ -14,7 +14,9 @@ difference_max_degree(I, None) read sat(I) off I's own grid without
 forming the saturation ideal; there the containment and finiteness checks
 hold by construction and are skipped.  Any other pair gets a fresh grid
 from ideals._height_grids.  inside_saturation(J, I) reads J <= sat(I)
-off I's own grid too.
+off I's own grid too, and so do okounkov.simplex_counts and
+MonomialIdeal.saturate: all of them share the saturation's heights that
+MonomialIdeal._saturation_grid memoizes on I.
 Containment, finiteness, the length and the deepest degree of the
 difference are array expressions over those cells.  A length or degree
 runs in int64 while a bound on its partial sums (the largest depth times
@@ -29,7 +31,7 @@ import math
 import numpy as np
 
 from .errors import EpsmultError, InfiniteColengthError
-from .ideals import _NEVER, MonomialIdeal, _height_grids, _saturation_heights
+from .ideals import _NEVER, MonomialIdeal, _height_grids
 
 # A length or degree is summed in int64 below this bound on its partial sums.
 _INT64_BOUND = 1 << 63
@@ -51,7 +53,8 @@ def _difference_cells(inner: MonomialIdeal, outer: MonomialIdeal | None):
         return None
     if outer is None:
         cuts, h_in = inner._grid()
-        h_out = _saturation_heights(h_in)
+        # epsilon_sequence reads each power of its kept chain here once
+        h_out = inner._saturation_grid(keep=False)
         return cuts, h_in > h_out, h_in, h_out
     inner._check_same_dim(outer)
     cuts, (h_in, h_out) = _height_grids((inner, outer))
@@ -137,6 +140,6 @@ def inside_saturation(ideal: MonomialIdeal, power: MonomialIdeal) -> bool:
     ideal._check_same_dim(power)
     if ideal.is_zero or power.is_zero:
         return ideal.is_zero
-    (cuts, heights), rows = power._grid(), ideal._rows
+    cuts, rows = power._grid()[0], ideal._rows
     cell = [np.searchsorted(c, rows[:, k], side="right") - 1 for k, c in enumerate(cuts, 1)]
-    return bool((_saturation_heights(heights)[tuple(cell)] <= rows[:, 0]).all())
+    return bool((power._saturation_grid()[tuple(cell)] <= rows[:, 0]).all())

@@ -15,8 +15,10 @@ maximum of two generators can wrap; rows with no coordinate above
 DEGREE_LIMIT // d pass it unread.  The constructor also refuses a ring in
 more than DIM_LIMIT = 64 variables, past the axes of a numpy 2 array.
 Every nonzero ideal has a compressed height grid (see _height_grids),
-memoized on the instance by MonomialIdeal._grid; the saturation, the
-length of sat(I)/I and okounkov's simplex counts read it.  A product of
+memoized on the instance by MonomialIdeal._grid, and the saturation's
+heights on that grid, memoized by MonomialIdeal._saturation_grid; the
+saturation, the length and deepest degree of sat(I)/I, the test
+J <= sat(I) and okounkov's simplex counts read them.  A product of
 large ideals is a min-plus shift of the larger factor's grid, trimmed to
 its own grid and kept for the next link of a power chain.  Every other
 ideal is minimalized by one bitset filter on Python ints (minimal_vectors),
@@ -24,16 +26,16 @@ exact at any degree, in about N^2 / 2 bits of memory for N candidates.
 
 Instances are immutable and hashable; operations return new ideals.
 Each instance memoizes what it derives: its generator tuples, height
-grid, saturation and chain of powers I^2, I^3, .. (see .power).  So
-every caller that asks one ideal for I^n or sat(I^n) reads the same
-objects, and a report builds each once.  A saturated ideal is its own
-saturation, so the chain of sat(I) is I's own.  No memo refers back to
-the ideal that holds it (a saturated ideal's memo is a sentinel, not
-itself), so an ideal and all it derived are freed together by reference
-counting.  Operations are safe to call from multiple
-threads: a memo, or a member of a chain, is stored only once complete
-and under its own key, so a race between threads can repeat work but
-never store a wrong value.
+grid, the saturation's heights on that grid, saturation and chain of
+powers I^2, I^3, .. (see .power).  So every caller that asks one ideal
+for I^n or sat(I^n) reads the same objects, and a report builds each
+once.  A saturated ideal is its own saturation, so the chain of sat(I)
+is I's own.  No memo refers back to the ideal that holds it (a saturated
+ideal's memo is a sentinel, not itself), so an ideal and all it derived
+are freed together by reference counting.  Operations are safe to call
+from multiple threads: a memo, or a member of a chain, is stored only
+once complete and under its own key, so a race between threads can
+repeat work but never store a wrong value.
 """
 
 from __future__ import annotations
@@ -211,8 +213,7 @@ def _saturation_on_grid(ideal: "MonomialIdeal") -> "MonomialIdeal":
 
     Returns ideal itself when the saturation's corners are its own rows.
     """
-    cuts, height = ideal._grid()
-    rows = _corners(cuts, _saturation_heights(height))
+    rows = _corners(ideal._grid()[0], ideal._saturation_grid())
     if np.array_equal(rows, ideal._rows):
         return ideal
     return _make(ideal.dim, rows=rows)
@@ -377,6 +378,24 @@ class MonomialIdeal:
             cuts, (heights,) = _height_grids((self,))
             grid = self._set_grid(cuts, heights)
         return grid
+
+    def _saturation_grid(self, keep: bool = True) -> np.ndarray:
+        """The saturation's heights on this nonzero ideal's own grid, read-only.
+
+        _NEVER exactly where the ideal's own height is.  Memoized on the
+        instance, so the readers of sat(I) off I's grid share one pass.
+        With keep false the memo is read if present, and otherwise the
+        heights are computed and not stored: for a reader that visits each
+        grid of a kept power chain once, a memo would only double the
+        chain's memory.
+        """
+        sat = getattr(self, "_sat_heights", None)
+        if sat is None:
+            sat = _saturation_heights(self._grid()[1])
+            sat.flags.writeable = False
+            if keep:
+                object.__setattr__(self, "_sat_heights", sat)
+        return sat
 
     def _set_grid(self, cuts, heights: np.ndarray):
         for arr in (*cuts, heights):

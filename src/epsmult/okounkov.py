@@ -3,8 +3,9 @@
 For a graded family of monomial ideals, level i of the beta-truncated
 value semigroup collects the exponent vectors of monomials in the i-th
 ideal whose coordinate sum is at most beta*i.  The volume route needs
-only the sizes of those levels: count_staircase_in_simplex(I_i, beta*i)
-reads each off the height grid of I_i.  Normalizing a count by n^d
+only the sizes of those levels, for the powers I^n and the saturated
+powers sat(I^n): simplex_counts(I^n, beta*n) reads both off the height
+grid of I^n, with no saturation ideal formed.  Normalizing a count by n^d
 estimates the volume of the limit body; the epsilon multiplicity appears
 as d! times the volume difference between the saturated and plain power
 families.  hull_volume gives the exact volume of a convex hull of integer
@@ -26,26 +27,42 @@ from .errors import DimensionMismatchError, InconclusiveError, ZeroIdealError
 from .ideals import _NEVER, MonomialIdeal, _cell_corners, _exact_int
 
 
-def count_staircase_in_simplex(ideal: MonomialIdeal, cap: int) -> int:
-    """Number of staircase points of the ideal with coordinate sum <= cap.
+def simplex_counts(ideal: MonomialIdeal, cap: int) -> tuple[int, int]:
+    """Staircase points of sat(I) and of I with coordinate sum <= cap.
 
-    On a cell of the ideal's height grid with height h, lower corner c and
-    widths w_k, the points are (h + t, c + u) with t >= 0, 0 <= u_k < w_k
-    and t + |u| <= N = cap - h - |c|.  Inclusion-exclusion over the
-    bounded widths counts them as the sum over sets S of those axes of
-    (-1)^|S| * C(N - sum of w_k over S + d, d), terms with a negative
-    first argument being zero.  The sets S are walked depth first, each
-    with the cells where its m is >= 0 in an object array of Python ints,
-    so every count is exact and no term is formed for a cell it cannot
-    count: a set's cells are a subset of its parent's, and at most d sets
-    are alive at once.
+    Returns (saturated, plain), both read off I's own height grid: the
+    saturation's heights on it (MonomialIdeal._saturation_grid) are the
+    step function sat(I)'s own grid holds, cut finer, and a count adds up
+    over cells; they are _NEVER exactly where I's are, so both counts walk
+    the same cells.  The zero ideal is its own saturation and has no points.
+
+    On a cell with height h, lower corner c and widths w_k, the points are
+    (h + t, c + u) with t >= 0, 0 <= u_k < w_k and t + |u| <= N = cap -
+    h - |c|.  Inclusion-exclusion over the bounded widths counts them as
+    the sum over sets S of those axes of (-1)^|S| * C(N - sum of w_k over
+    S + d, d), terms with a negative first argument being zero.
     """
     cap = _exact_int(cap, "cap")  # no bound: a negative cap is the empty simplex
-    d = ideal.dim
+    if ideal.is_zero:
+        return 0, 0
     cuts, heights = ideal._grid()
     cells = heights < _NEVER
     lows, widths = _cell_corners(cuts, cells)
-    budget = cap - heights[cells].astype(object) - sum(lows)
+    budget = cap - sum(lows)
+    return tuple(
+        _simplex_walk(budget - h[cells].astype(object), widths, ideal.dim)
+        for h in (ideal._saturation_grid(), heights)
+    )
+
+
+def _simplex_walk(budget, widths, d: int) -> int:
+    """The inclusion-exclusion sum of simplex_counts over cells with these budgets N.
+
+    The sets S are walked depth first, each with the cells where its m is
+    >= 0 in an object array of Python ints, so every count is exact and no
+    term is formed for a cell it cannot count: a set's cells are a subset
+    of its parent's, and at most d sets are alive at once.
+    """
     at = np.flatnonzero(budget >= 0)
     total = 0
     sets = [(0, budget[at], at, 1)]  # (first axis S may still take, m, cells, sign)
@@ -153,8 +170,9 @@ def epsilon_via_volumes(
 
     Level n = n_probe of the beta-truncated value semigroups of the
     saturated-power and plain-power families: the staircase points of
-    sat(I^n) and of I^n with coordinate sum at most beta*n, counted on
-    their height grids.  Their difference is normalized by n^d / d!.  Beta
+    sat(I^n) and of I^n with coordinate sum at most beta*n, both counted
+    on I^n's own height grid by simplex_counts, with no saturation ideal
+    formed.  Their difference is normalized by n^d / d!.  Beta
     must already be in the stable regime for the number to mean anything;
     beta_stability probes for that.
     """
@@ -164,9 +182,7 @@ def epsilon_via_volumes(
             "the volume comparison needs an ideal that is neither zero nor the ring"
         )
     n = _exact_int(n_probe, "n_probe", 1)
-    power = ideal.power(n)
-    count_sat = count_staircase_in_simplex(power.saturate(), beta * n)
-    count_pow = count_staircase_in_simplex(power, beta * n)
+    count_sat, count_pow = simplex_counts(ideal.power(n), beta * n)
     d = ideal.dim
     value = Fraction(math.factorial(d) * (count_sat - count_pow), n**d)
     return EpsilonViaVolumes(value, count_sat, count_pow)

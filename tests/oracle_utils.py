@@ -294,8 +294,9 @@ def enumerate_staircase_in_simplex(ideal, cap: int) -> frozenset:
     Walks the coordinates in order, keeping only the generators that can
     still divide a point with the prefix chosen so far; the last
     coordinate runs from the least exponent they leave up to the budget.
-    The oracle of `okounkov.count_staircase_in_simplex` and the level sets
-    of `gamma_beta`, which keeps only their sizes.
+    The oracle of `okounkov.simplex_counts`, listed for I.saturate() and
+    for I: the level sets of the truncated value semigroups, whose sizes
+    are all the library keeps.
     """
     if cap < 0 or ideal.is_zero:
         return frozenset()

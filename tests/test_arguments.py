@@ -21,13 +21,13 @@ from epsmult import (
     check_cone_conditions,
     check_sat_power_containment,
     corpus,
-    count_staircase_in_simplex,
     epsilon_sequence,
     epsilon_via_volumes,
     hull_volume,
     k_fold_sum_count,
     leading_difference,
     random_ideal,
+    simplex_counts,
     swanson_c_search,
     theorem_a_table,
 )
@@ -60,7 +60,7 @@ CASES = [
     ("beta_stability", "n_probe", 1, lambda v: beta_stability(X2_XY, 1, v, 0)),
     ("beta_stability", "max_doublings", 0, lambda v: beta_stability(X2_XY, 1, 2, 0, v)),
     # no bound: a negative cap is the empty simplex
-    ("count_staircase_in_simplex", "cap", None, lambda v: count_staircase_in_simplex(OUTER, v)),
+    ("simplex_counts", "cap", None, lambda v: simplex_counts(OUTER, v)),
     ("hull_volume", "dim", 1, lambda v: hull_volume([(0,), (1,)], v)),
     ("Semigroup", "dim", 1, lambda v: Semigroup(v, generators=[])),
     ("Semigroup", "a level index", 0, lambda v: Semigroup(1, levels={v: [(0,)]})),

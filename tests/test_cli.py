@@ -24,6 +24,7 @@ from epsmult import (
     InconclusiveError,
     MonomialIdeal,
     Semigroup,
+    beta_stability,
     swanson_c_search,
 )
 from epsmult.cli import main, parse_ideal
@@ -483,21 +484,31 @@ class TestNoRecomputation:
         assert len(products) <= nmax - 1
 
     def test_okounkov_volume_counts_each_level_once(self, capsys, monkeypatch):
-        # the sweeps reuse the probe level's counts from the volume difference
-        caps = []
-        count = okounkov_mod.count_staircase_in_simplex
+        # one simplex_counts call reads level n of both families off I^n's
+        # grid, the probe level's in the volume difference, and no saturation
+        # ideal is formed; the second ideal's chain crosses onto grid products
+        levels = []
+        count = okounkov_mod.simplex_counts
 
         def counted(ideal, cap):
-            caps.append(cap)
+            levels.append((ideal.generators, cap))
             return count(ideal, cap)
 
-        monkeypatch.setattr(okounkov_mod, "count_staircase_in_simplex", counted)
-        monkeypatch.setattr(cli, "count_staircase_in_simplex", counted)
+        def no_saturation(ideal):
+            raise AssertionError("okounkov-volume formed a saturation ideal")
+
+        monkeypatch.setattr(okounkov_mod, "simplex_counts", counted)
+        monkeypatch.setattr(cli, "simplex_counts", counted)
+        monkeypatch.setattr(ideals_mod, "_saturation_on_grid", no_saturation)
         nmax = 15
-        assert main(["okounkov-volume", "-i", X2_XY, "--beta", "2", "--nmax", str(nmax)]) == 0
-        assert "# epsilon_via_volumes" in capsys.readouterr().out
-        # beta 2: level n is counted to 2n, once in each of the two families
-        assert sorted(caps) == sorted(2 * n for n in range(1, nmax + 1) for _ in range(2))
+        for text in (X2_XY, "x^5, x^4*y, x^2*y^2, x*y^4"):
+            levels.clear()
+            assert main(["okounkov-volume", "-i", text, "--beta", "2", "--nmax", str(nmax)]) == 0
+            assert "# epsilon_via_volumes" in capsys.readouterr().out
+            base = parse_ideal(text)
+            # beta 2: level n is counted to 2n, on I^n, once
+            want = [(base.power(n).generators, 2 * n) for n in range(1, nmax + 1)]
+            assert sorted(levels) == sorted(want), text
 
     @pytest.mark.parametrize(
         "argv",
@@ -512,8 +523,8 @@ class TestNoRecomputation:
         def no_count(ideal, cap):
             raise AssertionError("a level was counted before the input was checked")
 
-        monkeypatch.setattr(okounkov_mod, "count_staircase_in_simplex", no_count)
-        monkeypatch.setattr(cli, "count_staircase_in_simplex", no_count)
+        monkeypatch.setattr(okounkov_mod, "simplex_counts", no_count)
+        monkeypatch.setattr(cli, "simplex_counts", no_count)
         assert main(argv) == 3
         out, err = capsys.readouterr()
         assert out == ""
@@ -576,6 +587,26 @@ class TestNoRecomputation:
         base = parse_ideal(text)
         assert sorted(factors) == sorted([base.generators] * 11 + [base.saturate().generators] * 3)
         assert saturated == [base.generators]
+
+    def test_each_grid_takes_one_saturation_pass(self, capsys, monkeypatch):
+        # a lemmas row reads sat(I^i) off I^i's grid in both checks, and
+        # sat(I) in saturate() too; beta_stability counts one level at every
+        # beta.  Each grid's saturation heights are computed once and shared.
+        grids = []  # kept alive, so that no two grids share an id
+        heights = ideals_mod._saturation_heights
+
+        def recorded(height):
+            grids.append(height)
+            return heights(height)
+
+        for module in [m for name, m in sys.modules.items() if name.startswith("epsmult")]:
+            if getattr(module, "_saturation_heights", None) is heights:
+                monkeypatch.setattr(module, "_saturation_heights", recorded)
+        assert main(["lemmas", "--seed", "1", "--nmax", "50"]) == 0
+        capsys.readouterr()
+        assert beta_stability(parse_ideal(X2_XY), 1, 4, 0, 3).stabilized_beta == 4
+        assert len(grids) > 100
+        assert len({id(grid) for grid in grids}) == len(grids)
 
     def test_deep_probe_level_needs_no_recursion(self, capsys):
         # The power chain is built bottom-up: a probe level far past the

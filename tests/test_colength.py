@@ -255,6 +255,14 @@ class TestSaturationLength:
         assert len(epsilon_sequence(I, 8).lengths) == 8
         assert calls == []
 
+    def test_epsilon_sequence_stores_no_saturation_heights(self):
+        # the chain keeps every power's grid and each is read once: a stored
+        # saturation-height grid per power would double the chain's memory
+        I = MonomialIdeal(3, [(2, 1, 0), (0, 2, 1), (1, 0, 2)])
+        assert len(epsilon_sequence(I, 8).lengths) == 8
+        chain = [I] + [I.power(n) for n in range(2, 9)]
+        assert all(getattr(P, "_sat_heights", None) is None for P in chain)
+
 
 def _equal_pairs():
     """(I, I) and (I, an equal copy), fresh, on corpus ideals in d = 1-4, zero and unit."""

@@ -17,14 +17,15 @@ from epsmult import (
     ZeroIdealError,
     beta_stability,
     colength,
-    count_staircase_in_simplex,
     corpus,
     difference_max_degree,
     epsilon_sequence,
     epsilon_via_volumes,
     hull_volume,
     maximal_ideal,
+    simplex_counts,
     unit_ideal,
+    zero_ideal,
 )
 
 from oracle_utils import (
@@ -50,40 +51,40 @@ def simplex_points(gens, dim, cap):
 class TestSimplexCounts:
     def test_one_variable_closed_form(self):
         cubic = MonomialIdeal(1, [(3,)])
-        assert count_staircase_in_simplex(cubic, 10) == 8
-        assert count_staircase_in_simplex(cubic, 3) == 1
-        assert count_staircase_in_simplex(cubic, 2) == 0
+        assert simplex_counts(cubic, 10)[1] == 8
+        assert simplex_counts(cubic, 3)[1] == 1
+        assert simplex_counts(cubic, 2)[1] == 0
 
     def test_negative_cap_is_empty(self):
-        assert count_staircase_in_simplex(X2_XY, -1) == 0
+        assert simplex_counts(X2_XY, -1)[1] == 0
         assert enumerate_staircase_in_simplex(X2_XY, -3) == frozenset()
 
     def test_zero_ideal_has_no_points(self):
         zero = MonomialIdeal(2, [])
-        assert count_staircase_in_simplex(zero, 10) == 0
+        assert simplex_counts(zero, 10)[1] == 0
         assert enumerate_staircase_in_simplex(zero, 10) == frozenset()
 
     def test_unit_ideal_fills_the_simplex(self):
-        assert count_staircase_in_simplex(unit_ideal(2), 10) == 66
-        assert count_staircase_in_simplex(unit_ideal(3), 9) == math.comb(12, 3)
+        assert simplex_counts(unit_ideal(2), 10)[1] == 66
+        assert simplex_counts(unit_ideal(3), 9)[1] == math.comb(12, 3)
         # far past enumeration: about 4 * 10^14 points
-        assert count_staircase_in_simplex(unit_ideal(4), 10**4) == math.comb(10**4 + 4, 4)
+        assert simplex_counts(unit_ideal(4), 10**4)[1] == math.comb(10**4 + 4, 4)
 
     def test_principal_ideal_in_the_plane(self):
         # e_1 >= 1 and e_1 + e_2 <= cap leaves a triangle of cap*(cap+1)/2 points
-        assert count_staircase_in_simplex(PLANE_LINE, 10) == 55
+        assert simplex_counts(PLANE_LINE, 10)[1] == 55
 
     def test_worked_two_generator_count(self):
         gens = X2_XY.generators
         expected = simplex_points(gens, 2, 6)
-        assert count_staircase_in_simplex(X2_XY, 6) == len(expected)
+        assert simplex_counts(X2_XY, 6)[1] == len(expected)
         assert enumerate_staircase_in_simplex(X2_XY, 6) == expected
 
     @pytest.mark.parametrize("cap", [0, 1, 2, 5, 9])
     def test_count_matches_enumeration_on_random_ideals(self, cap):
         for ideal in corpus(71, 20) + corpus(71, 20, max_dim=4):
             got = enumerate_staircase_in_simplex(ideal, cap)
-            assert count_staircase_in_simplex(ideal, cap) == len(got)
+            assert simplex_counts(ideal, cap)[1] == len(got)
             assert got == simplex_points(ideal.generators, ideal.dim, cap)
 
     def test_count_matches_enumeration_around_generator_degrees(self):
@@ -96,7 +97,7 @@ class TestSimplexCounts:
             caps = {-5, -1} | {c + e for c in degrees for e in (-1, 0, 1)}
             for cap in sorted(caps | {max(degrees) + 3}):
                 want = len(enumerate_staircase_in_simplex(ideal, cap))
-                assert count_staircase_in_simplex(ideal, cap) == want, (ideal, cap)
+                assert simplex_counts(ideal, cap)[1] == want, (ideal, cap)
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_principal_count_past_int64(self, d):
@@ -106,14 +107,14 @@ class TestSimplexCounts:
         cap = (1 << 62) + 5
         want = math.comb(cap - sum(a) + d, d)
         assert want > 1 << 63
-        assert count_staircase_in_simplex(MonomialIdeal(d, [a]), cap) == want
+        assert simplex_counts(MonomialIdeal(d, [a]), cap)[1] == want
 
     def test_bounded_cell_count_past_int64(self):
         # (x^p, y^q): a cell of width q at height p, and one unbounded cell
         p, q, cap = (1 << 60) + 3, (1 << 60) - 7, (1 << 62) + 1
         ideal = MonomialIdeal(2, [(p, 0), (0, q)])
         want = math.comb(cap - p + 2, 2) + math.comb(cap - q + 2, 2) - math.comb(cap - p - q + 2, 2)
-        assert count_staircase_in_simplex(ideal, cap) == want
+        assert simplex_counts(ideal, cap)[1] == want
 
     def test_maximal_ideal_in_many_variables_stays_small(self):
         # (x_1, .., x_d) holds every point but 0: C(4 + d, d) - 1 in the
@@ -127,12 +128,43 @@ class TestSimplexCounts:
             ideal._grid()
             tracemalloc.start()
             try:
-                assert count_staircase_in_simplex(ideal, 4) == math.comb(4 + d, d) - 1
+                assert simplex_counts(ideal, 4)[1] == math.comb(4 + d, d) - 1
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
             cells = 2 ** (d - 1)
             assert peak < 4 * (d - 1) * cells * 8 + (4 << 20), d
+
+    def test_both_entries_match_enumeration(self):
+        # sat(I) is counted on I's finer grid: each entry against the listed
+        # points of I.saturate() and of I, from empty caps to past every corner
+        ideals = corpus(73, 40, max_dim=4, max_exp=4)
+        assert {ideal.dim for ideal in ideals} == {1, 2, 3, 4}
+        saturated = [PLANE_LINE, MonomialIdeal(3, [(1, 0, 0), (0, 1, 0)])]
+        others = [zero_ideal(3), unit_ideal(3), unit_ideal(1), maximal_ideal(3)]
+        for ideal in ideals + saturated + others:
+            top = max((sum(g) for g in ideal.generators), default=0)
+            for cap in (-6, -1, 0, top - 1, top, top + 4):
+                want = tuple(
+                    len(enumerate_staircase_in_simplex(J, cap)) for J in (ideal.saturate(), ideal)
+                )
+                assert simplex_counts(ideal, cap) == want, (ideal, cap)
+        for ideal in saturated:
+            assert ideal.saturate() is ideal
+            count_sat, count_plain = simplex_counts(ideal, 6)
+            assert count_sat == count_plain > 0
+
+    def test_entries_differ_by_the_length_past_the_deepest_degree(self):
+        # far past enumeration: once cap reaches the deepest degree of
+        # sat(I)/I, the entries differ by its length, colength(I, None)
+        for ideal in corpus(74, 30, max_dim=4) + [X2_XY.power(5)]:
+            deepest = difference_max_degree(ideal, None)
+            for cap in (deepest or 0, 10**12):
+                saturated, plain = simplex_counts(ideal, cap)
+                assert saturated - plain == colength(ideal, None), (ideal, cap)
+        # sat((x^2, xy)) = (x): its points with e_1 >= 1, all but x of them in I
+        cap = 10**9
+        assert simplex_counts(X2_XY, cap) == (cap * (cap + 1) // 2, cap * (cap + 1) // 2 - 1)
 
     def test_enumerated_points_satisfy_both_constraints(self):
         pts = enumerate_staircase_in_simplex(X2_XY, 7)
@@ -143,7 +175,7 @@ class TestSimplexCounts:
         ideal = MonomialIdeal(3, [(2, 0, 1), (0, 3, 0), (1, 1, 2)])
         for cap in (0, 3, 8):
             expected = simplex_points(ideal.generators, 3, cap)
-            assert count_staircase_in_simplex(ideal, cap) == len(expected)
+            assert simplex_counts(ideal, cap)[1] == len(expected)
             assert enumerate_staircase_in_simplex(ideal, cap) == expected
 
 
@@ -157,10 +189,10 @@ def gamma_level(fam, beta, i):
     """Level i of the beta-truncated value semigroup of fam, listed by the oracle.
 
     The volume route keeps only the level sizes; the listed set must have
-    the size count_staircase_in_simplex gives.
+    the size simplex_counts gives as its plain entry.
     """
     points = enumerate_staircase_in_simplex(fam(i), beta * i)
-    assert count_staircase_in_simplex(fam(i), beta * i) == len(points)
+    assert simplex_counts(fam(i), beta * i)[1] == len(points)
     return points
 
 
@@ -173,13 +205,13 @@ class TestGammaBeta:
         # level i of the beta=2 truncation of powers of (x) is a triangle
         fam = GradedFamilySpec(PLANE_LINE)
         for i in range(1, 7):
-            assert count_staircase_in_simplex(fam(i), 2 * i) == (i + 1) * (i + 2) // 2
+            assert simplex_counts(fam(i), 2 * i)[1] == (i + 1) * (i + 2) // 2
 
     def test_counts_need_no_materialized_level(self):
         # level 3 holds about 4.5 * 10^12 points: only a count can reach it
         beta = 10**6
         fam = GradedFamilySpec(PLANE_LINE)
-        assert count_staircase_in_simplex(fam(3), 3 * beta) == math.comb(3 * (beta - 1) + 2, 2)
+        assert simplex_counts(fam(3), 3 * beta)[1] == math.comb(3 * (beta - 1) + 2, 2)
 
     def test_saturated_family_levels(self):
         sat = saturated(X2_XY)
