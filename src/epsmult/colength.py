@@ -16,7 +16,9 @@ hold by construction and are skipped.  Any other pair gets a fresh grid
 from ideals._height_grids.  inside_saturation(J, I) reads J <= sat(I)
 off I's own grid too, and so do okounkov.simplex_counts and
 MonomialIdeal.saturate: all of them share the saturation's heights that
-MonomialIdeal._saturation_grid memoizes on I.
+MonomialIdeal._saturation_grid memoizes on I.  difference_max_degree(I,
+None) is the one-ideal case of saturation_max_degrees, which reads a list
+of ideals in one stack of their own grids and keeps no memo.
 Containment, finiteness, the length and the deepest degree of the
 difference are array expressions over those cells.  A length or degree
 runs in int64 while a bound on its partial sums (the largest depth times
@@ -31,7 +33,7 @@ import math
 import numpy as np
 
 from .errors import EpsmultError, InfiniteColengthError
-from .ideals import _NEVER, MonomialIdeal, _height_grids
+from .ideals import _NEVER, MAX_GRID_CELLS, MonomialIdeal, _height_grids, _saturation_heights
 
 # A length or degree is summed in int64 below this bound on its partial sums.
 _INT64_BOUND = 1 << 63
@@ -116,6 +118,8 @@ def difference_max_degree(inner: MonomialIdeal, outer: MonomialIdeal | None) -> 
     other cell the deepest point sits one step below the inner height and
     each upper cut.
     """
+    if outer is None:
+        return None if inner.is_zero else saturation_max_degrees([inner])[0]
     cells = _difference_cells(inner, outer)
     if cells is None:
         return None
@@ -128,6 +132,51 @@ def difference_max_degree(inner: MonomialIdeal, outer: MonomialIdeal | None) -> 
     bound = int(h_in.max()) + sum(int(top[-1]) for top in tops)
     degree = sum(np.ix_(*tops), h_in if bound < _INT64_BOUND else h_in.astype(object))
     return int(degree[mask].max()) - inner.dim
+
+
+def saturation_max_degrees(ideals) -> list[int | None]:
+    """difference_max_degree(I, None) for each nonzero ideal I, in stacked passes.
+
+    The ideals' own grids are stacked, a chunk of at most MAX_GRID_CELLS
+    cells at a time, each padded to the chunk's longest column axes.
+    """
+    degrees: list[int | None] = []
+    run, shape = [], ()
+    for grid in (ideal._grid() for ideal in ideals):
+        wider = tuple(map(max, shape, grid[1].shape)) if run else grid[1].shape
+        if (len(run) + 1) * math.prod(wider) > MAX_GRID_CELLS:
+            degrees += _stacked_max_degrees(run, shape)
+            run, wider = [], grid[1].shape
+        run.append(grid)
+        shape = wider
+    return degrees + _stacked_max_degrees(run, shape) if run else degrees
+
+
+def _stacked_max_degrees(grids, shape) -> list[int | None]:
+    """The deepest degree of sat(I)/I for each (cuts, heights) grid, padded to shape.
+
+    The minimum accumulated along each column axis repeats every grid's
+    last cells into its padding, where sat(I)'s heights equal I's, as on
+    every last cell: a padded cell holds an empty difference.  The upper
+    cuts are zero-padded, so one masked max of the height plus the upper
+    cuts, less d, reads each grid.
+    """
+    stack = np.full((len(grids), *shape), _NEVER, dtype=np.int64)
+    tops = [np.zeros((len(grids), length), dtype=np.int64) for length in shape]
+    for i, (cuts, heights) in enumerate(grids):
+        stack[(i, *map(slice, heights.shape))] = heights
+        for top, c in zip(tops, cuts):
+            top[i, : len(c) - 1] = c[1:]
+    for axis in range(1, stack.ndim):
+        np.minimum.accumulate(stack, axis=axis, out=stack)
+    mask = stack > _saturation_heights(stack)
+    if int(stack.max()) + sum(int(top.max()) for top in tops) >= _INT64_BOUND:
+        stack, tops = stack.astype(object), [top.astype(object) for top in tops]
+    for axis, top in enumerate(tops, 1):
+        stack = stack + np.expand_dims(top, tuple(a for a in range(1, stack.ndim) if a != axis))
+    deepest = np.where(mask, stack, -1).reshape(len(grids), -1).max(axis=1)
+    # a last cell is unbounded, but a finite difference leaves it empty
+    return [None if top < 0 else int(top) - len(shape) - 1 for top in deepest]
 
 
 def inside_saturation(ideal: MonomialIdeal, power: MonomialIdeal) -> bool:

@@ -17,12 +17,14 @@ more than DIM_LIMIT = 64 variables, past the axes of a numpy 2 array.
 Every nonzero ideal has a compressed height grid (see _height_grids),
 memoized on the instance by MonomialIdeal._grid, and the saturation's
 heights on that grid, memoized by MonomialIdeal._saturation_grid; the
-saturation, the length and deepest degree of sat(I)/I, the test
-J <= sat(I) and okounkov's simplex counts read them.  A product of
-large ideals is a min-plus shift of the larger factor's grid, trimmed to
-its own grid and kept for the next link of a power chain.  Every other
-ideal is minimalized by one bitset filter on Python ints (minimal_vectors),
-exact at any degree, in about N^2 / 2 bits of memory for N candidates.
+saturation, the length of sat(I)/I, the test J <= sat(I) and okounkov's
+simplex counts read them.  The deepest degree of sat(I)/I computes them
+for a stack of grids at once (colength.saturation_max_degrees).  A
+product of large ideals is a min-plus shift of the larger factor's grid,
+trimmed to its own grid and kept for the next link of a power chain.
+Every other ideal is minimalized by one bitset filter on Python ints
+(minimal_vectors), exact at any degree, in about N^2 / 2 bits of memory
+for N candidates.
 
 Instances are immutable and hashable; operations return new ideals.
 Each instance memoizes what it derives: its generator tuples, height
@@ -196,16 +198,22 @@ def _cell_corners(cuts, mask: np.ndarray) -> tuple[list[np.ndarray], list[np.nda
     return lows, widths
 
 
-def _saturation_heights(height: np.ndarray) -> np.ndarray:
-    """The saturation's heights on a nonzero ideal's grid (see MonomialIdeal.saturate).
+def _saturation_heights(heights: np.ndarray) -> np.ndarray:
+    """The saturations' heights on a stack of nonzero ideals' grids (see MonomialIdeal.saturate).
 
-    The largest finite height is T_1, the largest first coordinate of a generator.
+    The leading axis indexes the grids.  A grid's largest finite height is
+    its T_1, the largest first coordinate of a generator.  A grid padded
+    along a column axis with copies of its last cells keeps its own cells'
+    saturation heights, and on the copies they equal its heights.
     """
-    finite = height < _NEVER
-    sat = np.maximum(height - height[finite].max(), 0)
-    for axis in range(height.ndim):
-        sat = np.maximum(sat, height.take([-1], axis=axis))
-    return np.where(finite, sat, _NEVER)
+    finite = heights < _NEVER
+    columns = tuple(range(1, heights.ndim))
+    sat = heights - heights.max(axis=columns, where=finite, initial=0, keepdims=True)
+    np.maximum(sat, 0, out=sat)
+    for axis in columns:
+        np.maximum(sat, heights.take([-1], axis=axis), out=sat)
+    sat[~finite] = _NEVER
+    return sat
 
 
 def _saturation_on_grid(ideal: "MonomialIdeal") -> "MonomialIdeal":
@@ -387,11 +395,12 @@ class MonomialIdeal:
         With keep false the memo is read if present, and otherwise the
         heights are computed and not stored: for a reader that visits each
         grid of a kept power chain once, a memo would only double the
-        chain's memory.
+        chain's memory.  The truncation search's stacked pass reads no
+        memo and stores none, for the same reason.
         """
         sat = getattr(self, "_sat_heights", None)
         if sat is None:
-            sat = _saturation_heights(self._grid()[1])
+            sat = _saturation_heights(self._grid()[1][None])[0, ...]
             sat.flags.writeable = False
             if keep:
                 object.__setattr__(self, "_sat_heights", sat)

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .colength import colength, difference_max_degree, inside_saturation
+from .colength import colength, inside_saturation, saturation_max_degrees
 from .errors import EpsmultError, InconclusiveError, InsufficientDataError, ZeroIdealError
 from .families import GradedFamilySpec
 from .ideals import MonomialIdeal, _exact_int
@@ -68,6 +68,15 @@ class SwansonResult:
     per_pair: tuple[tuple[int, int, int], ...]  # (n, 1, least c): the pairs that bound the grid
 
 
+def _check_terms(terms: int, d: int, window: int) -> None:
+    """Raise InsufficientDataError unless terms can fill d differences and a window."""
+    if terms < d + window:
+        raise InsufficientDataError(
+            f"need at least {d + window} terms to take {d} differences "
+            f"with a window of {window}; got {terms}"
+        )
+
+
 def leading_difference(seq: list[int], d: int, window: int = 3) -> AmaoResult:
     """Stabilized d-th forward difference of an integer sequence.
 
@@ -76,11 +85,7 @@ def leading_difference(seq: list[int], d: int, window: int = 3) -> AmaoResult:
     unless the final `window` differences agree exactly.
     """
     d, window = _exact_int(d, "d", 1), _exact_int(window, "window", 1)
-    if len(seq) < d + window:
-        raise InsufficientDataError(
-            f"need at least {d + window} terms to take {d} differences "
-            f"with a window of {window}; got {len(seq)}"
-        )
+    _check_terms(len(seq), d, window)
     diffs = [_exact_int(v, "a sequence term") for v in seq]
     for _ in range(d):
         diffs = [b - a for a, b in zip(diffs, diffs[1:])]
@@ -114,7 +119,9 @@ def amao(
     An equal pair has outer^k = inner^k, so every length is 0 and no power
     is formed.  Otherwise the powers are multiplied here, one product by
     inner and one by outer per k, and kept on neither argument: each is
-    read once, so they are freed as the next one is formed.
+    read once, so they are freed as the next one is formed.  A k_max too
+    short for d differences and the window is refused after the length at
+    k = 1, before any power is formed.
     """
     k_max, window = _exact_int(k_max, "k_max", 1), _exact_int(window, "window", 1)
     inner._check_same_dim(outer)
@@ -128,6 +135,8 @@ def amao(
                 seq[k - 1] = colength(power_in, power_out)
             except EpsmultError as exc:
                 raise type(exc)(f"{exc} (at family index n={k})") from exc
+            if k == 1:
+                _check_terms(k_max, inner.dim, window)
     return leading_difference(seq, inner.dim, window=window)
 
 
@@ -205,18 +214,17 @@ def swanson_c_search(
     of the pair (m, k) lies inside that of (mk, 1), so its deepest degree
     D(m, k) is at most D(mk, 1) and its least passing c, floor(D/(m*k)) + 1,
     at most that of (mk, 1).  The max over the grid is therefore the max
-    over n = 1..mk_bound of the pairs (n, 1), each read as
-    difference_max_degree(I^n, None) off I^n's own grid, with no
-    saturation ideal formed; it is None if it exceeds c_max.  This
+    over n = 1..mk_bound of the pairs (n, 1), read as
+    difference_max_degree(I^n, None) for the whole chain in one stacked
+    pass over the powers' own grids (colength.saturation_max_degrees),
+    with no saturation ideal formed; it is None if it exceeds c_max.  This
     falsifies or corroborates on a grid --- it proves nothing beyond it.
     """
     if ideal.is_zero or ideal.is_unit:
         raise ZeroIdealError("the truncation search needs an ideal that is neither zero nor the ring")
     c_max, mk_bound = _exact_int(c_max, "c_max", 1), _exact_int(mk_bound, "mk_bound", 1)
     powers = GradedFamilySpec(ideal)
-    per_pair = []
-    for n in range(1, mk_bound + 1):
-        deepest = difference_max_degree(powers(n), None)
-        per_pair.append((n, 1, 1 if deepest is None else deepest // n + 1))
+    deepest = saturation_max_degrees([powers(n) for n in range(1, mk_bound + 1)])
+    per_pair = tuple((n, 1, 1 if D is None else D // n + 1) for n, D in enumerate(deepest, 1))
     worst = max(c for _, _, c in per_pair)
-    return SwansonResult(worst if worst <= c_max else None, tuple(per_pair))
+    return SwansonResult(worst if worst <= c_max else None, per_pair)

@@ -167,6 +167,31 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "inner not contained in outer (at family index n=1)" in err
 
+    def test_too_short_a_window_is_3_before_any_power(self, capsys, products):
+        # the length at k = 1 is read, then k_max < d + window is refused
+        assert main(["amao", "--inner", "x^2", "--outer", "x", "--kmax", "3"]) == 3
+        out, err = capsys.readouterr()
+        assert (out, products) == ("", [])
+        assert err == "error: need at least 4 terms to take 1 differences with a window of 3; got 3\n"
+        argv = ["theorem-a", "-i", X2_XY, "--mmax", "2", "--kmax", "4", "--nmax", "2"]
+        assert main(argv) == 3
+        assert capsys.readouterr().err.endswith("with a window of 3; got 4\n")
+        assert products == []
+
+    @pytest.mark.parametrize(
+        "inner, outer, message",
+        [
+            (X2_XY, '{"dim": 2, "generators": [[0, 1]]}', "inner not contained in outer"),
+            ("x*y", OUTER_X, "outer/inner has infinite length"),
+        ],
+        ids=["not-contained", "infinite"],
+    )
+    def test_containment_errors_precede_a_short_window(self, inner, outer, message, capsys, products):
+        assert main(["amao", "--inner", inner, "--outer", outer, "--kmax", "2"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.endswith("(at family index n=1)\n")
+        assert products == []
+
     def test_dimension_mismatch_is_3(self, capsys):
         assert main(["amao", "--inner", X2_XY, "--outer", "x"]) == 3
         capsys.readouterr()
@@ -683,6 +708,7 @@ THEOREM_A_X2XY = ["theorem-a", "-i", X2_XY, "--mmax", "4", "--kmax", "12", "--nm
 AMAO_X2XY = ["amao", "--inner", X2_XY, "--outer", OUTER_X, "--kmax", "12"]
 OKOUNKOV_X2XY = ["okounkov-volume", "-i", X2_XY, "--beta", "2", "--nmax", "10"]
 LEMMAS_X2XY = ["lemmas", "-i", X2_XY, "--seed", "5", "--nmax", "6", "--kmax", "3"]
+LEMMAS_4D = ["lemmas", "-i", "x^2, x*y, y*z, z*w", "--nmax", "0", "--kmax", "4"]
 # row 1 does not stabilize within kmax = 5, so the run exits 2
 INCONCLUSIVE = ["theorem-a", "-i", "x^4, x*y^3, y^4", "--mmax", "3", "--kmax", "5"]
 INCONCLUSIVE += ["--nmax", "2"]
@@ -713,6 +739,9 @@ GOLDEN_RUNS = [
     (["lemmas", "--seed", "5", "--nmax", "6", "--kmax", "3"], "lemmas_seed5.csv", 0),
     (LEMMAS_X2XY, "lemmas_x2xy_seed5.csv", 0),
     (LEMMAS_X2XY + JSON, "lemmas_x2xy_seed5.json", 0),
+    # four variables: from I^4 on, the searched chain is built by grid products
+    (LEMMAS_4D, "lemmas_x2_xy_yz_zw.csv", 0),
+    (LEMMAS_4D + JSON, "lemmas_x2_xy_yz_zw.json", 0),
     (["epsilon", "-i", X2Y_Y2Z_XZ2, "--nmax", "12"], "epsilon_x2y_y2z_xz2.csv", 0),
     (["epsilon", "-i", "x^2, x*y, y*z, z*w", "--nmax", "10"], "epsilon_x2_xy_yz_zw.csv", 0),
     # past brute force: the length kernel on grids of a few thousand cells

@@ -20,13 +20,20 @@ from epsmult import (
     epsilon_sequence,
     is_finite_colength,
     maximal_ideal,
+    swanson_c_search,
     unit_ideal,
     zero_ideal,
 )
 
-from epsmult.colength import inside_saturation
-from epsmult.ideals import _height_grids
-from oracle_utils import brute_colength, brute_difference_max_degree, kpoly_length, subideal
+from epsmult.colength import inside_saturation, saturation_max_degrees
+from epsmult.ideals import _GRID_CUTOVER, _height_grids
+from oracle_utils import (
+    brute_colength,
+    brute_difference_max_degree,
+    kpoly_length,
+    lemma_pool,
+    subideal,
+)
 
 
 X2_XY = MonomialIdeal(2, [(2, 0), (1, 1)])
@@ -385,24 +392,24 @@ class TestDifferenceMaxDegree:
             assert difference_max_degree(I, S) == brute_difference_max_degree(*gens)
 
 
+def _casts(fn, *args):
+    """fn(*args), and whether it cast an array to Python ints on the way."""
+    casts = []
+
+    def profile(frame, event, arg):
+        if event == "c_call" and getattr(arg, "__name__", None) == "astype":
+            casts.append(arg)
+
+    sys.setprofile(profile)
+    try:
+        result = fn(*args)
+    finally:
+        sys.setprofile(None)
+    return result, bool(casts)
+
+
 class TestInt64Degree:
     """Deepest degrees sum in int64 below the bound on their partial sums and exactly past it."""
-
-    @staticmethod
-    def _degree_and_casts(inner, outer):
-        """difference_max_degree(inner, outer), and whether it cast an array to Python ints."""
-        casts = []
-
-        def profile(frame, event, arg):
-            if event == "c_call" and getattr(arg, "__name__", None) == "astype":
-                casts.append(arg)
-
-        sys.setprofile(profile)
-        try:
-            degree = difference_max_degree(inner, outer)
-        finally:
-            sys.setprofile(None)
-        return degree, bool(casts)
 
     @pytest.mark.parametrize(
         "a, in_int64",
@@ -412,8 +419,8 @@ class TestInt64Degree:
     def test_diagonal_at_the_bound(self, a, in_int64):
         ideal = MonomialIdeal(4, [(a, 0, 0, 0), (0, a, 0, 0), (0, 0, a, 0), (0, 0, 0, a)])
         want = (4 * a - 4, not in_int64)
-        assert self._degree_and_casts(ideal, unit_ideal(4)) == want
-        assert self._degree_and_casts(ideal, None) == want
+        assert _casts(difference_max_degree, ideal, unit_ideal(4)) == want
+        assert _casts(difference_max_degree, ideal, None) == want
 
     def test_small_pairs_match_the_object_degree(self, monkeypatch):
         colength_mod = importlib.import_module("epsmult.colength")
@@ -423,6 +430,103 @@ class TestInt64Degree:
         monkeypatch.setattr(colength_mod, "_INT64_BOUND", 0)
         assert [difference_max_degree(inner, outer) for inner, outer in pairs] == want
         assert sum(degree is not None for degree in want) > 20
+
+
+# chains that cross the grid-product cutover: one stack mixes the grids of
+# pairwise products with those of grid products, in two and four variables
+CROSSING = [
+    MonomialIdeal(2, [(5, 0), (4, 1), (2, 2), (1, 4)]),
+    MonomialIdeal(4, [(2, 0, 0, 0), (1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1)]),
+]
+
+
+class TestSaturationMaxDegrees:
+    """The stacked pass of the truncation search against the two-ideal pair path."""
+
+    @pytest.mark.parametrize(
+        "pool, n_max",
+        [
+            pytest.param(lemma_pool, 12, id="lemma-pool"),
+            pytest.param(lambda: corpus(7, 48, max_dim=4), 12, id="corpus-7-48-4d"),
+            pytest.param(lambda: CROSSING, 12, id="crossing-the-cutover"),
+            pytest.param(
+                lambda: [MonomialIdeal(1, [(3,)]), MonomialIdeal(1, [(1,)])], 6, id="one-variable"
+            ),
+        ],
+    )
+    def test_chain_matches_the_pair_path_and_brute_force(self, pool, n_max):
+        # S is a fresh copy of sat(I^n), so difference_max_degree(I^n, S)
+        # reads both on a _height_grids grid of their own, not the stack
+        brute = nonempty = 0
+        for ideal in pool():
+            chain = MonomialIdeal(ideal.dim, ideal.generators)
+            got = saturation_max_degrees([chain.power(n) for n in range(1, n_max + 1)])
+            copy = MonomialIdeal(ideal.dim, ideal.generators)
+            for n, deepest in enumerate(got, 1):
+                power = copy.power(n)
+                sat = MonomialIdeal(ideal.dim, power.saturate().generators)
+                assert deepest == difference_max_degree(power, sat), (ideal, n)
+                nonempty += deepest is not None
+                box = math.prod(max(g[j] for g in power.generators) + 1 for j in range(ideal.dim))
+                if box <= 4000:
+                    gens = (power.generators, sat.generators, ideal.dim)
+                    assert deepest == brute_difference_max_degree(*gens), (ideal, n)
+                    brute += 1
+        assert brute > 0 and nonempty > 0
+
+    def test_crossing_chains_mix_grid_shapes(self):
+        # the chains above do cross the cutover, so their grids differ in shape
+        for ideal in CROSSING:
+            sizes = [len(ideal.power(n).generators) * len(ideal.generators) for n in range(1, 12)]
+            assert min(sizes) < _GRID_CUTOVER <= max(sizes)
+            assert len({ideal.power(n)._grid()[1].shape for n in range(1, 13)}) == 12
+
+    def test_unrelated_grids_share_one_stack(self):
+        # any nonzero ideals in one ring stack together; sat(m) is the unit
+        # ideal, whose difference holds 1 alone, and (xyz) is saturated
+        ideals = [ideal for ideal in corpus(7, 48, max_dim=4) if ideal.dim == 3]
+        ideals += [unit_ideal(3), maximal_ideal(3), MonomialIdeal(3, [(1, 1, 1)])]
+        want = [difference_max_degree(ideal, ideal.saturate()) for ideal in ideals]
+        assert saturation_max_degrees(ideals) == want
+        assert want[-3:] == [None, 0, None] and len(set(want)) > 3
+
+    @pytest.mark.parametrize(
+        "a, in_int64",
+        # I^2 = (x^a, y^a, z^a, w^a)^2 has height 2a and three last cuts of
+        # 2a: 8a against 2^63, and its generators reach the degree limit
+        [((1 << 60) - 1, True), (1 << 60, False)],
+    )
+    def test_search_at_the_int64_bound(self, a, in_int64):
+        ideal = MonomialIdeal(4, [(a, 0, 0, 0), (0, a, 0, 0), (0, 0, a, 0), (0, 0, 0, a)])
+        powers = [ideal, ideal.power(2)]
+        for power in powers:
+            power._grid()
+        got = _casts(saturation_max_degrees, powers)
+        # the deepest monomials: x^(a-1) y^(a-1) z^(a-1) w^(a-1), then x^(2a-1) times the rest
+        assert got == ([4 * a - 4, 5 * a - 4], not in_int64)
+        pair = [difference_max_degree(power, unit_ideal(4)) for power in powers]
+        assert got[0] == pair
+        res = swanson_c_search(ideal, mk_bound=2)
+        assert res.per_pair == ((1, 1, 4 * a - 3), (2, 1, (5 * a - 4) // 2 + 1))
+
+    def test_chunks_stay_under_the_cap(self, monkeypatch):
+        # a cap above every grid of the 4-variable chain but below its stack
+        ideal = CROSSING[1]
+        want = swanson_c_search(MonomialIdeal(4, ideal.generators)).per_pair
+        largest = max(ideal.power(n)._grid()[1].size for n in range(1, 13))
+        cap = 2 * largest
+        stacks = []
+        colength_mod = importlib.import_module("epsmult.colength")
+        heights = colength_mod._saturation_heights
+
+        def recorded(stack):
+            stacks.append(stack.size)
+            return heights(stack)
+
+        monkeypatch.setattr(colength_mod, "MAX_GRID_CELLS", cap)
+        monkeypatch.setattr(colength_mod, "_saturation_heights", recorded)
+        assert swanson_c_search(MonomialIdeal(4, ideal.generators)).per_pair == want
+        assert len(stacks) >= 3 and max(stacks) <= cap < sum(stacks)
 
 
 class TestInsideSaturation:

@@ -173,6 +173,7 @@ def test_ideals_are_formed_in_one_place():
 # Entry points that no src module calls, each with what calls it.
 ENTRY_POINTS = {
     "colon": "acceptance criterion 8",
+    "difference_max_degree": "the pair oracle of the truncation search (oracle_utils.swanson_grid)",
     "is_finite_colength": "acceptance criterion 8",
     "beta_stability": "acceptance criterion 6",
     "maximal_ideal": "acceptance criterion 2",
