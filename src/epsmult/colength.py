@@ -13,17 +13,18 @@ difference and reads no grid.  colength(I, None) and
 difference_max_degree(I, None) read sat(I) off I's own grid without
 forming the saturation ideal; there the containment and finiteness checks
 hold by construction and are skipped.  Any other pair gets a fresh grid
-from ideals._height_grids.  inside_saturation(J, I) reads J <= sat(I)
-off I's own grid too, and so do okounkov.simplex_counts and
-MonomialIdeal.saturate: all of them share the saturation's heights that
-MonomialIdeal._saturation_grid memoizes on I.  difference_max_degree(I,
-None) is the one-ideal case of saturation_max_degrees, which reads a list
-of ideals in one stack of their own grids and keeps no memo.
-Containment, finiteness, the length and the deepest degree of the
-difference are array expressions over those cells.  A length or degree
-runs in int64 while a bound on its partial sums (the largest depth times
-the product of the axes' last cuts; the largest height plus their sum)
-stays below _INT64_BOUND = 2^63, and in Python integers past it, exactly.
+from ideals._height_grids.  The two lemma checks read lists of ideals,
+each on its own grid, in one stacked fill per chunk from their rows
+(ideals._height_grids, stacked) that fills no memo:
+saturation_max_degrees gives difference_max_degree(I, None) for each,
+and inside_saturation(Js, Ps) tells whether each J <= sat(P).  One
+masked maximum, _stacked_max_degrees, gives every deepest degree, of a
+stack or of a single difference.  Containment, finiteness, the length
+and the deepest degree of the difference are array expressions over
+those cells.  A length or degree runs in int64 while a bound on its
+partial sums (the largest depth times the product of the axes' last
+cuts; the largest height plus their sum) stays below _INT64_BOUND =
+2^63, and in Python integers past it, exactly.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import math
 import numpy as np
 
 from .errors import EpsmultError, InfiniteColengthError
-from .ideals import _NEVER, MAX_GRID_CELLS, MonomialIdeal, _height_grids, _saturation_heights
+from .ideals import _NEVER, MonomialIdeal, _height_grids, _saturation_heights
 
 # A length or degree is summed in int64 below this bound on its partial sums.
 _INT64_BOUND = 1 << 63
@@ -114,81 +115,91 @@ def difference_max_degree(inner: MonomialIdeal, outer: MonomialIdeal | None) -> 
     raises InfiniteColengthError when it is infinite.  Outer None stands
     for sat(inner), as in colength.  This is the degree past which
     truncations of the two ideals by powers of the maximal ideal agree.
-    A finite difference leaves every unbounded last cell empty; in each
-    other cell the deepest point sits one step below the inner height and
-    each upper cut.
+    The difference's cells are read as a stack of one grid by
+    _stacked_max_degrees.
     """
-    if outer is None:
-        return None if inner.is_zero else saturation_max_degrees([inner])[0]
     cells = _difference_cells(inner, outer)
     if cells is None:
         return None
     cuts, mask, h_in, _ = cells
-    bounded = (slice(-1),) * mask.ndim + (...,)  # ... keeps a 0-d grid an array
-    mask, h_in, tops = mask[bounded], h_in[bounded], [c[1:] for c in cuts]
-    if not mask.any():
-        return None
-    # an object array of Python ints takes in the int64 cuts as Python ints
-    bound = int(h_in.max()) + sum(int(top[-1]) for top in tops)
-    degree = sum(np.ix_(*tops), h_in if bound < _INT64_BOUND else h_in.astype(object))
-    return int(degree[mask].max()) - inner.dim
+    tops = [np.append(c[1:], 0)[None] for c in cuts]
+    return _stacked_max_degrees(tops, h_in[None], mask[None])[0]
 
 
 def saturation_max_degrees(ideals) -> list[int | None]:
     """difference_max_degree(I, None) for each nonzero ideal I, in stacked passes.
 
-    The ideals' own grids are stacked, a chunk of at most MAX_GRID_CELLS
-    cells at a time, each padded to the chunk's longest column axes.
+    The ideals' grids are filled from their rows, a stack within
+    MAX_GRID_CELLS cells at a time (ideals._height_grids, stacked), and
+    no grid or saturation memo is filled.  A stack's padding repeats each
+    grid's last cells, where sat(I)'s heights equal I's, as on every last
+    cell: a padded cell holds an empty difference.
     """
     degrees: list[int | None] = []
-    run, shape = [], ()
-    for grid in (ideal._grid() for ideal in ideals):
-        wider = tuple(map(max, shape, grid[1].shape)) if run else grid[1].shape
-        if (len(run) + 1) * math.prod(wider) > MAX_GRID_CELLS:
-            degrees += _stacked_max_degrees(run, shape)
-            run, wider = [], grid[1].shape
-        run.append(grid)
-        shape = wider
-    return degrees + _stacked_max_degrees(run, shape) if run else degrees
+    for tops, heights in _height_grids(ideals, stacked=True):
+        degrees += _stacked_max_degrees(tops, heights, heights > _saturation_heights(heights))
+    return degrees
 
 
-def _stacked_max_degrees(grids, shape) -> list[int | None]:
-    """The deepest degree of sat(I)/I for each (cuts, heights) grid, padded to shape.
+def _stacked_max_degrees(tops, heights: np.ndarray, mask: np.ndarray) -> list[int | None]:
+    """The deepest degree of the masked cells of each grid of a stack, or None.
 
-    The minimum accumulated along each column axis repeats every grid's
-    last cells into its padding, where sat(I)'s heights equal I's, as on
-    every last cell: a padded cell holds an empty difference.  The upper
-    cuts are zero-padded, so one masked max of the height plus the upper
-    cuts, less d, reads each grid.
+    heights and mask stack the grids on a leading axis, and tops[k][j]
+    holds grid j's upper cuts on column axis k+1, zero-padded.  Each
+    masked cell, never an unbounded last one, holds the columns of a
+    finite difference below its height: its deepest point sits one step
+    below the height and each upper cut, so one masked max of the height
+    plus the upper cuts, less d, reads each grid.
     """
-    stack = np.full((len(grids), *shape), _NEVER, dtype=np.int64)
-    tops = [np.zeros((len(grids), length), dtype=np.int64) for length in shape]
-    for i, (cuts, heights) in enumerate(grids):
-        stack[(i, *map(slice, heights.shape))] = heights
-        for top, c in zip(tops, cuts):
-            top[i, : len(c) - 1] = c[1:]
-    for axis in range(1, stack.ndim):
-        np.minimum.accumulate(stack, axis=axis, out=stack)
-    mask = stack > _saturation_heights(stack)
-    if int(stack.max()) + sum(int(top.max()) for top in tops) >= _INT64_BOUND:
-        stack, tops = stack.astype(object), [top.astype(object) for top in tops]
+    if int(heights.max()) + sum(int(top.max()) for top in tops) >= _INT64_BOUND:
+        heights, tops = heights.astype(object), [top.astype(object) for top in tops]
     for axis, top in enumerate(tops, 1):
-        stack = stack + np.expand_dims(top, tuple(a for a in range(1, stack.ndim) if a != axis))
-    deepest = np.where(mask, stack, -1).reshape(len(grids), -1).max(axis=1)
-    # a last cell is unbounded, but a finite difference leaves it empty
-    return [None if top < 0 else int(top) - len(shape) - 1 for top in deepest]
+        others = tuple(a for a in range(1, heights.ndim) if a != axis)
+        heights = heights + np.expand_dims(top, others)
+    deepest = np.where(mask, heights, -1).reshape(len(heights), -1).max(axis=1)
+    return [None if top < 0 else int(top) - len(tops) - 1 for top in deepest]
 
 
-def inside_saturation(ideal: MonomialIdeal, power: MonomialIdeal) -> bool:
-    """Whether ideal <= sat(power), read off power's own grid.
+def inside_saturation(ideals, powers) -> list[bool]:
+    """Whether ideals[j] <= sat(powers[j]) for each j, read off stacks of the powers' grids.
 
-    A generator g = (g_1, g') lies in the saturation iff g_1 reaches the
-    saturation's height over the cell holding the column g'.  The zero
-    ideal lies in every saturation, and only it lies in sat(0) = 0.
+    A generator g = (g_1, g') lies in sat(P) iff g_1 reaches the
+    saturation's height over the cell of P's grid that holds the column
+    g'.  The powers' grids and their saturations' heights take one pass
+    per stack (ideals._height_grids, stacked), and no memo is filled.
+    The zero ideal has no generator, so it lies in every saturation; a
+    zero power's grid is one cell of _NEVER, so no other ideal lies in
+    sat(0) = 0.  All the ideals live in one ring.
     """
-    ideal._check_same_dim(power)
-    if ideal.is_zero or power.is_zero:
-        return ideal.is_zero
-    cuts, rows = power._grid()[0], ideal._rows
-    cell = [np.searchsorted(c, rows[:, k], side="right") - 1 for k, c in enumerate(cuts, 1)]
-    return bool((power._saturation_grid()[tuple(cell)] <= rows[:, 0]).all())
+    if len(ideals) != len(powers):
+        raise ValueError(f"{len(ideals)} ideals need as many powers, got {len(powers)}")
+    for ideal in (*ideals, *powers):
+        ideal._check_same_dim(powers[0])
+    inside: list[bool] = []
+    for tops, heights in _height_grids(powers, stacked=True):
+        part = ideals[len(inside) : len(inside) + len(heights)]
+        rows = np.concatenate([ideal._rows for ideal in part])
+        owner = np.arange(len(part)).repeat([len(ideal._rows) for ideal in part])
+        cell = (owner, *(_cells_of(top, owner, rows[:, k]) for k, top in enumerate(tops, 1)))
+        short = _saturation_heights(heights)[cell] > rows[:, 0]
+        inside += (np.bincount(owner[short], minlength=len(part)) == 0).tolist()
+    return inside
+
+
+def _cells_of(top: np.ndarray, owner: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The cell of each value along one axis of its owner's grid.
+
+    top holds each grid's upper cuts on the axis, zero-padded, one grid a
+    row, and the cell is the number of the owner's upper cuts at or below
+    the value.  One stable lexsort puts each value after its owner's cuts
+    at or below it.
+    """
+    at = np.nonzero(top)
+    order = np.lexsort((np.concatenate((top[at], values)), np.concatenate((at[0], owner))))
+    value = order >= len(at[0])
+    count = np.count_nonzero(top, axis=1)
+    place = order[value] - len(at[0])
+    cell = np.empty(len(values), dtype=np.intp)
+    # the cuts up to each value's place, less those of the earlier grids
+    cell[place] = np.cumsum(~value)[value] - (np.cumsum(count) - count)[owner[place]]
+    return cell

@@ -17,11 +17,12 @@ more than DIM_LIMIT = 64 variables, past the axes of a numpy 2 array.
 Every nonzero ideal has a compressed height grid (see _height_grids),
 memoized on the instance by MonomialIdeal._grid, and the saturation's
 heights on that grid, memoized by MonomialIdeal._saturation_grid; the
-saturation, the length of sat(I)/I, the test J <= sat(I) and okounkov's
-simplex counts read them.  The deepest degree of sat(I)/I computes them
-for a stack of grids at once (colength.saturation_max_degrees).  A
-product of large ideals is a min-plus shift of the larger factor's grid,
-trimmed to its own grid and kept for the next link of a power chain.
+saturation, the length of sat(I)/I and okounkov's simplex counts read
+them.  The lemma checks, the deepest degree of sat(I)/I and the test
+J <= sat(I), fill a stack of grids from their rows at once instead
+(_height_grids, stacked), with no memo.  A product of large ideals is
+a min-plus shift of the larger factor's grid, trimmed to its own grid
+and kept for the next link of a power chain.
 Every other ideal is minimalized by one bitset filter on Python ints
 (minimal_vectors), exact at any degree, in about N^2 / 2 bits of memory
 for N candidates.
@@ -131,38 +132,119 @@ def _column_cuts(rows: np.ndarray) -> list[np.ndarray]:
     return [_sorted_distinct(rows[:, k]) for k in range(1, rows.shape[1])]
 
 
-def _height_grids(ideals) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Heights of ideals in one ring on their shared compressed grid.
-
-    Over each column of the last d-1 coordinates, an ideal's height is the
-    least first coordinate at which the column enters it.  Returns (cuts,
-    grids).  cuts[k] holds 0 and every generator's coordinate k+1, sorted:
-    cell i of that axis spans [cuts[k][i], cuts[k][i+1]), and the last cell
-    is unbounded.  grids[j] holds the height of ideals[j] on every cell,
-    _NEVER where it is infinite.  Raises SizeLimitError above
-    MAX_GRID_CELLS cells.
-    """
-    dim = ideals[0].dim
-    rows = [ideal._rows for ideal in ideals]
-    cuts = _column_cuts(np.concatenate(rows))
-    shape = tuple(len(c) for c in cuts)
+def _check_grid_cells(shape) -> None:
     cells = math.prod(shape)
     if cells > MAX_GRID_CELLS:
         raise SizeLimitError(
             f"a height grid of {cells} cells exceeds the limit of {MAX_GRID_CELLS}"
         )
-    grids = []
-    for r in rows:
-        flat = np.zeros(len(r), dtype=np.int64)
+
+
+def _height_grids(ideals, stacked: bool = False):
+    """Heights of ideals in one ring, on their shared grid or each on its own.
+
+    Over each column of the last d-1 coordinates, an ideal's height is the
+    least first coordinate at which the column enters it, _NEVER where it
+    never does.  A grid cuts each column axis at 0 and at generator
+    coordinates: cell i of an axis spans [cuts[i], cuts[i+1]), and the last
+    cell is unbounded.  Every grid or stack of grids takes one
+    np.minimum.at and one np.minimum.accumulate per column axis.  Raises
+    SizeLimitError when one grid passes MAX_GRID_CELLS cells.
+
+    Shared (the default): returns (cuts, grids), where cuts[k] holds 0 and
+    every generator's coordinate k+1, sorted, and grids[j] the heights of
+    ideals[j] on every cell.
+
+    Stacked: each ideal sits on its own cuts (a zero ideal's grid is one
+    cell of _NEVER).  Returns an iterator over chunks (tops, heights), in
+    the order of the ideals, each of at most MAX_GRID_CELLS cells.
+    heights stacks a run of the ideals' grids on a leading axis, each
+    padded along every column axis with copies of its last cells.
+    tops[k][j] holds the upper cuts of the run's j-th grid on axis k+1,
+    cuts[1:], then zeros: the unbounded last cell and the padding read 0.
+    One lexsort per axis over all the ideals' rows gives every ideal's
+    cuts and every row's cell; a chunk is filled only when the iterator
+    reaches it.
+    """
+
+    def fill(firsts, flat, shape):
+        heights = np.full(math.prod(shape), _NEVER, dtype=np.int64)
+        np.minimum.at(heights, flat, firsts)
+        heights = heights.reshape(shape)
+        for axis in range(1, len(shape)):
+            np.minimum.accumulate(heights, axis=axis, out=heights)
+        return heights
+
+    n = len(ideals)
+    if not stacked:
+        rows = np.concatenate([ideal._rows for ideal in ideals]) if n > 1 else ideals[0]._rows
+        cuts = _column_cuts(rows)
+        shape = tuple(map(len, cuts))
+        _check_grid_cells(shape)
+        flat = np.zeros(len(rows), dtype=np.intp)
         for k, c in enumerate(cuts, start=1):
-            flat = flat * len(c) + np.searchsorted(c, r[:, k])
-        grid = np.full(cells, _NEVER, dtype=np.int64)
-        np.minimum.at(grid, flat, r[:, 0])
-        grid = grid.reshape(shape)
-        for axis in range(dim - 1):
-            np.minimum.accumulate(grid, axis=axis, out=grid)
-        grids.append(grid)
-    return cuts, grids
+            flat = flat * len(c) + np.searchsorted(c, rows[:, k])
+        if n > 1:
+            sizes = [len(ideal._rows) for ideal in ideals]
+            flat += np.repeat(np.arange(n) * math.prod(shape), sizes)
+        heights = fill(rows[:, 0], flat, (n, *shape))
+        return cuts, [heights[j, ...] for j in range(n)]
+    if not n:
+        return iter(())
+    # each ideal's rows follow a row (_NEVER, 0, .., 0): it puts 0 among the
+    # ideal's cuts on every axis and lowers no height
+    dim = ideals[0].dim
+    lead = np.zeros((1, dim), dtype=np.int64)
+    lead[0, 0] = _NEVER
+    rows = np.concatenate([part for ideal in ideals for part in (lead, ideal._rows)])
+    sizes = [len(ideal._rows) + 1 for ideal in ideals]
+    owner = np.repeat(np.arange(n), sizes)
+    ends = np.cumsum([0, *sizes])
+    starts = ends[:-1]
+    tops, cells, lengths, wide = [], [], [], []
+    for k in range(1, dim):
+        # sorted by ideal, then value: each ideal's rows keep their places
+        order = np.lexsort((rows[:, k], owner))
+        value = rows[order, k]
+        new = np.empty(len(value), dtype=bool)
+        np.not_equal(value[1:], value[:-1], out=new[1:])
+        new[starts] = True
+        rank = np.cumsum(new)
+        # the place of each sorted value's cut among its own ideal's cuts
+        at = rank - rank[starts][owner]
+        cell = np.empty_like(at)
+        cell[order] = at
+        count = at[ends[1:] - 1] + 1
+        widest = int(count.max())
+        cut = np.zeros((n, widest + 1), dtype=np.int64)
+        cut[owner[new], at[new]] = value[new]
+        tops.append(cut[:, 1:])
+        cells.append(cell)
+        lengths.append(count)
+        wide.append(widest)
+    # one stack, unless the padded grids pass MAX_GRID_CELLS: then runs of
+    # them, each as long as it fits
+    runs = [(0, n, wide)]
+    if n * math.prod(wide) > MAX_GRID_CELLS:
+        runs, start, wide = [], 0, []
+        for i, shape in enumerate(np.reshape(lengths, (dim - 1, n)).T.tolist()):
+            _check_grid_cells(shape)
+            grown = list(map(max, wide, shape)) if i > start else shape
+            if (i + 1 - start) * math.prod(grown) > MAX_GRID_CELLS:
+                runs.append((start, i, wide))
+                start, grown = i, shape
+            wide = grown
+        runs.append((start, n, wide))
+
+    def chunk(a, b, wide):
+        lo, hi = ends[a], ends[b]
+        flat = owner[lo:hi] - a
+        for cell, length in zip(cells, wide):
+            flat = flat * length + cell[lo:hi]
+        part = [top[a:b, :length] for top, length in zip(tops, wide)]
+        return part, fill(rows[lo:hi, 0], flat, (b - a, *wide))
+
+    return (chunk(*run) for run in runs)
 
 
 def _corners(cuts, heights: np.ndarray) -> np.ndarray:

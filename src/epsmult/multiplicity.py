@@ -188,18 +188,20 @@ def theorem_a_table(
 def check_sat_power_containment(ideal: MonomialIdeal, i_max: int) -> ContainmentCheck:
     """Verify saturate(I)^i lies inside saturate(I^i) for i = 1..i_max.
 
-    Each sat(I^i) is read off I^i's grid; a saturated I, with sat(I)^i = I^i,
-    passes with no power formed.
+    Every sat(I^i) is read off I^i's grid, all of them in one stacked pass
+    over I^1..I^i_max (colength.inside_saturation), with no saturation
+    ideal formed past sat(I); first_failure is the least failing i.  A
+    saturated I, with sat(I)^i = I^i, passes with no power formed.
     """
     i_max = _exact_int(i_max, "i_max", 1)
     sat = ideal.saturate()
     if sat is ideal:
         return ContainmentCheck(True, None)
     sat_powers, powers = GradedFamilySpec(sat), GradedFamilySpec(ideal)
-    for i in range(1, i_max + 1):
-        if not inside_saturation(sat_powers(i), powers(i)):
-            return ContainmentCheck(False, i)
-    return ContainmentCheck(True, None)
+    steps = range(1, i_max + 1)
+    inside = inside_saturation([sat_powers(i) for i in steps], [powers(i) for i in steps])
+    first = next((i for i, ok in zip(steps, inside) if not ok), None)
+    return ContainmentCheck(first is None, first)
 
 
 def swanson_c_search(
@@ -216,9 +218,10 @@ def swanson_c_search(
     at most that of (mk, 1).  The max over the grid is therefore the max
     over n = 1..mk_bound of the pairs (n, 1), read as
     difference_max_degree(I^n, None) for the whole chain in one stacked
-    pass over the powers' own grids (colength.saturation_max_degrees),
-    with no saturation ideal formed; it is None if it exceeds c_max.  This
-    falsifies or corroborates on a grid --- it proves nothing beyond it.
+    pass (colength.saturation_max_degrees): one fill of the powers' own
+    grids from their rows, with no grid memo filled and no saturation
+    ideal formed.  The max is None if it exceeds c_max.  This falsifies
+    or corroborates on a grid --- it proves nothing beyond it.
     """
     if ideal.is_zero or ideal.is_unit:
         raise ZeroIdealError("the truncation search needs an ideal that is neither zero nor the ring")

@@ -283,7 +283,10 @@ class TestExitCodes:
         assert "# lemma3: 1/1 pass" in capsys.readouterr().out
 
     def test_failed_containment_is_3(self, capsys, monkeypatch):
-        monkeypatch.setattr(mult_mod, "inside_saturation", lambda ideal, power: False)
+        # the batched check answers for every i at once: all fail
+        monkeypatch.setattr(
+            mult_mod, "inside_saturation", lambda ideals, powers: [False] * len(ideals)
+        )
         assert main(["lemmas", "-i", X2_XY, "--nmax", "0", "--format", "json"]) == 3
         report = json.loads(capsys.readouterr().out)
         assert report["rows"][0]["lemma3_ok"] is False
@@ -614,9 +617,9 @@ class TestNoRecomputation:
         assert saturated == [base.generators]
 
     def test_each_grid_takes_one_saturation_pass(self, capsys, monkeypatch):
-        # a lemmas row reads sat(I^i) off I^i's grid in both checks, and
-        # sat(I) in saturate() too; beta_stability counts one level at every
-        # beta.  Each grid's saturation heights are computed once and shared.
+        # a lemmas row reads sat(I^i) off one stack of the I^i in each check,
+        # and sat(I) in saturate(); beta_stability counts one level at every
+        # beta.  Each grid or stack takes one saturation-height pass.
         grids = []  # kept alive, so that no two grids share an id
         heights = ideals_mod._saturation_heights
 

@@ -517,55 +517,89 @@ class TestSaturationMaxDegrees:
         cap = 2 * largest
         stacks = []
         colength_mod = importlib.import_module("epsmult.colength")
+        ideals_mod = importlib.import_module("epsmult.ideals")
         heights = colength_mod._saturation_heights
 
         def recorded(stack):
             stacks.append(stack.size)
             return heights(stack)
 
-        monkeypatch.setattr(colength_mod, "MAX_GRID_CELLS", cap)
+        # the stacked fill splits the chain; the fresh chain's products
+        # read the same cap
+        monkeypatch.setattr(ideals_mod, "MAX_GRID_CELLS", cap)
         monkeypatch.setattr(colength_mod, "_saturation_heights", recorded)
         assert swanson_c_search(MonomialIdeal(4, ideal.generators)).per_pair == want
         assert len(stacks) >= 3 and max(stacks) <= cap < sum(stacks)
 
 
 class TestInsideSaturation:
-    """inside_saturation(J, I) against subideal(J, I.saturate())."""
+    """inside_saturation(Js, Ps) on one stack of the Ps, against subideal per pair."""
 
     @staticmethod
-    def _agrees(ideal, power):
-        return inside_saturation(ideal, power) == subideal(ideal, power.saturate())
+    def _per_pair(ideals, powers):
+        # a fresh copy of each saturation, away from the memos
+        return [
+            subideal(J, MonomialIdeal(P.dim, P.saturate().generators))
+            for J, P in zip(ideals, powers)
+        ]
 
     def test_saturated_powers_match_the_ideal_containment(self):
         for I in corpus(7, 48, max_dim=4):
             sat = I.saturate()
-            for i in range(1, 5):
-                assert inside_saturation(sat.power(i), I.power(i)), (I, i)
-                assert self._agrees(sat.power(i), I.power(i)), (I, i)
+            ideals, powers = [sat.power(i) for i in range(1, 5)], [I.power(i) for i in range(1, 5)]
+            assert inside_saturation(ideals, powers) == [True] * 4, I
+            assert self._per_pair(ideals, powers) == [True] * 4, I
 
     def test_cross_pairs_match_the_ideal_containment(self):
         outcomes = set()
         ideals = list(corpus(7, 48, max_dim=4))
         for I, J in zip(ideals, ideals[1:] + ideals[:1]):
             pairs = [(I, I.power(2)), (I.power(2), I)] + [(J, I)] * (I.dim == J.dim)
-            for ideal, power in pairs:
-                assert self._agrees(ideal, power), (ideal, power)
-                outcomes.add(inside_saturation(ideal, power))
+            got = inside_saturation(*zip(*pairs))
+            assert got == self._per_pair(*zip(*pairs)), pairs
+            outcomes.update(got)
         assert outcomes == {True, False}
+
+    def test_one_stack_holds_every_pair_of_a_ring(self):
+        # every 3-variable pair of the corpus, in one call: unrelated grids
+        # of many shapes share the stack, and the answers stay per pair
+        ideals = [I for I in corpus(7, 48, max_dim=4) if I.dim == 3]
+        pairs = [(I, J) for I in ideals[:6] for J in ideals[:6]]
+        got = inside_saturation(*zip(*pairs))
+        assert got == self._per_pair(*zip(*pairs))
+        assert set(got) == {True, False}
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_zero_and_unit(self, dim):
         zero, unit, m = zero_ideal(dim), unit_ideal(dim), maximal_ideal(dim)
         lone = MonomialIdeal(dim, [(1,) + (0,) * (dim - 1)])
-        for ideal in (zero, unit, m, lone):
-            for power in (zero, unit, m, lone):
-                assert self._agrees(ideal, power), (ideal, power)
-        assert inside_saturation(zero, zero) and not inside_saturation(unit, zero)
-        assert inside_saturation(unit, m) and inside_saturation(unit, lone) == (dim == 1)
+        pool = (zero, unit, m, lone)
+        pairs = [(ideal, power) for ideal in pool for power in pool]
+        assert inside_saturation(*zip(*pairs)) == self._per_pair(*zip(*pairs))
+        assert inside_saturation([zero, unit], [zero, zero]) == [True, False]
+        assert inside_saturation([unit, unit], [m, lone]) == [True, dim == 1]
+
+    def test_the_lookup_fills_no_memo(self):
+        I = MonomialIdeal(3, [(2, 1, 0), (0, 2, 1), (1, 0, 2)])
+        sat, powers = I.saturate(), [I.power(i) for i in range(1, 5)]
+        assert inside_saturation([sat.power(i) for i in range(1, 5)], powers) == [True] * 4
+        # I^2..I^4 are pairwise products (at most 10 * 3 pairs), which keep
+        # no grid; I's own memos are saturate()'s
+        assert all(getattr(P, "_heights", None) is None for P in powers[1:])
+        assert all(getattr(P, "_sat_heights", None) is None for P in powers[1:])
+
+    def test_empty_lists_give_empty_answers(self):
+        assert inside_saturation([], []) == [] and saturation_max_degrees([]) == []
+
+    def test_one_power_per_ideal(self):
+        with pytest.raises(ValueError, match="2 ideals need as many powers, got 1"):
+            inside_saturation([X2_XY, X2_XY], [X2_XY])
 
     def test_dimension_mismatch_raises(self):
         with pytest.raises(DimensionMismatchError):
-            inside_saturation(X2_XY, maximal_ideal(3))
+            inside_saturation([X2_XY], [maximal_ideal(3)])
+        with pytest.raises(DimensionMismatchError):
+            inside_saturation([X2_XY, maximal_ideal(3)], [X2_XY, maximal_ideal(3)])
 
 
 # Exponents near 10^6 put these far past enumeration (about 10^12 columns)

@@ -774,6 +774,103 @@ class TestGridProduct:
                     arr[...] = 0
 
 
+# chains to n = 12 that cross the grid-product cutover: their stacks mix
+# grids built from rows with grids that products kept
+CROSSING = [
+    MonomialIdeal(2, [(5, 0), (4, 1), (2, 2), (1, 4)]),
+    MonomialIdeal(4, [(2, 0, 0, 0), (1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1)]),
+]
+
+
+def _chain(ideal, n_max=12):
+    """I^1..I^n_max on a fresh copy of I, so that no memo of another test is read."""
+    copy = MonomialIdeal(ideal.dim, ideal.generators)
+    return [copy.power(n) for n in range(1, n_max + 1)]
+
+
+class TestStackedHeightGrids:
+    """_height_grids(.., stacked=True) against each ideal's own _grid()."""
+
+    @staticmethod
+    def _check(ideals) -> list[int]:
+        """Every stacked entry against its ideal's _grid(); returns each chunk's cells."""
+        memos = [getattr(ideal, "_heights", None) for ideal in ideals]
+        chunks = list(ideals_mod._height_grids(ideals, stacked=True))
+        # the fill keeps no grid on any ideal
+        assert [getattr(ideal, "_heights", None) for ideal in ideals] == memos
+        entries = [(tops, heights, i) for tops, heights in chunks for i in range(len(heights))]
+        assert len(entries) == len(ideals)
+        for ideal, (tops, heights, i) in zip(ideals, entries):
+            cuts, want = ideal._grid()
+            got = heights[i, ...]
+            assert np.array_equal(got[tuple(map(slice, want.shape))], want), ideal
+            # every padded cell repeats the last cell of each axis it passes
+            last = [np.minimum(np.arange(n), s - 1) for n, s in zip(got.shape, want.shape)]
+            assert np.array_equal(got, want[np.ix_(*last)]), ideal
+            assert len(tops) == len(cuts) == ideal.dim - 1
+            for top, c in zip(tops, cuts):
+                assert np.array_equal(top[i, : len(c) - 1], c[1:]), ideal
+                assert not top[i, len(c) - 1 :].any(), ideal
+        return [heights.size for _, heights in chunks]
+
+    @pytest.mark.parametrize(
+        "pool",
+        [
+            pytest.param(lemma_pool, id="lemma-pool"),
+            pytest.param(lambda: corpus(7, 48, max_dim=4), id="corpus-7-48-4d"),
+            pytest.param(lambda: CROSSING, id="crossing-the-cutover"),
+            pytest.param(
+                lambda: [MonomialIdeal(1, [(3,)]), MonomialIdeal(1, [(1,)])], id="one-variable"
+            ),
+        ],
+    )
+    def test_chains_match_their_own_grids(self, pool):
+        for ideal in pool():
+            assert len(self._check(_chain(ideal))) == 1
+
+    def test_crossing_chains_mix_kept_and_filled_grids(self):
+        for ideal in CROSSING:
+            chain = _chain(ideal)
+            kept = [getattr(power, "_heights", None) is not None for power in chain]
+            assert any(kept) and not all(kept)
+            sizes = [len(power.generators) * len(ideal.generators) for power in chain[:-1]]
+            assert min(sizes) < ideals_mod._GRID_CUTOVER <= max(sizes)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_unit_maximal_and_a_lone_monomial(self, dim):
+        # one cell of height 0; height 1 at the origin and 0 elsewhere; and
+        # x_1 x_2 .. x_d, which no column with a zero coordinate enters
+        ideals = [unit_ideal(dim), maximal_ideal(dim), MonomialIdeal(dim, [(1,) * dim])]
+        self._check(ideals)
+        self._check(ideals[::-1])
+
+    def test_unrelated_ideals_share_one_stack(self):
+        ideals = [ideal for ideal in corpus(7, 48, max_dim=4) if ideal.dim == 3]
+        assert len(ideals) > 10 and len(self._check(ideals)) == 1
+
+    def test_an_empty_list_gives_no_chunk(self):
+        assert list(ideals_mod._height_grids([], stacked=True)) == []
+
+    def test_at_the_int64_bound(self):
+        # heights and cuts of 2a = 2^61, the degree limit, stay exact
+        a = 1 << 60
+        ideal = MonomialIdeal(4, [(a, 0, 0, 0), (0, a, 0, 0), (0, 0, a, 0), (0, 0, 0, a)])
+        chain = _chain(ideal, 2)
+        self._check(chain)
+        ((tops, heights),) = ideals_mod._height_grids(chain, stacked=True)
+        assert int(heights.max()) == 2 * a and [int(top.max()) for top in tops] == [2 * a] * 3
+
+    def test_chunks_split_under_a_lowered_cap(self, monkeypatch):
+        chain = _chain(CROSSING[1])
+        largest = max(power._grid()[1].size for power in chain)
+        monkeypatch.setattr(ideals_mod, "MAX_GRID_CELLS", 2 * largest)
+        sizes = self._check(chain)
+        assert len(sizes) >= 3 and max(sizes) <= 2 * largest < sum(sizes)
+        monkeypatch.setattr(ideals_mod, "MAX_GRID_CELLS", largest - 1)
+        with pytest.raises(SizeLimitError, match="height grid"):
+            ideals_mod._height_grids(chain, stacked=True)
+
+
 class TestLazyGenerators:
     """Generator tuples are built from the rows on first read; the rows are the value."""
 

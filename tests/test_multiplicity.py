@@ -30,7 +30,7 @@ from epsmult import (
 from epsmult import ideals as ideals_mod
 from epsmult import multiplicity as mult_mod
 from epsmult.ideals import DEGREE_LIMIT
-from oracle_utils import lemma_pool, swanson_grid, swanson_truncation_agrees
+from oracle_utils import lemma_pool, subideal, swanson_grid, swanson_truncation_agrees
 
 GOLDEN = Path(__file__).parent / "golden"
 X2_XY = MonomialIdeal(2, [(2, 0), (1, 1)])
@@ -345,13 +345,42 @@ class TestContainmentLemma:
         assert res.ok and res.first_failure is None
 
     def test_first_failure_is_reported(self, monkeypatch):
-        monkeypatch.setattr(mult_mod, "inside_saturation", lambda ideal, power: False)
+        monkeypatch.setattr(
+            mult_mod, "inside_saturation", lambda ideals, powers: [False] * len(ideals)
+        )
         assert check_sat_power_containment(X2_XY, 4) == ContainmentCheck(False, 1)
+
+    @pytest.mark.parametrize("first", [1, 3, 5])
+    def test_first_failure_matches_the_per_power_loop(self, first, monkeypatch):
+        # I^first and I^5 = I^i_max are swapped for x^64 times themselves,
+        # whose saturation lies inside (x^64): sat(I)^i is no longer inside
+        ideal = MonomialIdeal(3, [(2, 1, 0), (0, 2, 1), (1, 0, 2)])
+        assert ideal.saturate() is not ideal
+        shift = MonomialIdeal(3, [(64, 0, 0)])
+        batched, seen = mult_mod.inside_saturation, []
+
+        def injected(ideals, powers):
+            powers = [P * shift if i in (first, 5) else P for i, P in enumerate(powers, 1)]
+            seen.append((ideals, powers))
+            return batched(ideals, powers)
+
+        monkeypatch.setattr(mult_mod, "inside_saturation", injected)
+        got = check_sat_power_containment(ideal, 5)
+        ((ideals, powers),) = seen
+        # the per-power loop: each pair against the saturation ideal itself
+        loop = next(
+            i
+            for i, (J, P) in enumerate(zip(ideals, powers), 1)
+            if not subideal(J, MonomialIdeal(3, P.saturate().generators))
+        )
+        assert got == ContainmentCheck(False, loop) and loop == first
 
     def test_saturated_ideal_forms_no_power(self, products, monkeypatch):
         # sat(I)^i = I^i lies in sat(I^i) by definition
         ideal = MonomialIdeal(3, [(0, 2, 2), (1, 0, 1), (2, 0, 0)])
-        monkeypatch.setattr(mult_mod, "inside_saturation", lambda ideal, power: False)
+        monkeypatch.setattr(
+            mult_mod, "inside_saturation", lambda ideals, powers: [False] * len(ideals)
+        )
         assert check_sat_power_containment(ideal, 6) == ContainmentCheck(True, None)
         assert products == [] and getattr(ideal, "_powers", None) is None
         with pytest.raises(ValueError, match="i_max"):
@@ -494,6 +523,30 @@ class TestSwanson:
         # every pair (n, 1) reads sat(I^n) off I^n's own grid
         assert calls == []
         assert len(products) == 11 and all(other is base for other in products)
+
+
+class TestRecordedLemmaChecks:
+    """Both lemma checks as recorded before they read one stacked fill per check."""
+
+    POOLS = {
+        "lemma_pool": lemma_pool,
+        "corpus-1-50": lambda: corpus(1, 50),
+        "corpus-7-48-4d": lambda: corpus(7, 48, max_dim=4),
+    }
+
+    @pytest.mark.parametrize("pool", sorted(POOLS))
+    def test_reports_match_the_recording(self, pool):
+        # containment at i_max = 6, and c for the pairs (n, 1), n = 1..12
+        recorded = json.loads((GOLDEN / "lemma_check_reports.json").read_text(encoding="utf-8"))
+        entries = [entry for entry in recorded if entry["pool"] == pool]
+        ideals = self.POOLS[pool]()
+        assert len(entries) == len(ideals) > 40
+        for entry, ideal in zip(entries, ideals):
+            assert ideal == MonomialIdeal(entry["dim"], entry["generators"])
+            check = check_sat_power_containment(ideal, 6)
+            assert [check.ok, check.first_failure] == entry["containment"], ideal
+            want = tuple((n, 1, c) for n, c in enumerate(entry["c"], 1))
+            assert swanson_c_search(ideal).per_pair == want, ideal
 
 
 def test_amao_result_guard():

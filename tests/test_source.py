@@ -213,3 +213,26 @@ def test_every_public_function_has_a_caller_in_src():
     assert not extra, f"public functions with no caller in src: {extra}"
     # an entry point that gains a caller in src leaves the list
     assert [name for name, _ in uncalled] == sorted(ENTRY_POINTS)
+
+
+def test_heights_are_filled_in_one_place():
+    # ideals._height_grids fills every height grid, alone or stacked, so
+    # no second filler can drift from its cuts or its padding
+    fills = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owners: dict[int, str] = {}
+        # ast.walk meets an outer function before the functions it nests
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                for line in range(fn.lineno, fn.end_lineno + 1):
+                    owners.setdefault(line, f"{path.stem}.{fn.name}")
+        fills += [
+            owners.get(node.lineno, path.stem)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and node.attr == "at"
+            and isinstance(node.value, ast.Attribute)
+            and node.value.attr == "minimum"
+        ]
+    assert fills == ["ideals._height_grids"]
