@@ -13,18 +13,19 @@ difference and reads no grid.  colength(I, None) and
 difference_max_degree(I, None) read sat(I) off I's own grid without
 forming the saturation ideal; there the containment and finiteness checks
 hold by construction and are skipped.  Any other pair gets a fresh grid
-from ideals._height_grids.  The two lemma checks read lists of ideals,
-each on its own grid, in one stacked fill per chunk from their rows
-(ideals._height_grids, stacked) that fills no memo:
-saturation_max_degrees gives difference_max_degree(I, None) for each,
-and inside_saturation(Js, Ps) tells whether each J <= sat(P).  One
-masked maximum, _stacked_max_degrees, gives every deepest degree, of a
-stack or of a single difference.  Containment, finiteness, the length
-and the deepest degree of the difference are array expressions over
-those cells.  A length or degree runs in int64 while a bound on its
-partial sums (the largest depth times the product of the axes' last
-cuts; the largest height plus their sum) stays below _INT64_BOUND =
-2^63, and in Python integers past it, exactly.
+from ideals._height_grids.  For P <= J, the finiteness of J/P is the
+containment J <= sat(P), and is_finite_colength is the package's one test
+of it.  The truncation search reads a list of ideals, each on its own
+grid, in one stacked fill per chunk from their rows (ideals._height_grids,
+stacked) that fills no memo: saturation_max_degrees gives
+difference_max_degree(I, None) for each.  One masked maximum,
+_stacked_max_degrees, gives every deepest degree, of a stack or of a
+single difference.  Containment, finiteness, the length and the deepest
+degree of the difference are array expressions over those cells.  A
+length or degree runs in int64 while a bound on its partial sums (the
+largest depth times the product of the axes' last cuts; the largest
+height plus their sum) stays below _INT64_BOUND = 2^63, and in Python
+integers past it, exactly.
 """
 
 from __future__ import annotations
@@ -78,6 +79,8 @@ def is_finite_colength(inner: MonomialIdeal, outer: MonomialIdeal) -> bool:
 
     Finiteness is equivalent to outer lying inside the saturation of
     inner: the quotient is then killed by a power of the maximal ideal.
+    This is the package's one test of J <= sat(P) for P <= J, read off
+    the pair's grid with no saturation ideal formed.
     """
     try:
         _difference_cells(inner, outer)
@@ -159,47 +162,3 @@ def _stacked_max_degrees(tops, heights: np.ndarray, mask: np.ndarray) -> list[in
     deepest = np.where(mask, heights, -1).reshape(len(heights), -1).max(axis=1)
     return [None if top < 0 else int(top) - len(tops) - 1 for top in deepest]
 
-
-def inside_saturation(ideals, powers) -> list[bool]:
-    """Whether ideals[j] <= sat(powers[j]) for each j, read off stacks of the powers' grids.
-
-    A generator g = (g_1, g') lies in sat(P) iff g_1 reaches the
-    saturation's height over the cell of P's grid that holds the column
-    g'.  The powers' grids and their saturations' heights take one pass
-    per stack (ideals._height_grids, stacked), and no memo is filled.
-    The zero ideal has no generator, so it lies in every saturation; a
-    zero power's grid is one cell of _NEVER, so no other ideal lies in
-    sat(0) = 0.  All the ideals live in one ring.
-    """
-    if len(ideals) != len(powers):
-        raise ValueError(f"{len(ideals)} ideals need as many powers, got {len(powers)}")
-    for ideal in (*ideals, *powers):
-        ideal._check_same_dim(powers[0])
-    inside: list[bool] = []
-    for tops, heights in _height_grids(powers, stacked=True):
-        part = ideals[len(inside) : len(inside) + len(heights)]
-        rows = np.concatenate([ideal._rows for ideal in part])
-        owner = np.arange(len(part)).repeat([len(ideal._rows) for ideal in part])
-        cell = (owner, *(_cells_of(top, owner, rows[:, k]) for k, top in enumerate(tops, 1)))
-        short = _saturation_heights(heights)[cell] > rows[:, 0]
-        inside += (np.bincount(owner[short], minlength=len(part)) == 0).tolist()
-    return inside
-
-
-def _cells_of(top: np.ndarray, owner: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """The cell of each value along one axis of its owner's grid.
-
-    top holds each grid's upper cuts on the axis, zero-padded, one grid a
-    row, and the cell is the number of the owner's upper cuts at or below
-    the value.  One stable lexsort puts each value after its owner's cuts
-    at or below it.
-    """
-    at = np.nonzero(top)
-    order = np.lexsort((np.concatenate((top[at], values)), np.concatenate((at[0], owner))))
-    value = order >= len(at[0])
-    count = np.count_nonzero(top, axis=1)
-    place = order[value] - len(at[0])
-    cell = np.empty(len(values), dtype=np.intp)
-    # the cuts up to each value's place, less those of the earlier grids
-    cell[place] = np.cumsum(~value)[value] - (np.cumsum(count) - count)[owner[place]]
-    return cell

@@ -18,8 +18,8 @@ Every nonzero ideal has a compressed height grid (see _height_grids),
 memoized on the instance by MonomialIdeal._grid, and the saturation's
 heights on that grid, memoized by MonomialIdeal._saturation_grid; the
 saturation, the length of sat(I)/I and okounkov's simplex counts read
-them.  The lemma checks, the deepest degree of sat(I)/I and the test
-J <= sat(I), fill a stack of grids from their rows at once instead
+them.  The truncation search, the deepest degree of sat(I)/I over a
+chain of powers, fills a stack of grids from their rows at once instead
 (_height_grids, stacked), with no memo.  A product of large ideals is
 a min-plus shift of the larger factor's grid, trimmed to its own grid
 and kept for the next link of a power chain.

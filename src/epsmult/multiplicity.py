@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .colength import colength, inside_saturation, saturation_max_degrees
+from .colength import colength, is_finite_colength, saturation_max_degrees
 from .errors import EpsmultError, InconclusiveError, InsufficientDataError, ZeroIdealError
 from .families import GradedFamilySpec
 from .ideals import MonomialIdeal, _exact_int
@@ -188,19 +188,18 @@ def theorem_a_table(
 def check_sat_power_containment(ideal: MonomialIdeal, i_max: int) -> ContainmentCheck:
     """Verify saturate(I)^i lies inside saturate(I^i) for i = 1..i_max.
 
-    Every sat(I^i) is read off I^i's grid, all of them in one stacked pass
-    over I^1..I^i_max (colength.inside_saturation), with no saturation
-    ideal formed past sat(I); first_failure is the least failing i.  A
-    saturated I, with sat(I)^i = I^i, passes with no power formed.
+    As I^i <= sat(I)^i, that is is_finite_colength(I^i, sat(I)^i), read
+    off the pair's grid with no saturation formed past sat(I).  i = 1 and
+    a saturated I (sat(I)^i = I^i) pass by definition, forming no power;
+    first_failure is the least failing i, and no later power is formed.
     """
     i_max = _exact_int(i_max, "i_max", 1)
     sat = ideal.saturate()
     if sat is ideal:
         return ContainmentCheck(True, None)
     sat_powers, powers = GradedFamilySpec(sat), GradedFamilySpec(ideal)
-    steps = range(1, i_max + 1)
-    inside = inside_saturation([sat_powers(i) for i in steps], [powers(i) for i in steps])
-    first = next((i for i, ok in zip(steps, inside) if not ok), None)
+    steps = range(2, i_max + 1)
+    first = next((i for i in steps if not is_finite_colength(powers(i), sat_powers(i))), None)
     return ContainmentCheck(first is None, first)
 
 

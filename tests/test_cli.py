@@ -283,14 +283,12 @@ class TestExitCodes:
         assert "# lemma3: 1/1 pass" in capsys.readouterr().out
 
     def test_failed_containment_is_3(self, capsys, monkeypatch):
-        # the batched check answers for every i at once: all fail
-        monkeypatch.setattr(
-            mult_mod, "inside_saturation", lambda ideals, powers: [False] * len(ideals)
-        )
+        # every i from 2 on fails; i = 1 holds by definition
+        monkeypatch.setattr(mult_mod, "is_finite_colength", lambda inner, outer: False)
         assert main(["lemmas", "-i", X2_XY, "--nmax", "0", "--format", "json"]) == 3
         report = json.loads(capsys.readouterr().out)
         assert report["rows"][0]["lemma3_ok"] is False
-        assert report["rows"][0]["lemma3_first_failure"] == 1
+        assert report["rows"][0]["lemma3_first_failure"] == 2
         assert report["lemma3_passes"] == 0
 
     def test_infinite_quotient_is_3(self, capsys):

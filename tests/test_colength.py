@@ -25,7 +25,7 @@ from epsmult import (
     zero_ideal,
 )
 
-from epsmult.colength import inside_saturation, saturation_max_degrees
+from epsmult.colength import saturation_max_degrees
 from epsmult.ideals import _GRID_CUTOVER, _height_grids
 from oracle_utils import (
     brute_colength,
@@ -533,73 +533,58 @@ class TestSaturationMaxDegrees:
 
 
 class TestInsideSaturation:
-    """inside_saturation(Js, Ps) on one stack of the Ps, against subideal per pair."""
+    """is_finite_colength(P, J) as the containment J <= sat(P) of nested P <= J."""
 
     @staticmethod
-    def _per_pair(ideals, powers):
-        # a fresh copy of each saturation, away from the memos
-        return [
-            subideal(J, MonomialIdeal(P.dim, P.saturate().generators))
-            for J, P in zip(ideals, powers)
-        ]
+    def _inside(inner, outer):
+        # a fresh copy of the saturation, away from the memos
+        return subideal(outer, MonomialIdeal(inner.dim, inner.saturate().generators))
 
     def test_saturated_powers_match_the_ideal_containment(self):
         for I in corpus(7, 48, max_dim=4):
             sat = I.saturate()
-            ideals, powers = [sat.power(i) for i in range(1, 5)], [I.power(i) for i in range(1, 5)]
-            assert inside_saturation(ideals, powers) == [True] * 4, I
-            assert self._per_pair(ideals, powers) == [True] * 4, I
+            for i in range(1, 5):
+                pair = (I.power(i), sat.power(i))
+                assert is_finite_colength(*pair) and self._inside(*pair), (I, i)
 
     def test_cross_pairs_match_the_ideal_containment(self):
+        # I^2 <= I, with I inside sat(I^2) for some ideals and not others
         outcomes = set()
-        ideals = list(corpus(7, 48, max_dim=4))
-        for I, J in zip(ideals, ideals[1:] + ideals[:1]):
-            pairs = [(I, I.power(2)), (I.power(2), I)] + [(J, I)] * (I.dim == J.dim)
-            got = inside_saturation(*zip(*pairs))
-            assert got == self._per_pair(*zip(*pairs)), pairs
-            outcomes.update(got)
+        for I in corpus(7, 48, max_dim=4):
+            got = is_finite_colength(I.power(2), I)
+            assert got == self._inside(I.power(2), I), I
+            outcomes.add(got)
         assert outcomes == {True, False}
-
-    def test_one_stack_holds_every_pair_of_a_ring(self):
-        # every 3-variable pair of the corpus, in one call: unrelated grids
-        # of many shapes share the stack, and the answers stay per pair
-        ideals = [I for I in corpus(7, 48, max_dim=4) if I.dim == 3]
-        pairs = [(I, J) for I in ideals[:6] for J in ideals[:6]]
-        got = inside_saturation(*zip(*pairs))
-        assert got == self._per_pair(*zip(*pairs))
-        assert set(got) == {True, False}
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_zero_and_unit(self, dim):
         zero, unit, m = zero_ideal(dim), unit_ideal(dim), maximal_ideal(dim)
         lone = MonomialIdeal(dim, [(1,) + (0,) * (dim - 1)])
-        pool = (zero, unit, m, lone)
-        pairs = [(ideal, power) for ideal in pool for power in pool]
-        assert inside_saturation(*zip(*pairs)) == self._per_pair(*zip(*pairs))
-        assert inside_saturation([zero, unit], [zero, zero]) == [True, False]
-        assert inside_saturation([unit, unit], [m, lone]) == [True, dim == 1]
+        pool = (zero, lone, m, unit)
+        pairs = [(P, J) for P in pool for J in pool if subideal(P, J)]
+        assert [is_finite_colength(*pair) for pair in pairs] == [
+            self._inside(*pair) for pair in pairs
+        ]
+        assert [is_finite_colength(zero, J) for J in (zero, m, unit)] == [True, False, False]
+        assert [is_finite_colength(P, unit) for P in (m, lone)] == [True, dim == 1]
 
     def test_the_lookup_fills_no_memo(self):
         I = MonomialIdeal(3, [(2, 1, 0), (0, 2, 1), (1, 0, 2)])
         sat, powers = I.saturate(), [I.power(i) for i in range(1, 5)]
-        assert inside_saturation([sat.power(i) for i in range(1, 5)], powers) == [True] * 4
+        assert all(is_finite_colength(P, sat.power(i)) for i, P in enumerate(powers, 1))
         # I^2..I^4 are pairwise products (at most 10 * 3 pairs), which keep
         # no grid; I's own memos are saturate()'s
         assert all(getattr(P, "_heights", None) is None for P in powers[1:])
         assert all(getattr(P, "_sat_heights", None) is None for P in powers[1:])
 
     def test_empty_lists_give_empty_answers(self):
-        assert inside_saturation([], []) == [] and saturation_max_degrees([]) == []
-
-    def test_one_power_per_ideal(self):
-        with pytest.raises(ValueError, match="2 ideals need as many powers, got 1"):
-            inside_saturation([X2_XY, X2_XY], [X2_XY])
+        assert saturation_max_degrees([]) == []
 
     def test_dimension_mismatch_raises(self):
         with pytest.raises(DimensionMismatchError):
-            inside_saturation([X2_XY], [maximal_ideal(3)])
+            is_finite_colength(X2_XY, maximal_ideal(3))
         with pytest.raises(DimensionMismatchError):
-            inside_saturation([X2_XY, maximal_ideal(3)], [X2_XY, maximal_ideal(3)])
+            is_finite_colength(maximal_ideal(3), X2_XY)
 
 
 # Exponents near 10^6 put these far past enumeration (about 10^12 columns)

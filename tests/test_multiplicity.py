@@ -345,46 +345,54 @@ class TestContainmentLemma:
         assert res.ok and res.first_failure is None
 
     def test_first_failure_is_reported(self, monkeypatch):
-        monkeypatch.setattr(
-            mult_mod, "inside_saturation", lambda ideals, powers: [False] * len(ideals)
-        )
-        assert check_sat_power_containment(X2_XY, 4) == ContainmentCheck(False, 1)
+        # i = 1 holds by definition, so the first i to fail is 2
+        monkeypatch.setattr(mult_mod, "is_finite_colength", lambda inner, outer: False)
+        assert check_sat_power_containment(X2_XY, 4) == ContainmentCheck(False, 2)
 
-    @pytest.mark.parametrize("first", [1, 3, 5])
+    @pytest.mark.parametrize("first", [2, 3, 5])
     def test_first_failure_matches_the_per_power_loop(self, first, monkeypatch):
         # I^first and I^5 = I^i_max are swapped for x^64 times themselves,
         # whose saturation lies inside (x^64): sat(I)^i is no longer inside
         ideal = MonomialIdeal(3, [(2, 1, 0), (0, 2, 1), (1, 0, 2)])
         assert ideal.saturate() is not ideal
         shift = MonomialIdeal(3, [(64, 0, 0)])
-        batched, seen = mult_mod.inside_saturation, []
+        finite, seen = mult_mod.is_finite_colength, []
 
-        def injected(ideals, powers):
-            powers = [P * shift if i in (first, 5) else P for i, P in enumerate(powers, 1)]
-            seen.append((ideals, powers))
-            return batched(ideals, powers)
+        def injected(inner, outer):
+            # the pairs come in the order i = 2, 3, ..
+            if len(seen) + 2 in (first, 5):
+                inner = inner * shift
+            seen.append((inner, outer))
+            return finite(inner, outer)
 
-        monkeypatch.setattr(mult_mod, "inside_saturation", injected)
+        monkeypatch.setattr(mult_mod, "is_finite_colength", injected)
         got = check_sat_power_containment(ideal, 5)
-        ((ideals, powers),) = seen
         # the per-power loop: each pair against the saturation ideal itself
         loop = next(
             i
-            for i, (J, P) in enumerate(zip(ideals, powers), 1)
+            for i, (P, J) in enumerate(seen, 2)
             if not subideal(J, MonomialIdeal(3, P.saturate().generators))
         )
         assert got == ContainmentCheck(False, loop) and loop == first
+        # no pair past the first failure is read
+        assert len(seen) == first - 1
 
     def test_saturated_ideal_forms_no_power(self, products, monkeypatch):
         # sat(I)^i = I^i lies in sat(I^i) by definition
         ideal = MonomialIdeal(3, [(0, 2, 2), (1, 0, 1), (2, 0, 0)])
-        monkeypatch.setattr(
-            mult_mod, "inside_saturation", lambda ideals, powers: [False] * len(ideals)
-        )
+        monkeypatch.setattr(mult_mod, "is_finite_colength", lambda inner, outer: False)
         assert check_sat_power_containment(ideal, 6) == ContainmentCheck(True, None)
         assert products == [] and getattr(ideal, "_powers", None) is None
         with pytest.raises(ValueError, match="i_max"):
             check_sat_power_containment(ideal, 0)
+
+    def test_first_power_forms_no_power(self, products, monkeypatch):
+        # sat(I)^1 = sat(I) lies in sat(I^1) by definition
+        ideal = MonomialIdeal(3, [(2, 1, 0), (0, 2, 1), (1, 0, 2)])
+        monkeypatch.setattr(mult_mod, "is_finite_colength", lambda inner, outer: False)
+        assert ideal.saturate() is not ideal
+        assert check_sat_power_containment(ideal, 1) == ContainmentCheck(True, None)
+        assert products == [] and getattr(ideal, "_powers", None) is None
 
     def test_forms_no_saturation_past_the_ideal_s(self, monkeypatch):
         ideal = MonomialIdeal(3, [(2, 1, 0), (0, 2, 1), (1, 0, 2)])

@@ -174,7 +174,6 @@ def test_ideals_are_formed_in_one_place():
 ENTRY_POINTS = {
     "colon": "acceptance criterion 8",
     "difference_max_degree": "the pair oracle of the truncation search (oracle_utils.swanson_grid)",
-    "is_finite_colength": "acceptance criterion 8",
     "beta_stability": "acceptance criterion 6",
     "maximal_ideal": "acceptance criterion 2",
     "k_fold_sum_count": "acceptance criterion 5 and the volumes_2d sumset operation",
@@ -215,10 +214,9 @@ def test_every_public_function_has_a_caller_in_src():
     assert [name for name, _ in uncalled] == sorted(ENTRY_POINTS)
 
 
-def test_heights_are_filled_in_one_place():
-    # ideals._height_grids fills every height grid, alone or stacked, so
-    # no second filler can drift from its cuts or its padding
-    fills = []
+def _owners_of(predicate):
+    """module.function (or module) of every src node that predicate accepts."""
+    found = []
     for path in SOURCES:
         tree = ast.parse(path.read_text(encoding="utf-8"))
         owners: dict[int, str] = {}
@@ -227,12 +225,24 @@ def test_heights_are_filled_in_one_place():
             if isinstance(fn, ast.FunctionDef):
                 for line in range(fn.lineno, fn.end_lineno + 1):
                     owners.setdefault(line, f"{path.stem}.{fn.name}")
-        fills += [
-            owners.get(node.lineno, path.stem)
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute)
-            and node.attr == "at"
-            and isinstance(node.value, ast.Attribute)
-            and node.value.attr == "minimum"
-        ]
+        found += [owners.get(node.lineno, path.stem) for node in ast.walk(tree) if predicate(node)]
+    return found
+
+
+def test_heights_are_filled_in_one_place():
+    # ideals._height_grids fills every height grid, alone or stacked, so
+    # no second filler can drift from its cuts or its padding
+    fills = _owners_of(
+        lambda node: isinstance(node, ast.Attribute)
+        and node.attr == "at"
+        and isinstance(node.value, ast.Attribute)
+        and node.value.attr == "minimum"
+    )
     assert fills == ["ideals._height_grids"]
+
+
+def test_cells_are_looked_up_in_one_place():
+    # the grids' cuts and every row's cell come from _height_grids' sort;
+    # a second lookup of cells on a stack of grids would be a second reader
+    sorts = _owners_of(lambda node: isinstance(node, ast.Attribute) and node.attr == "lexsort")
+    assert sorts == ["ideals._height_grids"]
