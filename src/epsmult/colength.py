@@ -57,8 +57,7 @@ def _difference_cells(inner: MonomialIdeal, outer: MonomialIdeal | None):
         return None
     if outer is None:
         cuts, h_in = inner._grid()
-        # epsilon_sequence reads each power of its kept chain here once
-        h_out = inner._saturation_grid(keep=False)
+        h_out = _saturation_heights(h_in[None])[0]
         return cuts, h_in > h_out, h_in, h_out
     inner._check_same_dim(outer)
     cuts, (h_in, h_out) = _height_grids((inner, outer))
@@ -133,10 +132,10 @@ def saturation_max_degrees(ideals) -> list[int | None]:
     """difference_max_degree(I, None) for each nonzero ideal I, in stacked passes.
 
     The ideals' grids are filled from their rows, a stack within
-    MAX_GRID_CELLS cells at a time (ideals._height_grids, stacked), and
-    no grid or saturation memo is filled.  A stack's padding repeats each
-    grid's last cells, where sat(I)'s heights equal I's, as on every last
-    cell: a padded cell holds an empty difference.
+    MAX_GRID_CELLS cells at a time (ideals._height_grids, stacked), and no
+    grid memo is filled.  A stack's padding repeats each grid's last
+    cells, where sat(I)'s heights equal I's, as on every last cell: a
+    padded cell holds an empty difference.
     """
     degrees: list[int | None] = []
     for tops, heights in _height_grids(ideals, stacked=True):

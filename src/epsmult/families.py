@@ -3,8 +3,8 @@
 A family is a rule n -> I_n with I_0 the unit ideal and I_a * I_b inside
 I_(a+b).  GradedFamilySpec(I) is the rule n -> I^n, read off the base
 ideal's own chain (MonomialIdeal.power); the saturated powers are
-fam(n).saturate(), the memo of each I^n.  So every family over one base
-ideal shares one chain of powers and each saturation.  Instances are
+fam(n).saturate(), read off each I^n's own grid.  So every family over
+one base ideal shares one chain of powers and its grids.  Instances are
 immutable and hashable, and cache the ideals they have returned.
 """
 

@@ -15,30 +15,28 @@ maximum of two generators can wrap; rows with no coordinate above
 DEGREE_LIMIT // d pass it unread.  The constructor also refuses a ring in
 more than DIM_LIMIT = 64 variables, past the axes of a numpy 2 array.
 Every nonzero ideal has a compressed height grid (see _height_grids),
-memoized on the instance by MonomialIdeal._grid, and the saturation's
-heights on that grid, memoized by MonomialIdeal._saturation_grid; the
-saturation, the length of sat(I)/I and okounkov's simplex counts read
-them.  The truncation search, the deepest degree of sat(I)/I over a
-chain of powers, fills a stack of grids from their rows at once instead
-(_height_grids, stacked), with no memo.  A product of large ideals is
-a min-plus shift of the larger factor's grid, trimmed to its own grid
-and kept for the next link of a power chain.
+memoized on the instance by MonomialIdeal._grid.  The saturation, the
+length of sat(I)/I and okounkov's simplex counts read the saturation's
+heights off it on each call (_saturation_heights).  The truncation
+search, the deepest degree of sat(I)/I over a chain of powers, fills a
+stack of grids from their rows at once instead (_height_grids, stacked),
+with no memo.  A product of large ideals is a min-plus shift of the
+larger factor's grid, trimmed to its own grid and kept for the next link
+of a power chain.
 Every other ideal is minimalized by one bitset filter on Python ints
 (minimal_vectors), exact at any degree, in about N^2 / 2 bits of memory
 for N candidates.
 
 Instances are immutable and hashable; operations return new ideals.
 Each instance memoizes what it derives: its generator tuples, height
-grid, the saturation's heights on that grid, saturation and chain of
-powers I^2, I^3, .. (see .power).  So every caller that asks one ideal
-for I^n or sat(I^n) reads the same objects, and a report builds each
-once.  A saturated ideal is its own saturation, so the chain of sat(I)
-is I's own.  No memo refers back to the ideal that holds it (a saturated
-ideal's memo is a sentinel, not itself), so an ideal and all it derived
-are freed together by reference counting.  Operations are safe to call
-from multiple threads: a memo, or a member of a chain, is stored only
-once complete and under its own key, so a race between threads can
-repeat work but never store a wrong value.
+grid and chain of powers I^2, I^3, .. (see .power).  So every caller
+that asks one ideal for I^n reads the same object, and a report builds
+each once.  A saturated ideal is its own saturation, so the chain of
+sat(I) is I's own.  No memo refers back to the ideal that holds it, so
+an ideal and all it derived are freed together by reference counting.
+Operations are safe to call from multiple threads: a memo, or a member
+of a chain, is stored only once complete and under its own key, so a
+race between threads can repeat work but never store a wrong value.
 """
 
 from __future__ import annotations
@@ -108,9 +106,6 @@ def _int64_rows(vectors, dim: int) -> np.ndarray:
     return np.asarray(vectors, dtype=np.int64).reshape(len(vectors), dim)
 
 
-# The memo of a saturated ideal's saturation (see MonomialIdeal.saturate).
-_SATURATED = object()
-
 # Largest number of cells of one height grid (32 MiB as int64).
 MAX_GRID_CELLS = 1 << 22
 
@@ -157,7 +152,7 @@ def _height_grids(ideals, stacked: bool = False):
 
     Stacked: each ideal sits on its own cuts (a zero ideal's grid is one
     cell of _NEVER).  Returns an iterator over chunks (tops, heights), in
-    the order of the ideals, each of at most MAX_GRID_CELLS cells.
+    the order of the ideals: one stack, or one per grid past MAX_GRID_CELLS.
     heights stacks a run of the ideals' grids on a leading axis, each
     padded along every column axis with copies of its last cells.
     tops[k][j] holds the upper cuts of the run's j-th grid on axis k+1,
@@ -222,19 +217,14 @@ def _height_grids(ideals, stacked: bool = False):
         cells.append(cell)
         lengths.append(count)
         wide.append(widest)
-    # one stack, unless the padded grids pass MAX_GRID_CELLS: then runs of
-    # them, each as long as it fits
+    # one stack, unless the padded grids pass MAX_GRID_CELLS: then one
+    # chunk per grid, each checked before any is filled
     runs = [(0, n, wide)]
     if n * math.prod(wide) > MAX_GRID_CELLS:
-        runs, start, wide = [], 0, []
-        for i, shape in enumerate(np.reshape(lengths, (dim - 1, n)).T.tolist()):
+        shapes = np.reshape(lengths, (dim - 1, n)).T.tolist()
+        for shape in shapes:
             _check_grid_cells(shape)
-            grown = list(map(max, wide, shape)) if i > start else shape
-            if (i + 1 - start) * math.prod(grown) > MAX_GRID_CELLS:
-                runs.append((start, i, wide))
-                start, grown = i, shape
-            wide = grown
-        runs.append((start, n, wide))
+        runs = [(j, j + 1, shape) for j, shape in enumerate(shapes)]
 
     def chunk(a, b, wide):
         lo, hi = ends[a], ends[b]
@@ -296,17 +286,6 @@ def _saturation_heights(heights: np.ndarray) -> np.ndarray:
         np.maximum(sat, heights.take([-1], axis=axis), out=sat)
     sat[~finite] = _NEVER
     return sat
-
-
-def _saturation_on_grid(ideal: "MonomialIdeal") -> "MonomialIdeal":
-    """The saturation of a nonzero ideal, read off its height grid.
-
-    Returns ideal itself when the saturation's corners are its own rows.
-    """
-    rows = _corners(ideal._grid()[0], ideal._saturation_grid())
-    if np.array_equal(rows, ideal._rows):
-        return ideal
-    return _make(ideal.dim, rows=rows)
 
 
 def _shifted_heights(padded: np.ndarray, cuts, union, shifts: np.ndarray) -> np.ndarray:
@@ -469,25 +448,6 @@ class MonomialIdeal:
             grid = self._set_grid(cuts, heights)
         return grid
 
-    def _saturation_grid(self, keep: bool = True) -> np.ndarray:
-        """The saturation's heights on this nonzero ideal's own grid, read-only.
-
-        _NEVER exactly where the ideal's own height is.  Memoized on the
-        instance, so the readers of sat(I) off I's grid share one pass.
-        With keep false the memo is read if present, and otherwise the
-        heights are computed and not stored: for a reader that visits each
-        grid of a kept power chain once, a memo would only double the
-        chain's memory.  The truncation search's stacked pass reads no
-        memo and stores none, for the same reason.
-        """
-        sat = getattr(self, "_sat_heights", None)
-        if sat is None:
-            sat = _saturation_heights(self._grid()[1][None])[0, ...]
-            sat.flags.writeable = False
-            if keep:
-                object.__setattr__(self, "_sat_heights", sat)
-        return sat
-
     def _set_grid(self, cuts, heights: np.ndarray):
         for arr in (*cuts, heights):
             arr.flags.writeable = False
@@ -582,18 +542,16 @@ class MonomialIdeal:
         T_1, and multiplying by x_j^(T_j), j > 1, moves a column into the
         unbounded last cell of axis j.  So the saturation has height
         max(h - T_1, 0, h with any one axis at its last cell) on every cell
-        where h is finite.  A saturated ideal is its own saturation, so
-        every chain and count over sat(I) reads I's own memos.  Memoized on
-        the instance; a saturated ideal records _SATURATED there, not
-        itself, so that no ideal is reachable from itself.
+        where h is finite (_saturation_heights).  A saturated ideal is
+        returned itself, so every chain and count over sat(I) reads its memos.
         """
         if self.is_zero or self.is_unit:
             return self
-        sat = getattr(self, "_sat", None)
-        if sat is None:
-            sat = _saturation_on_grid(self)
-            object.__setattr__(self, "_sat", _SATURATED if sat is self else sat)
-        return self if sat is _SATURATED else sat
+        cuts, heights = self._grid()
+        rows = _corners(cuts, _saturation_heights(heights[None])[0])
+        if np.array_equal(rows, self._rows):
+            return self
+        return _make(self.dim, rows=rows)
 
     # -- operator sugar --------------------------------------------------
 

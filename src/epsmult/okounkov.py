@@ -24,17 +24,17 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DimensionMismatchError, InconclusiveError, ZeroIdealError
-from .ideals import _NEVER, MonomialIdeal, _cell_corners, _exact_int
+from .ideals import _NEVER, MonomialIdeal, _cell_corners, _exact_int, _saturation_heights
 
 
 def simplex_counts(ideal: MonomialIdeal, cap: int) -> tuple[int, int]:
     """Staircase points of sat(I) and of I with coordinate sum <= cap.
 
     Returns (saturated, plain), both read off I's own height grid: the
-    saturation's heights on it (MonomialIdeal._saturation_grid) are the
-    step function sat(I)'s own grid holds, cut finer, and a count adds up
-    over cells; they are _NEVER exactly where I's are, so both counts walk
-    the same cells.  The zero ideal is its own saturation and has no points.
+    saturation's heights on it (ideals._saturation_heights) are the step
+    function sat(I)'s own grid holds, cut finer, and a count adds up over
+    cells; they are _NEVER exactly where I's are, so both counts walk the
+    same cells.  The zero ideal is its own saturation and has no points.
 
     On a cell with height h, lower corner c and widths w_k, the points are
     (h + t, c + u) with t >= 0, 0 <= u_k < w_k and t + |u| <= N = cap -
@@ -51,7 +51,7 @@ def simplex_counts(ideal: MonomialIdeal, cap: int) -> tuple[int, int]:
     budget = cap - sum(lows)
     return tuple(
         _simplex_walk(budget - h[cells].astype(object), widths, ideal.dim)
-        for h in (ideal._saturation_grid(), heights)
+        for h in (_saturation_heights(heights[None])[0], heights)
     )
 
 

@@ -24,7 +24,6 @@ from epsmult import (
     InconclusiveError,
     MonomialIdeal,
     Semigroup,
-    beta_stability,
     swanson_c_search,
 )
 from epsmult.cli import main, parse_ideal
@@ -525,7 +524,7 @@ class TestNoRecomputation:
 
         monkeypatch.setattr(okounkov_mod, "simplex_counts", counted)
         monkeypatch.setattr(cli, "simplex_counts", counted)
-        monkeypatch.setattr(ideals_mod, "_saturation_on_grid", no_saturation)
+        monkeypatch.setattr(MonomialIdeal, "saturate", no_saturation)
         nmax = 15
         for text in (X2_XY, "x^5, x^4*y, x^2*y^2, x*y^4"):
             levels.clear()
@@ -596,13 +595,13 @@ class TestNoRecomputation:
         # sat(I)^2..sat(I)^4, and reads each sat(I^i) off I^i's grid: sat(I)
         # is the one saturation formed
         saturations = []
-        saturation = ideals_mod._saturation_on_grid
+        saturation = MonomialIdeal.saturate
 
         def counted_saturation(ideal):
             saturations.append(ideal.generators)
             return saturation(ideal)
 
-        monkeypatch.setattr(ideals_mod, "_saturation_on_grid", counted_saturation)
+        monkeypatch.setattr(MonomialIdeal, "saturate", counted_saturation)
         text = "x^2*y, x*y^3, y^5, x^4"
         swanson_c_search(parse_ideal(text))
         assert (len(products), saturations) == (11, [])
@@ -615,14 +614,16 @@ class TestNoRecomputation:
         assert saturated == [base.generators]
 
     def test_each_grid_takes_one_saturation_pass(self, capsys, monkeypatch):
-        # a lemmas row reads sat(I^i) off one stack of the I^i in each check,
-        # and sat(I) in saturate(); beta_stability counts one level at every
-        # beta.  Each grid or stack takes one saturation-height pass.
+        # each of the 50 lemmas rows reads sat(I^i) off one stack of the I^i
+        # in the truncation search, and sat(I) in saturate(): two passes a
+        # row, each on its own grid or stack.  A grid is passed as a view,
+        # heights[None], new on every pass: the array it views tells the
+        # grids apart.
         grids = []  # kept alive, so that no two grids share an id
         heights = ideals_mod._saturation_heights
 
         def recorded(height):
-            grids.append(height)
+            grids.append(height if height.base is None else height.base)
             return heights(height)
 
         for module in [m for name, m in sys.modules.items() if name.startswith("epsmult")]:
@@ -630,8 +631,7 @@ class TestNoRecomputation:
                 monkeypatch.setattr(module, "_saturation_heights", recorded)
         assert main(["lemmas", "--seed", "1", "--nmax", "50"]) == 0
         capsys.readouterr()
-        assert beta_stability(parse_ideal(X2_XY), 1, 4, 0, 3).stabilized_beta == 4
-        assert len(grids) > 100
+        assert len(grids) == 2 * 50
         assert len({id(grid) for grid in grids}) == len(grids)
 
     def test_deep_probe_level_needs_no_recursion(self, capsys):

@@ -14,13 +14,16 @@ from epsmult import (
     MonomialIdeal,
     SizeLimitError,
     amao,
+    check_sat_power_containment,
     colength,
     corpus,
     difference_max_degree,
     epsilon_sequence,
     is_finite_colength,
     maximal_ideal,
+    simplex_counts,
     swanson_c_search,
+    theorem_a_table,
     unit_ideal,
     zero_ideal,
 )
@@ -173,7 +176,7 @@ class TestSaturationOnTheInnerGrid:
     def test_matches_a_memo_free_copy_and_brute_force(self):
         dims = set()
         for P, S in _saturation_pairs():
-            assert S is P.saturate()
+            assert S == P.saturate()
             dims.add(P.dim)
             got = colength(P, S), difference_max_degree(P, S)
             copy = MonomialIdeal(P.dim, S.generators)
@@ -249,26 +252,33 @@ class TestSaturationLength:
             assert difference_max_degree(MonomialIdeal(S.dim, S.generators), None) is None, S
 
     def test_epsilon_sequence_forms_no_saturation(self, monkeypatch):
-        ideals_mod = importlib.import_module("epsmult.ideals")
         calls = []
-        on_grid = ideals_mod._saturation_on_grid
+        saturate = MonomialIdeal.saturate
 
         def recorded(ideal):
             calls.append(ideal)
-            return on_grid(ideal)
+            return saturate(ideal)
 
-        monkeypatch.setattr(ideals_mod, "_saturation_on_grid", recorded)
+        monkeypatch.setattr(MonomialIdeal, "saturate", recorded)
         I = MonomialIdeal(3, [(2, 1, 0), (0, 2, 1), (1, 0, 2)])
         assert len(epsilon_sequence(I, 8).lengths) == 8
         assert calls == []
 
-    def test_epsilon_sequence_stores_no_saturation_heights(self):
-        # the chain keeps every power's grid and each is read once: a stored
-        # saturation-height grid per power would double the chain's memory
+    def test_reports_store_no_saturation_memo(self):
+        # every report reads sat(I^n) off I^n's grid when it needs it: the
+        # ideal and its chain of powers keep rows, grids and powers alone
         I = MonomialIdeal(3, [(2, 1, 0), (0, 2, 1), (1, 0, 2)])
+        assert I.saturate() != I
+        assert len(theorem_a_table(I, m_max=3, k_max=9)) == 3
         assert len(epsilon_sequence(I, 8).lengths) == 8
-        chain = [I] + [I.power(n) for n in range(2, 9)]
-        assert all(getattr(P, "_sat_heights", None) is None for P in chain)
+        for n in range(1, 9):
+            simplex_counts(I.power(n), 2 * n)
+        swanson_c_search(I, mk_bound=12)
+        assert check_sat_power_containment(I, 4).ok
+        chain = [I, *I._powers.values()]
+        assert len(chain) == 12
+        kept = {"dim", "_gens", "_rows", "_heights", "_powers"}
+        assert all(vars(P).keys() <= kept for P in chain)
 
 
 def _equal_pairs():
@@ -573,9 +583,8 @@ class TestInsideSaturation:
         sat, powers = I.saturate(), [I.power(i) for i in range(1, 5)]
         assert all(is_finite_colength(P, sat.power(i)) for i, P in enumerate(powers, 1))
         # I^2..I^4 are pairwise products (at most 10 * 3 pairs), which keep
-        # no grid; I's own memos are saturate()'s
+        # no grid; I's own grid is saturate()'s
         assert all(getattr(P, "_heights", None) is None for P in powers[1:])
-        assert all(getattr(P, "_sat_heights", None) is None for P in powers[1:])
 
     def test_empty_lists_give_empty_answers(self):
         assert saturation_max_degrees([]) == []

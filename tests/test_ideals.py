@@ -379,7 +379,7 @@ class TestPowerChain:
         assert I.power(np.int64(3)) == I * I * I
 
     def test_dropped_ideal_is_freed_without_the_collector(self):
-        # a saturated ideal's saturation memo must not be the ideal itself
+        # no memo may refer back to the ideal, saturated or not
         was_enabled = gc.isenabled()
         gc.disable()
         try:
@@ -512,22 +512,24 @@ class TestSaturation:
         with pytest.raises(SizeLimitError, match="cells exceeds the limit"):
             wide.saturate()
 
-    def test_memoized_on_the_instance(self, monkeypatch):
-        calls = []
-        grid = ideals_mod._saturation_on_grid
+    def test_each_call_reads_the_ideal_s_own_grid(self, monkeypatch):
+        # nothing is memoized: each call takes one saturation-height pass on
+        # the ideal's own grid, and a saturated ideal is returned itself
+        passes = []
+        heights = ideals_mod._saturation_heights
 
-        def counted(ideal):
-            calls.append(ideal)
-            return grid(ideal)
+        def counted(grid):
+            passes.append(grid)
+            return heights(grid)
 
-        monkeypatch.setattr(ideals_mod, "_saturation_on_grid", counted)
+        monkeypatch.setattr(ideals_mod, "_saturation_heights", counted)
         I = MonomialIdeal(2, [(2, 0), (1, 1)]).power(3)
-        assert I.saturate() is I.saturate()
-        assert calls == [I]
-        # a saturated ideal's memo holds no reference to the ideal, yet is read
+        assert I.saturate() == I.saturate() != I
         J = MonomialIdeal(3, [(2, 1, 0), (0, 1, 3), (1, 1, 1)])
         assert J.saturate() is J.saturate() is J
-        assert calls == [I, J]
+        grids = I._grid()[1], J._grid()[1]
+        on = [[np.shares_memory(g, grid) for grid in grids] for g in passes]
+        assert on == [[True, False]] * 2 + [[False, True]] * 2
 
     def test_a_saturated_ideal_is_its_own_saturation(self):
         pool = corpus(84, 300, max_dim=4) + lemma_pool()

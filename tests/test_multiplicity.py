@@ -397,13 +397,13 @@ class TestContainmentLemma:
     def test_forms_no_saturation_past_the_ideal_s(self, monkeypatch):
         ideal = MonomialIdeal(3, [(2, 1, 0), (0, 2, 1), (1, 0, 2)])
         saturated = []
-        saturation = ideals_mod._saturation_on_grid
+        saturation = MonomialIdeal.saturate
 
         def counted(power):
             saturated.append(power)
             return saturation(power)
 
-        monkeypatch.setattr(ideals_mod, "_saturation_on_grid", counted)
+        monkeypatch.setattr(MonomialIdeal, "saturate", counted)
         assert check_sat_power_containment(ideal, 4).ok
         assert saturated == [ideal]
 
@@ -519,13 +519,13 @@ class TestSwanson:
 
     def test_search_saturates_no_power(self, products, monkeypatch):
         calls = []
-        grid = ideals_mod._saturation_on_grid
+        saturate = MonomialIdeal.saturate
 
         def counted(ideal):
             calls.append(ideal.generators)
-            return grid(ideal)
+            return saturate(ideal)
 
-        monkeypatch.setattr(ideals_mod, "_saturation_on_grid", counted)
+        monkeypatch.setattr(MonomialIdeal, "saturate", counted)
         base = MonomialIdeal(2, [(3, 0), (1, 2)])
         swanson_c_search(base, mk_bound=12)
         # every pair (n, 1) reads sat(I^n) off I^n's own grid
